@@ -1,7 +1,9 @@
 """The seven competitor lifetime models and the model-comparison pipeline.
 
-Each competitor carries closed-form pdf and cdf, an MLE fitting adapter
-running on the same multi-start Nelder-Mead engine as the RTGLE fitter, and
+W, RTW, LE and RTLE are RTGLE with some coordinates held fixed, so their
+density and distribution function are those of their RTGLE image; TW, TL
+and TLL carry their own closed forms.  Every competitor is fitted by
+maximum likelihood on the estimation engine of ``estimate`` and carries
 its free-parameter count for AIC.
 
 Two printed-source corrections, both forced by normalization (a density
@@ -19,12 +21,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
+# looked up here by the benchmark's per-layer tracing (bench/tracing.py)
+from scipy.optimize import minimize  # noqa: F401
 
 from . import estimate
-from .distribution import RtgleParams
-from .estimate import (AllStartsFailed, EstimationMethod, OptimizerConfig,
-                       _check_data)
+from .distribution import (RtgleParams, cdf, linear_exponential, log_pdf,
+                           rt_linear_exponential, rt_weibull, weibull)
+from .estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
+                       OptimizerConfig, _check_data, _delta_method_se,
+                       _from_free, _search, _to_free)
 from .gof import GofReport, PValueMode, gof_report
 
 
@@ -88,10 +93,6 @@ def _loglogistic_log_pdf(x, a, b):
             - 2.0 * np.log(a ** b + xb))
 
 
-def _le_m(x, alpha, beta):
-    return alpha * x + 0.5 * beta * x * x
-
-
 _SPECS: dict[str, _Spec] = {}
 
 
@@ -99,19 +100,21 @@ def _register(kind, names, kinds, log_pdf, cdf, start):
     _SPECS[kind] = _Spec(tuple(names), tuple(kinds), log_pdf, cdf, start)
 
 
-_register(
+def _register_nested(kind, names, kinds, image, start):
+    """Register a competitor that is RTGLE at ``image(*params)``."""
+    _register(kind, names, kinds,
+              log_pdf=lambda x, *v: log_pdf(image(*v), x),
+              cdf=lambda x, *v: cdf(image(*v), x), start=start)
+
+
+_register_nested(
     "RTW", ("theta", "gamma", "p"), ("pos", "pos", "unit"),
-    log_pdf=lambda x, th, g, p: (
-        math.log(th * g) + (g - 1.0) * np.log(x) - th * np.power(x, g)
-        + np.log(np.maximum(1.0 + p * (th * np.power(x, g) - 1.0), 1e-320))),
-    cdf=lambda x, th, g, p: -np.expm1(
-        np.log1p(p * th * np.power(x, g)) - th * np.power(x, g)),
+    image=lambda th, g, p: rt_weibull(th ** (1.0 / g), g, p),
     start=lambda x: (1.0 / np.mean(x), 1.0, 0.5),
 )
-_register(
+_register_nested(
     "W", ("mu", "sigma"), ("pos", "pos"),
-    log_pdf=lambda x, mu, s: _weibull_log_pdf(x, mu, s),
-    cdf=lambda x, mu, s: _weibull_cdf(x, mu, s),
+    image=lambda mu, s: weibull(1.0 / s, mu),
     start=lambda x: (1.0, np.mean(x)),
 )
 _register(
@@ -135,19 +138,14 @@ _register(
     cdf=lambda x, a, b, lam: _transmute_cdf(_loglogistic_cdf(x, a, b), lam),
     start=lambda x: (np.median(x), 1.0, 0.0),
 )
-_register(
+_register_nested(
     "RTLE", ("alpha", "beta", "p"), ("pos", "pos", "unit"),
-    log_pdf=lambda x, a, b, p: (
-        np.log(a + b * x) - _le_m(x, a, b)
-        + np.log(np.maximum(1.0 - p + p * _le_m(x, a, b), 1e-320))),
-    cdf=lambda x, a, b, p: -np.expm1(
-        np.log1p(p * _le_m(x, a, b)) - _le_m(x, a, b)),
+    image=rt_linear_exponential,
     start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2, 0.5),
 )
-_register(
+_register_nested(
     "LE", ("alpha", "beta"), ("pos", "pos"),
-    log_pdf=lambda x, a, b: np.log(a + b * x) - _le_m(x, a, b),
-    cdf=lambda x, a, b: -np.expm1(-_le_m(x, a, b)),
+    image=linear_exponential,
     start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2),
 )
 
@@ -194,33 +192,6 @@ def competitor_cdf(model: CompetitorModel, x):
 
 # --- fitting -------------------------------------------------------------------
 
-def _to_unconstrained(values, kinds) -> np.ndarray:
-    out = []
-    for v, k in zip(values, kinds):
-        if k == "pos":
-            out.append(math.log(v))
-        elif k == "sym":
-            v = min(max(v, -1.0 + 1e-8), 1.0 - 1e-8)
-            out.append(math.atanh(v))
-        else:
-            v = min(max(v, 1e-12), 1.0 - 1e-12)
-            out.append(math.log(v / (1.0 - v)))
-    return np.array(out)
-
-
-def _from_unconstrained(theta, kinds) -> tuple[float, ...]:
-    out = []
-    for t, k in zip(theta, kinds):
-        t = min(max(float(t), -40.0), 40.0)
-        if k == "pos":
-            out.append(math.exp(t))
-        elif k == "sym":
-            out.append(math.tanh(t))
-        else:
-            out.append(1.0 / (1.0 + math.exp(-t)))
-    return tuple(out)
-
-
 @dataclass
 class CompetitorFit:
     model: CompetitorModel
@@ -232,88 +203,28 @@ class CompetitorFit:
 
 def fit_competitor(kind: str, data,
                    config: OptimizerConfig | None = None) -> CompetitorFit:
-    """Maximum likelihood fit of one competitor by multi-start Nelder-Mead."""
+    """Maximum likelihood fit of one competitor on the estimation engine."""
     config = config or OptimizerConfig()
     x = _check_data(data)
     spec = _SPECS[kind]
     kinds = spec.param_kinds
 
     def nll(theta):
-        model = CompetitorModel(kind, _from_unconstrained(theta, kinds))
-        lp = competitor_log_pdf(model, x)
-        if np.any(np.isneginf(lp)):
-            return math.inf
-        return -float(np.sum(lp))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            total = float(np.sum(spec.log_pdf(x, *_from_free(theta, kinds))))
+        return -total if math.isfinite(total) else math.inf
 
-    center = _to_unconstrained(spec.start(x), kinds)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    best = None
-    n_used = 0
-    for s in range(config.n_starts):
-        theta0 = center if s == 0 else center + rng.normal(scale=1.0,
-                                                           size=len(kinds))
-        n_used += 1
-        if not np.isfinite(nll(theta0)):
-            continue
-        res = minimize(nll, theta0, method="Nelder-Mead",
-                       options={"maxiter": config.max_iterations,
-                                "fatol": config.tolerance, "xatol": 1e-8,
-                                "adaptive": True})
-        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
-        raise AllStartsFailed(f"no start produced a finite likelihood "
-                              f"for {kind}")
-    model = CompetitorModel(kind, _from_unconstrained(best.x, kinds))
-    se = _competitor_standard_errors(kind, best.x, x)
-    return CompetitorFit(model=model, minus2loglik=2.0 * float(best.fun),
-                         converged=bool(np.isfinite(best.fun)),
-                         n_starts_used=n_used, standard_errors=se)
-
-
-def _competitor_standard_errors(kind, theta, x):
-    spec = _SPECS[kind]
-    kinds = spec.param_kinds
-    k = len(theta)
-
-    def f(th):
-        model = CompetitorModel(kind, _from_unconstrained(th, kinds))
-        lp = competitor_log_pdf(model, x)
-        return math.inf if np.any(np.isneginf(lp)) else -float(np.sum(lp))
-
-    h = 1e-4 * (1.0 + np.abs(theta))
-    hess = np.empty((k, k))
-    f0 = f(theta)
-    for i in range(k):
-        for j in range(i, k):
-            ei = np.zeros(k); ei[i] = h[i]
-            ej = np.zeros(k); ej[j] = h[j]
-            if i == j:
-                val = (f(theta + ei) - 2.0 * f0 + f(theta - ei)) / h[i] ** 2
-            else:
-                val = (f(theta + ei + ej) - f(theta + ei - ej)
-                       - f(theta - ei + ej) + f(theta - ei - ej)) \
-                    / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
-    if not np.all(np.isfinite(hess)):
-        return None
+    opt = _search(nll, _to_free(spec.start(x), kinds), 1.0, config,
+                  f"likelihood for {kind}")
+    values = _from_free(opt.x, kinds)
     try:
-        cov_t = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return None
-    diag = np.diag(cov_t)
-    if np.any(diag <= 0.0):
-        return None
-    nat = _from_unconstrained(theta, kinds)
-    jac = []
-    for v, kk in zip(nat, kinds):
-        if kk == "pos":
-            jac.append(v)
-        elif kk == "sym":
-            jac.append(1.0 - v * v)
-        else:
-            jac.append(v * (1.0 - v))
-    return tuple(float(s) for s in np.sqrt(diag) * np.abs(jac))
+        se = _delta_method_se(nll, opt.x, values, kinds)
+    except HessianNotPD:
+        se = None
+    return CompetitorFit(model=CompetitorModel(kind, values),
+                         minus2loglik=2.0 * float(opt.fun),
+                         converged=bool(opt.success),
+                         n_starts_used=config.n_starts, standard_errors=se)
 
 
 # --- comparison pipeline --------------------------------------------------------
@@ -335,7 +246,6 @@ def comparison_table(data, config: OptimizerConfig | None = None,
 
     Per-model failures are kept as error rows so partial results survive.
     """
-    from .distribution import cdf as rtgle_cdf
     x = _check_data(data)
     rows: list[ComparisonRow] = []
 
@@ -343,7 +253,7 @@ def comparison_table(data, config: OptimizerConfig | None = None,
         try:
             rf = estimate.fit(x, EstimationMethod.MLE, config)
             pr: RtgleParams = rf.params
-            rep = gof_report(lambda t: rtgle_cdf(pr, t), x,
+            rep = gof_report(lambda t: cdf(pr, t), x,
                              minus2loglik=2.0 * rf.objective, r=4, mode=mode)
             names = ("alpha", "beta", "gamma", "p")
             ses = (dict(zip(names, rf.standard_errors))

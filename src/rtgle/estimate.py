@@ -2,11 +2,13 @@
 minimum-distance methods (least squares, weighted least squares,
 Anderson-Darling, Cramer-von Mises).
 
-All objectives are minimized over a smooth unconstrained reparametrization
-(log for alpha, beta, gamma; logit for p) by multi-start Nelder-Mead, with
-an optional analytic-gradient polish for maximum likelihood.  Standard
-errors for the MLE come from the inverse observed information (numerical
-Hessian in transformed coordinates, mapped back by the delta method).
+One private engine serves these fits and the competitor fits in
+``compare``.  It searches a smooth unconstrained reparametrization chosen
+per coordinate kind (log for positive values, logit for probabilities,
+atanh for values in [-1, 1]) by multi-start Nelder-Mead, with an optional
+analytic-gradient BFGS polish.  Standard errors come from the inverse
+observed information (central-difference Hessian in transformed
+coordinates, mapped back by the delta method).
 """
 
 from __future__ import annotations
@@ -166,143 +168,115 @@ _OBJECTIVES = {
 }
 
 
-# --- parameter transform ------------------------------------------------------
+# --- estimation engine ---------------------------------------------------------
+# A parameter vector is described by the kind of each coordinate: "pos"
+# (> 0), "unit" (a probability) or "sym" (in [-1, 1]).
 
 _LOGIT_CLAMP = 40.0
+_RTGLE_KINDS = ("pos", "pos", "pos", "unit")
+
+
+def _to_free(values, kinds) -> np.ndarray:
+    """Map interior natural-scale values to unconstrained coordinates."""
+    out = []
+    for v, k in zip(values, kinds):
+        if k == "pos" and v > 0.0:
+            out.append(math.log(v))
+        elif k == "unit" and 0.0 < v < 1.0:
+            out.append(math.log(v / (1.0 - v)))
+        elif k == "sym" and -1.0 < v < 1.0:
+            out.append(math.atanh(v))
+        else:
+            raise ValueError("transform requires interior parameters")
+    return np.array(out)
+
+
+def _from_free(theta, kinds) -> tuple[float, ...]:
+    """Inverse of _to_free; logit coordinates are clamped to |t| <= 40."""
+    out = []
+    for t, k in zip(np.asarray(theta, dtype=float).tolist(), kinds):
+        if k == "pos":
+            out.append(math.exp(t))
+        elif k == "unit":
+            t = min(max(t, -_LOGIT_CLAMP), _LOGIT_CLAMP)
+            out.append(1.0 / (1.0 + math.exp(-t)))
+        else:
+            out.append(math.tanh(t))
+    return tuple(out)
+
+
+def _jacobian(values, kinds) -> np.ndarray:
+    """Derivative of each natural-scale value by its free coordinate."""
+    return np.array([v if k == "pos" else v * (1.0 - v) if k == "unit"
+                     else 1.0 - v * v for v, k in zip(values, kinds)])
 
 
 def transform(params: RtgleParams) -> np.ndarray:
     """Map interior params to unconstrained R^4 (log, log, log, logit)."""
-    a, b, g, p = params.as_tuple()
-    if a <= 0.0 or b <= 0.0 or not (0.0 < p < 1.0):
-        raise ValueError("transform requires interior parameters")
-    return np.array([math.log(a), math.log(b), math.log(g),
-                     math.log(p / (1.0 - p))])
+    return _to_free(params.as_tuple(), _RTGLE_KINDS)
 
 
 def untransform(theta) -> RtgleParams:
     """Inverse of transform; the logit coordinate is clamped to |t| <= 40."""
-    t = np.asarray(theta, dtype=float)
-    logit = min(max(t[3], -_LOGIT_CLAMP), _LOGIT_CLAMP)
-    return validate(math.exp(t[0]), math.exp(t[1]), math.exp(t[2]),
-                    1.0 / (1.0 + math.exp(-logit)))
+    return validate(*_from_free(theta, _RTGLE_KINDS))
 
 
-def _start_points(data: np.ndarray, config: OptimizerConfig) -> np.ndarray:
-    """Deterministic dispersed starts: a moment-flavored center plus
-    log-space perturbations.  An explicit config.start overrides the center."""
-    if config.start is not None:
-        center = transform(validate(*config.start))
-    else:
-        mean = float(np.mean(data))
-        var = float(np.var(data))
-        # exponential-rate center; beta sized so the quadratic term matters
-        # at the sample scale; gamma from the coefficient-of-variation
-        # direction
-        a0 = 1.0 / mean
-        b0 = max(1.0 / (mean * mean + var), 1e-3)
-        cv2 = var / (mean * mean) if mean > 0 else 1.0
-        g0 = min(max(1.0 / math.sqrt(cv2), 0.3), 3.0) if cv2 > 0 else 1.0
-        center = np.array([math.log(a0), math.log(b0 * 0.5), math.log(g0),
-                           0.0])
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    starts = [center]
-    for _ in range(config.n_starts - 1):
-        starts.append(center + rng.normal(scale=[1.0, 1.5, 0.5, 1.5], size=4))
-    return np.array(starts)
+def _search(objective, center: np.ndarray, scale, config: OptimizerConfig,
+            what: str, gradient=None):
+    """Multi-start Nelder-Mead on an objective of the free coordinates.
 
-
-def fit(data, method: EstimationMethod,
-        config: OptimizerConfig | None = None,
-        polish_gradient: bool = True,
-        compute_se: bool = True) -> FitResult:
-    """Minimize the chosen objective by multi-start Nelder-Mead.
-
-    Deterministic given (data, method, config.seed).  For MLE an analytic
-    gradient BFGS polish runs from the best simplex optimum when the result
-    is interior.
+    The starts are center and config.n_starts - 1 normal perturbations of
+    it with standard deviation scale (Philox keyed by config.seed).  An
+    objective raising ArithmeticError or ValueError counts as +inf.  With a
+    gradient, a BFGS polish from the best simplex optimum is kept unless it
+    raises the objective.  Returns that optimum's OptimizeResult, whose
+    ``success`` is that of the step that produced it.
     """
-    config = config or OptimizerConfig()
-    x = _check_data(data)
-    objective = _OBJECTIVES[method]
-
-    def obj_t(theta):
+    def guarded(theta):
         try:
-            return objective(untransform(theta), x)
-        except (OverflowError, ValueError):
+            return objective(theta)
+        except (ArithmeticError, ValueError):
             return math.inf
 
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
     best = None
-    n_used = 0
-    for theta0 in _start_points(x, config):
-        n_used += 1
-        if not np.isfinite(obj_t(theta0)):
+    for i in range(config.n_starts):
+        theta0 = center if i == 0 else \
+            center + rng.normal(scale=scale, size=len(center))
+        if not np.isfinite(guarded(theta0)):
             continue
-        res = minimize(obj_t, theta0, method="Nelder-Mead",
+        res = minimize(guarded, theta0, method="Nelder-Mead",
                        options={"maxiter": config.max_iterations,
                                 "fatol": config.tolerance,
                                 "xatol": config.step_tolerance,
                                 "adaptive": True})
-        if not np.isfinite(res.fun):
-            continue
-        if best is None or res.fun < best.fun:
+        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
             best = res
     if best is None:
-        raise AllStartsFailed(f"no start produced a finite {method.value} "
-                              "objective")
+        raise AllStartsFailed(f"no start produced a finite {what}")
 
-    theta = best.x
-    fval = float(best.fun)
-    iterations = int(best.nit)
-    if method is EstimationMethod.MLE and polish_gradient:
-        def grad_t(th):
-            pr = untransform(th)
-            gnat = nll_gradient(pr, x)
-            a, b, g, p = pr.as_tuple()
-            jac = np.array([a, b, g, p * (1.0 - p)])
-            return gnat * jac
+    if gradient is not None:
         try:
-            polished = minimize(obj_t, theta, jac=grad_t, method="BFGS",
+            polished = minimize(guarded, best.x, jac=gradient, method="BFGS",
                                 options={"maxiter": 200, "gtol": 1e-8})
-            if np.isfinite(polished.fun) and polished.fun <= fval:
-                theta, fval = polished.x, float(polished.fun)
-                iterations += int(polished.nit)
+            if np.isfinite(polished.fun) and polished.fun <= best.fun:
+                best.x, best.fun = polished.x, polished.fun
+                best.nit += polished.nit
+                best.success = polished.success
         except ValueError:
             pass
-
-    params = untransform(theta)
-    result = FitResult(params=params, objective=fval,
-                       converged=bool(best.success or fval < math.inf),
-                       iterations=iterations, n_starts_used=n_used,
-                       method=method)
-    if method is EstimationMethod.MLE and compute_se:
-        try:
-            result.standard_errors = standard_errors(params, x)
-        except HessianNotPD as exc:
-            result.standard_errors = None
-            result.diagnostics = str(exc)
-    return result
+    return best
 
 
 class HessianNotPD(ArithmeticError):
     """Observed information matrix is not positive definite at the optimum."""
 
 
-def standard_errors(params_at_mle: RtgleParams, data
-                    ) -> tuple[float, float, float, float]:
-    """Delta-method standard errors from the inverse observed information.
-
-    The Hessian of the negative log-likelihood is taken by central
-    differences in transformed coordinates (step 1e-4 * (1 + |theta|)),
-    inverted, and mapped to the natural scale.
-    """
-    x = _check_data(data)
-    theta = transform(params_at_mle)
+def _delta_method_se(f, theta: np.ndarray, values,
+                     kinds) -> tuple[float, ...]:
+    """standard_errors for a negative log-likelihood ``f`` of the free
+    coordinates, at free point ``theta`` = natural-scale ``values``."""
     k = len(theta)
-
-    def f(th):
-        return neg_log_likelihood(untransform(th), x)
-
     h = 1e-4 * (1.0 + np.abs(theta))
     hess = np.empty((k, k))
     f0 = f(theta)
@@ -326,7 +300,79 @@ def standard_errors(params_at_mle: RtgleParams, data
     diag = np.diag(cov_t)
     if np.any(diag <= 0.0):
         raise HessianNotPD("inverse information has non-positive diagonal")
-    a, b, g, p = params_at_mle.as_tuple()
-    jac = np.array([a, b, g, p * (1.0 - p)])
-    se = np.sqrt(diag) * np.abs(jac)
+    se = np.sqrt(diag) * np.abs(_jacobian(values, kinds))
     return tuple(float(v) for v in se)
+
+
+# --- RTGLE fitting ---------------------------------------------------------------
+
+def _start_center(data: np.ndarray, config: OptimizerConfig) -> np.ndarray:
+    """A moment-flavored start in free coordinates, or config.start."""
+    if config.start is not None:
+        return transform(validate(*config.start))
+    mean = float(np.mean(data))
+    var = float(np.var(data))
+    # exponential-rate center; beta sized so the quadratic term matters
+    # at the sample scale; gamma from the coefficient-of-variation
+    # direction
+    a0 = 1.0 / mean
+    b0 = max(1.0 / (mean * mean + var), 1e-3)
+    cv2 = var / (mean * mean) if mean > 0 else 1.0
+    g0 = min(max(1.0 / math.sqrt(cv2), 0.3), 3.0) if cv2 > 0 else 1.0
+    return np.array([math.log(a0), math.log(b0 * 0.5), math.log(g0), 0.0])
+
+
+def fit(data, method: EstimationMethod,
+        config: OptimizerConfig | None = None,
+        polish_gradient: bool = True,
+        compute_se: bool = True) -> FitResult:
+    """Minimize the chosen objective by multi-start Nelder-Mead.
+
+    Deterministic given (data, method, config.seed).  For MLE an analytic
+    gradient BFGS polish runs from the best simplex optimum when the result
+    is interior.
+    """
+    config = config or OptimizerConfig()
+    x = _check_data(data)
+    objective = _OBJECTIVES[method]
+
+    def obj_t(theta):
+        return objective(untransform(theta), x)
+
+    grad_t = None
+    if method is EstimationMethod.MLE and polish_gradient:
+        def grad_t(th):
+            pr = untransform(th)
+            return nll_gradient(pr, x) * _jacobian(pr.as_tuple(),
+                                                   _RTGLE_KINDS)
+
+    opt = _search(obj_t, _start_center(x, config), [1.0, 1.5, 0.5, 1.5],
+                  config, f"{method.value} objective", grad_t)
+    params = untransform(opt.x)
+    result = FitResult(params=params, objective=float(opt.fun),
+                       converged=bool(opt.success), iterations=int(opt.nit),
+                       n_starts_used=config.n_starts, method=method)
+    if method is EstimationMethod.MLE and compute_se:
+        try:
+            result.standard_errors = standard_errors(params, x)
+        except HessianNotPD as exc:
+            result.standard_errors = None
+            result.diagnostics = str(exc)
+    return result
+
+
+def standard_errors(params_at_mle: RtgleParams, data
+                    ) -> tuple[float, float, float, float]:
+    """Delta-method standard errors from the inverse observed information.
+
+    The Hessian of the negative log-likelihood is taken by central
+    differences in transformed coordinates (step 1e-4 * (1 + |theta|)),
+    inverted, and mapped to the natural scale.
+    """
+    x = _check_data(data)
+
+    def f(th):
+        return neg_log_likelihood(untransform(th), x)
+
+    return _delta_method_se(f, transform(params_at_mle),
+                            params_at_mle.as_tuple(), _RTGLE_KINDS)

@@ -1,12 +1,12 @@
-"""Scalar special functions: Lambert W (both real branches), log-gamma, beta.
+"""Scalar special functions: Lambert W (both real branches), gamma, beta.
 
 Lambert W solves w * exp(w) = v.  The principal branch ``lambert_w0`` covers
 v >= -1/e with values in [-1, inf); the negative branch ``lambert_wm1``
 covers -1/e <= v < 0 with values in (-inf, -1].  Both use Halley iteration
 from branch-specific initial guesses.
 
-log-gamma uses a Lanczos approximation (g = 7, 9 coefficients) with the
-reflection formula for arguments below 0.5.
+Gamma and log-gamma come from the standard library (``math.gamma``,
+``math.lgamma``), restricted to the positive reals.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 ABS_TOL = 1e-12     # Lambert W residual |w e^w - v|
-REL_TOL = 1e-13     # log-gamma target relative error
 MAX_ITER = 50
 
 _INV_E = math.exp(-1.0)
@@ -133,40 +132,14 @@ def log_gamma(a: float) -> float:
     """Natural log of the gamma function for a > 0."""
     if not a > 0.0:
         raise SpecialDomainError(f"log_gamma: a={a!r} must be > 0")
-    if a < 0.5:
-        # reflection: log Gamma(a) = log(pi / sin(pi a)) - log Gamma(1 - a)
-        return math.log(math.pi / math.sin(math.pi * a)) - _lanczos(1.0 - a)
-    return _lanczos(a)
-
-
-# Lanczos g = 7, 9-term coefficient set (Godfrey / Numerical Recipes lineage)
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos(a: float) -> float:
-    # valid for a >= 0.5
-    x = a - 1.0
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(a)
 
 
 def gamma_fn(a: float) -> float:
     """Gamma(a) for a > 0."""
-    return math.exp(log_gamma(a))
+    if not a > 0.0:
+        raise SpecialDomainError(f"gamma_fn: a={a!r} must be > 0")
+    return math.gamma(a)
 
 
 def log_beta(a: float, b: float) -> float:

@@ -8,6 +8,7 @@ from scipy.stats import weibull_min
 from rtgle.compare import (COMPETITOR_KINDS, CompetitorModel, comparison_table,
                            competitor_cdf, competitor_log_pdf, competitor_pdf,
                            fit_competitor, make_competitor)
+from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, sample
 from rtgle.estimate import OptimizerConfig
 
@@ -50,6 +51,41 @@ def test_cdf_limits(kind):
     assert competitor_cdf(model, -1.0) == 0.0
     # TLL has a power-law tail, so approach to 1 is slow
     assert competitor_cdf(model, 1e8) == pytest.approx(1.0, abs=1e-6)
+
+
+def _le_log_pdf(x, a, b, p):
+    m = a * x + 0.5 * b * x * x
+    return np.log(a + b * x) - m + np.log(1.0 - p + p * m)
+
+
+# published closed forms of the competitors that are RTGLE images
+CLOSED_FORM_LOG_PDF = {
+    "W": lambda x, mu, s: (math.log(mu / s) + (mu - 1.0) * np.log(x / s)
+                           - (x / s) ** mu),
+    "RTW": lambda x, th, g, p: (math.log(th * g) + (g - 1.0) * np.log(x)
+                                - th * x ** g
+                                + np.log(1.0 + p * (th * x ** g - 1.0))),
+    "RTLE": _le_log_pdf,
+    "LE": lambda x, a, b: _le_log_pdf(x, a, b, 0.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_LOG_PDF))
+def test_nested_log_pdf_matches_closed_form(kind):
+    params = EXAMPLES[kind]
+    x = np.linspace(0.05, 40.0, 200)
+    got = competitor_log_pdf(make_competitor(kind, *params), x)
+    expected = CLOSED_FORM_LOG_PDF[kind](x, *params)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_nested_likelihoods_on_real_data():
+    full = load_dataset("embedded").values
+    trimmed = np.delete(full, flag_outliers_iqr(full))
+    m2ll = {k: fit_competitor(k, trimmed).minus2loglik
+            for k in ("W", "RTW", "LE", "RTLE")}
+    assert m2ll["RTW"] <= m2ll["W"] + 1e-6
+    assert m2ll["RTLE"] <= m2ll["LE"] + 1e-6
 
 
 def test_log_pdf_outside_support():

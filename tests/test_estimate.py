@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rtgle.compare import fit_competitor
 from rtgle.distribution import RtgleParams, sample, validate
 from rtgle.estimate import (AllStartsFailed, EstimationMethod, NonPositiveData,
                             OptimizerConfig, _OBJECTIVES, ad_objective,
@@ -202,3 +203,11 @@ def test_optimizer_config_validation():
         OptimizerConfig(n_starts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=-1.0)
+
+
+def test_converged_false_at_iteration_limit():
+    x = sample(TRUE, 100, seed=5)
+    config = OptimizerConfig(max_iterations=5, n_starts=1)
+    assert not fit(x, EstimationMethod.MLE, config,
+                   polish_gradient=False).converged
+    assert not fit_competitor("TW", x, config).converged
