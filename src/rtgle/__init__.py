@@ -12,9 +12,10 @@ from .distribution import (BothRatesZero, HazardShapeClass, InvalidParams,
                            rt_exponential, rt_linear_exponential, rt_rayleigh,
                            rt_weibull, sample, sample_via_records, sf,
                            validate, weibull)
-from .estimate import (AllStartsFailed, EstimationMethod, FitResult,
-                       HessianNotPD, NonPositiveData, OptimizerConfig, fit,
-                       neg_log_likelihood, nll_gradient, standard_errors)
+from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
+                       FitResult, HessianNotPD, NonPositiveData,
+                       OptimizerConfig, fit, neg_log_likelihood, nll_gradient,
+                       standard_errors)
 from .gof import (GofReport, PValueMode, StatKind, ad_statistic, aic,
                   cvm_statistic, gof_report, ks_statistic, p_value)
 from .properties import (MgfDiverged, MomentReport, QuadratureError,

@@ -3,7 +3,8 @@
 Commands: fit, gof, compare, simulate, table, sample.  Output formats are
 text (default, 4-decimal tables), json (full-precision, stable field
 names), and csv (header row).  Exit codes: 0 success, 2 usage error,
-3 data error, 4 numeric failure.
+3 data error (including a sample too degenerate to fit), 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .datasets import (NonPositiveValue, ParseError, flag_outliers_iqr,
                        load_dataset)
 from .distribution import (InvalidParams, RtgleParams, cdf, pdf, quantile,
                            sample, validate)
-from .estimate import (AllStartsFailed, EstimationMethod, NonPositiveData,
-                       OptimizerConfig, fit, neg_log_likelihood)
+from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
+                       NonPositiveData, OptimizerConfig, fit,
+                       neg_log_likelihood)
 from .gof import PValueMode, gof_report
 from .properties import (QuadratureError, kurtosis, moment_quadrature,
                          quantile_measures, skewness, variance)
@@ -337,7 +339,8 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NonPositiveData, ParseError, NonPositiveValue) as exc:
+    except (NonPositiveData, DegenerateData, ParseError,
+            NonPositiveValue) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, AllStartsFailed, ArithmeticError) as exc:

@@ -209,9 +209,8 @@ def fit_competitor(kind: str, data,
     spec = _SPECS[kind]
     kinds = spec.param_kinds
 
-    def nll(theta):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            total = float(np.sum(spec.log_pdf(x, *_from_free(theta, kinds))))
+    def nll(theta):  # the engine evaluates it with warnings off
+        total = float(np.sum(spec.log_pdf(x, *_from_free(theta, kinds))))
         return -total if math.isfinite(total) else math.inf
 
     opt = _search(nll, _to_free(spec.start(x), kinds), 1.0, config,

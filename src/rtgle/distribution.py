@@ -60,8 +60,10 @@ class RtgleParams:
         return (self.alpha, self.beta, self.gamma, self.p)
 
 
-def validate(alpha: float, beta: float, gamma: float, p: float) -> RtgleParams:
-    """Validate raw reals, naming the violated constraint on failure."""
+def _checked(alpha: float, beta: float, gamma: float,
+             p: float) -> tuple[float, float, float, float]:
+    """The checks of ``validate`` on plain floats, without building
+    RtgleParams (the estimation objectives call this per evaluation)."""
     if not (gamma > 0.0) or math.isnan(gamma):
         raise NonPositiveGamma(f"gamma={gamma!r} must be > 0")
     if alpha < 0.0 or beta < 0.0 or math.isnan(alpha) or math.isnan(beta):
@@ -70,7 +72,12 @@ def validate(alpha: float, beta: float, gamma: float, p: float) -> RtgleParams:
         raise BothRatesZero("alpha and beta cannot both be zero")
     if not (0.0 <= p <= 1.0):
         raise POutOfRange(f"p={p!r} must lie in [0, 1]")
-    return RtgleParams(float(alpha), float(beta), float(gamma), float(p))
+    return float(alpha), float(beta), float(gamma), float(p)
+
+
+def validate(alpha: float, beta: float, gamma: float, p: float) -> RtgleParams:
+    """Validate raw reals, naming the violated constraint on failure."""
+    return RtgleParams(*_checked(alpha, beta, gamma, p))
 
 
 # --- sub-model constructors ------------------------------------------------
@@ -112,21 +119,37 @@ def rt_linear_exponential(alpha: float, beta: float, p: float) -> RtgleParams:
 
 
 # --- evaluation -------------------------------------------------------------
+# The interior kernels take the floats (alpha, beta, gamma, p), an array
+# x >= 0 and x2 = x**2, and hold the only copy of each formula; the public
+# functions add the support masking.  Callers own the np.errstate.
 
-def _m(params: RtgleParams, x):
-    return params.alpha * x + 0.5 * params.beta * np.square(x)
+def _m(a, b, x, x2):
+    """m = a*x + b*x^2/2; the GLE baseline's cumulative hazard is m^gamma."""
+    return a * x + 0.5 * b * x2
 
 
-def _z(params: RtgleParams, x):
-    return np.power(_m(params, x), params.gamma)
+def _log_sf_kernel(a, b, g, p, x, x2):
+    """log S(x) = log1p(p*z) - z with z = m^g."""
+    z = np.power(_m(a, b, x, x2), g)
+    return np.log1p(p * z) - z
+
+
+def _log_pdf_kernel(a, b, g, p, x, x2):
+    """log f(x) = log g + log(a + b*x) + (g-1) log m + log(1-p+p*z) - z."""
+    m = _m(a, b, x, x2)
+    z = np.power(m, g)
+    mix = (1.0 - p) + p * z
+    return (math.log(g) + np.log(a + b * x) + (g - 1.0) * np.log(m)
+            + np.where(mix > 0.0, np.log(np.maximum(mix, 1e-320)), -np.inf)
+            - z)
 
 
 def sf(params: RtgleParams, x):
     """Survival function, cancellation-safe in the right tail."""
     x = np.asarray(x, dtype=float)
+    xm = np.maximum(x, 0.0)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        z = _z(params, np.maximum(x, 0.0))
-        out = np.exp(np.log1p(params.p * z) - z)
+        out = np.exp(_log_sf_kernel(*params.as_tuple(), xm, np.square(xm)))
     out = np.where(x <= 0.0, 1.0, out)
     return out if out.ndim else float(out)
 
@@ -134,29 +157,19 @@ def sf(params: RtgleParams, x):
 def cdf(params: RtgleParams, x):
     """Distribution function F(x) = 1 - (1 + p*z) * exp(-z)."""
     x = np.asarray(x, dtype=float)
+    xm = np.maximum(x, 0.0)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        z = _z(params, np.maximum(x, 0.0))
-        out = -np.expm1(np.log1p(params.p * z) - z)
+        out = -np.expm1(_log_sf_kernel(*params.as_tuple(), xm, np.square(xm)))
     out = np.where(x <= 0.0, 0.0, out)
     return out if out.ndim else float(out)
 
 
 def log_pdf(params: RtgleParams, x):
     """Log density, -inf where the density vanishes.  Never NaN."""
-    a, b, g, p = params.as_tuple()
     x = np.asarray(x, dtype=float)
     xp = np.where(x > 0.0, x, 1.0)  # placeholder, masked below
-    m = _m(params, xp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = np.power(m, g)
-        mix = (1.0 - p) + p * z
-        out = (
-            math.log(g)
-            + np.log(a + b * xp)
-            + (g - 1.0) * np.log(m)
-            + np.where(mix > 0.0, np.log(np.maximum(mix, 1e-320)), -np.inf)
-            - z
-        )
+        out = _log_pdf_kernel(*params.as_tuple(), xp, np.square(xp))
     out = np.where(x > 0.0, out, -np.inf)
     out = np.where(np.isnan(out), -np.inf, out)
     return out if out.ndim else float(out)
@@ -176,7 +189,7 @@ def baseline_hazard(params: RtgleParams, x):
     if np.any(x <= 0.0) and g < 1.0:
         raise ValueError("baseline hazard diverges at x <= 0 for gamma < 1")
     xp = np.where(x > 0.0, x, 1.0)
-    m = _m(params, xp)
+    m = _m(a, b, xp, np.square(xp))
     out = g * (a + b * xp) * np.power(m, g - 1.0)
     if np.any(x <= 0.0):
         limit = a if g == 1.0 else 0.0
@@ -186,10 +199,11 @@ def baseline_hazard(params: RtgleParams, x):
 
 def hazard(params: RtgleParams, x):
     """Hazard h(x) = k(x) * (1 - p + p*z) / (1 + p*z); h <= k everywhere."""
-    p = params.p
+    a, b, g, p = params.as_tuple()
     x = np.asarray(x, dtype=float)
     k = np.asarray(baseline_hazard(params, x), dtype=float)
-    z = _z(params, np.maximum(x, 0.0))
+    xm = np.maximum(x, 0.0)
+    z = np.power(_m(a, b, xm, np.square(xm)), g)
     damp = ((1.0 - p) + p * z) / (1.0 + p * z)
     out = k * damp
     return out if out.ndim else float(out)

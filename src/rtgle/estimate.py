@@ -20,7 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .distribution import RtgleParams, cdf, log_pdf, sf, validate
+# log_pdf, cdf and sf are looked up here by the benchmark's per-layer
+# tracing (bench/tracing.py)
+from .distribution import (RtgleParams, _checked, _log_pdf_kernel,  # noqa: F401
+                           _log_sf_kernel, cdf, log_pdf, sf, validate)
+from .gof import _cvm, _cvm_positions
 
 
 class EstimationMethod(enum.Enum):
@@ -33,6 +37,10 @@ class EstimationMethod(enum.Enum):
 
 class NonPositiveData(ValueError):
     """Input sample contains values <= 0 (support is x > 0)."""
+
+
+class DegenerateData(ValueError):
+    """The sample has fewer than two distinct values, so no fit exists."""
 
 
 class AllStartsFailed(RuntimeError):
@@ -77,24 +85,76 @@ def _check_data(data) -> np.ndarray:
 
 
 # --- objectives ---------------------------------------------------------------
+# _objective checks the data once per fit (and, for the distance methods,
+# sorts it and tabulates every data-only array once) and returns the
+# objective as a function of the plain floats (alpha, beta, gamma, p) on the
+# interior kernels of ``distribution``.  The data are positive, so of the
+# public functions' masking only NaN log density -> -inf can act.  Callers
+# evaluate it under _IGNORE: far from the optimum the kernels overflow.
+
+_IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
+
+
+def _objective(method: EstimationMethod, data):
+    x = _check_data(data)
+    if method is EstimationMethod.MLE:
+        x2 = np.square(x)
+
+        def nll(a, b, g, p):
+            lp = _log_pdf_kernel(a, b, g, p, x, x2)
+            total = float(lp.sum())
+            # a -inf or NaN log density is a zero density: +inf
+            if not math.isfinite(total) and (np.isneginf(lp)
+                                             | np.isnan(lp)).any():
+                return math.inf
+            return -total
+        return nll
+
+    x = np.sort(x)
+    x2 = np.square(x)
+    n = len(x)
+    i = np.arange(1, n + 1)
+
+    if method is EstimationMethod.ADE:
+        coef = 2 * i - 1
+
+        def ad(a, b, g, p):
+            log_s = _log_sf_kernel(a, b, g, p, x, x2)
+            f, s = -np.expm1(log_s), np.exp(log_s)
+            if (f <= 0.0).any() or (s <= 0.0).any():
+                return math.inf
+            return float(-n - (coef * (np.log(f) + np.log(s[::-1]))).sum() / n)
+        return ad
+
+    def cdf_at(a, b, g, p):
+        return -np.expm1(_log_sf_kernel(a, b, g, p, x, x2))
+
+    if method is EstimationMethod.CME:
+        mid = _cvm_positions(n)
+        return lambda a, b, g, p: _cvm(cdf_at(a, b, g, p), mid)
+    pos = i / (n + 1.0)
+    if method is EstimationMethod.LSE:
+        return lambda a, b, g, p: float(((cdf_at(a, b, g, p) - pos) ** 2).sum())
+    w = (n + 1.0) ** 2 * (n + 2.0) / (i * (n - i + 1.0))
+    return lambda a, b, g, p: float(
+        (w * (cdf_at(a, b, g, p) - pos) ** 2).sum())
+
+
+@np.errstate(**_IGNORE)
+def _evaluate(method: EstimationMethod, params: RtgleParams, data) -> float:
+    return _objective(method, data)(*params.as_tuple())
+
 
 def neg_log_likelihood(params: RtgleParams, data) -> float:
     """Negative log-likelihood; +inf if any point has zero density."""
-    x = _check_data(data)
-    lp = log_pdf(params, x)
-    if np.any(np.isneginf(lp)):
-        return math.inf
-    return -float(np.sum(lp))
+    return _evaluate(EstimationMethod.MLE, params, data)
 
 
-def nll_gradient(params: RtgleParams, data) -> np.ndarray:
-    """Analytic gradient of the negative log-likelihood w.r.t.
-    (alpha, beta, gamma, p); requires interior parameters."""
-    a, b, g, p = params.as_tuple()
+def _nll_gradient(values, x: np.ndarray) -> np.ndarray:
+    a, b, g, p = values
     if a <= 0.0 or b <= 0.0 or not (0.0 < p < 1.0):
         raise ValueError("gradient requires interior parameters "
                          "(alpha>0, beta>0, 0<p<1)")
-    x = _check_data(data)
     n = len(x)
     m = a * x + 0.5 * b * x * x
     z = np.power(m, g)
@@ -119,44 +179,31 @@ def nll_gradient(params: RtgleParams, data) -> np.ndarray:
     return -np.array([dl_da, dl_db, dl_dg, dl_dp])
 
 
-def _sorted_cdf(params: RtgleParams, data) -> tuple[np.ndarray, int]:
-    x = np.sort(_check_data(data))
-    return np.asarray(cdf(params, x), dtype=float), len(x)
+def nll_gradient(params: RtgleParams, data) -> np.ndarray:
+    """Analytic gradient of the negative log-likelihood w.r.t.
+    (alpha, beta, gamma, p); requires interior parameters."""
+    return _nll_gradient(params.as_tuple(), _check_data(data))
 
 
 def ls_objective(params: RtgleParams, data) -> float:
     """Sum of squared deviations of F(x_(i)) from i/(n+1)."""
-    f, n = _sorted_cdf(params, data)
-    i = np.arange(1, n + 1)
-    return float(np.sum((f - i / (n + 1.0)) ** 2))
+    return _evaluate(EstimationMethod.LSE, params, data)
 
 
 def wls_objective(params: RtgleParams, data) -> float:
     """ls_objective with inverse-variance weights
     (n+1)^2 (n+2) / (i (n-i+1))."""
-    f, n = _sorted_cdf(params, data)
-    i = np.arange(1, n + 1)
-    w = (n + 1.0) ** 2 * (n + 2.0) / (i * (n - i + 1.0))
-    return float(np.sum(w * (f - i / (n + 1.0)) ** 2))
+    return _evaluate(EstimationMethod.WLSE, params, data)
 
 
 def ad_objective(params: RtgleParams, data) -> float:
     """Anderson-Darling distance; +inf when any F(x_(i)) hits 0 or 1."""
-    x = np.sort(_check_data(data))
-    n = len(x)
-    f = np.asarray(cdf(params, x), dtype=float)
-    s = np.asarray(sf(params, x), dtype=float)
-    if np.any(f <= 0.0) or np.any(s <= 0.0):
-        return math.inf
-    i = np.arange(1, n + 1)
-    return float(-n - np.sum((2 * i - 1) * (np.log(f) + np.log(s[::-1]))) / n)
+    return _evaluate(EstimationMethod.ADE, params, data)
 
 
 def cvm_objective(params: RtgleParams, data) -> float:
     """Cramer-von Mises distance 1/(12n) + sum (F(x_(i)) - (2i-1)/(2n))^2."""
-    f, n = _sorted_cdf(params, data)
-    i = np.arange(1, n + 1)
-    return float(1.0 / (12.0 * n) + np.sum((f - (2 * i - 1) / (2.0 * n)) ** 2))
+    return _evaluate(EstimationMethod.CME, params, data)
 
 
 _OBJECTIVES = {
@@ -173,6 +220,9 @@ _OBJECTIVES = {
 # (> 0), "unit" (a probability) or "sym" (in [-1, 1]).
 
 _LOGIT_CLAMP = 40.0
+# largest free-coordinate gradient, relative to 1 + |objective|, at which a
+# BFGS polish that stopped on precision loss still counts as converged
+_STATIONARY_GTOL = 1e-6
 _RTGLE_KINDS = ("pos", "pos", "pos", "unit")
 
 
@@ -191,18 +241,18 @@ def _to_free(values, kinds) -> np.ndarray:
     return np.array(out)
 
 
+def _logistic(t: float) -> float:
+    t = min(max(t, -_LOGIT_CLAMP), _LOGIT_CLAMP)
+    return 1.0 / (1.0 + math.exp(-t))
+
+
+_INVERSE = {"pos": math.exp, "unit": _logistic, "sym": math.tanh}
+
+
 def _from_free(theta, kinds) -> tuple[float, ...]:
     """Inverse of _to_free; logit coordinates are clamped to |t| <= 40."""
-    out = []
-    for t, k in zip(np.asarray(theta, dtype=float).tolist(), kinds):
-        if k == "pos":
-            out.append(math.exp(t))
-        elif k == "unit":
-            t = min(max(t, -_LOGIT_CLAMP), _LOGIT_CLAMP)
-            out.append(1.0 / (1.0 + math.exp(-t)))
-        else:
-            out.append(math.tanh(t))
-    return tuple(out)
+    return tuple([_INVERSE[k](t) for t, k in
+                  zip(np.asarray(theta, dtype=float).tolist(), kinds)])
 
 
 def _jacobian(values, kinds) -> np.ndarray:
@@ -216,18 +266,25 @@ def transform(params: RtgleParams) -> np.ndarray:
     return _to_free(params.as_tuple(), _RTGLE_KINDS)
 
 
+def _untransform_values(theta) -> tuple[float, float, float, float]:
+    """untransform as validated floats, without building RtgleParams."""
+    return _checked(*_from_free(theta, _RTGLE_KINDS))
+
+
 def untransform(theta) -> RtgleParams:
     """Inverse of transform; the logit coordinate is clamped to |t| <= 40."""
-    return validate(*_from_free(theta, _RTGLE_KINDS))
+    return RtgleParams(*_untransform_values(theta))
 
 
+@np.errstate(**_IGNORE)
 def _search(objective, center: np.ndarray, scale, config: OptimizerConfig,
             what: str, gradient=None):
     """Multi-start Nelder-Mead on an objective of the free coordinates.
 
     The starts are center and config.n_starts - 1 normal perturbations of
     it with standard deviation scale (Philox keyed by config.seed).  An
-    objective raising ArithmeticError or ValueError counts as +inf.  With a
+    objective raising ArithmeticError or ValueError counts as +inf; it runs
+    with floating-point warnings off (_IGNORE).  With a
     gradient, a BFGS polish from the best simplex optimum is kept unless it
     raises the objective.  Returns that optimum's OptimizeResult, whose
     ``success`` is that of the step that produced it.
@@ -262,7 +319,11 @@ def _search(objective, center: np.ndarray, scale, config: OptimizerConfig,
             if np.isfinite(polished.fun) and polished.fun <= best.fun:
                 best.x, best.fun = polished.x, polished.fun
                 best.nit += polished.nit
-                best.success = polished.success
+                # a stop on precision loss at a stationary point converged
+                best.success = polished.success or (
+                    polished.status == 2
+                    and np.max(np.abs(polished.jac))
+                    <= _STATIONARY_GTOL * (1.0 + abs(polished.fun)))
         except ValueError:
             pass
     return best
@@ -272,6 +333,7 @@ class HessianNotPD(ArithmeticError):
     """Observed information matrix is not positive definite at the optimum."""
 
 
+@np.errstate(**_IGNORE)
 def _delta_method_se(f, theta: np.ndarray, values,
                      kinds) -> tuple[float, ...]:
     """standard_errors for a negative log-likelihood ``f`` of the free
@@ -334,17 +396,18 @@ def fit(data, method: EstimationMethod,
     """
     config = config or OptimizerConfig()
     x = _check_data(data)
-    objective = _OBJECTIVES[method]
+    if x.min() == x.max():
+        raise DegenerateData("fitting needs at least two distinct data values")
+    objective = _objective(method, x)
 
     def obj_t(theta):
-        return objective(untransform(theta), x)
+        return objective(*_untransform_values(theta))
 
     grad_t = None
     if method is EstimationMethod.MLE and polish_gradient:
         def grad_t(th):
-            pr = untransform(th)
-            return nll_gradient(pr, x) * _jacobian(pr.as_tuple(),
-                                                   _RTGLE_KINDS)
+            values = _untransform_values(th)
+            return _nll_gradient(values, x) * _jacobian(values, _RTGLE_KINDS)
 
     opt = _search(obj_t, _start_center(x, config), [1.0, 1.5, 0.5, 1.5],
                   config, f"{method.value} objective", grad_t)
@@ -369,10 +432,10 @@ def standard_errors(params_at_mle: RtgleParams, data
     differences in transformed coordinates (step 1e-4 * (1 + |theta|)),
     inverted, and mapped to the natural scale.
     """
-    x = _check_data(data)
+    nll = _objective(EstimationMethod.MLE, data)
 
     def f(th):
-        return neg_log_likelihood(untransform(th), x)
+        return nll(*_untransform_values(th))
 
     return _delta_method_se(f, transform(params_at_mle),
                             params_at_mle.as_tuple(), _RTGLE_KINDS)

@@ -64,11 +64,20 @@ def ks_statistic(cdf_evaluator, data) -> float:
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
 
+def _cvm_positions(n: int) -> np.ndarray:
+    """The midpoint plotting positions (2i-1)/(2n), i = 1..n."""
+    return (2 * np.arange(1, n + 1) - 1) / (2.0 * n)
+
+
+def _cvm(f: np.ndarray, mid: np.ndarray) -> float:
+    """W^2 from the sorted F values f and mid = _cvm_positions(len(f))."""
+    return float(1.0 / (12.0 * len(mid)) + ((f - mid) ** 2).sum())
+
+
 def cvm_statistic(cdf_evaluator, data) -> float:
     """W^2 = 1/(12n) + sum (F(x_(i)) - (2i-1)/(2n))^2."""
     f, n = _sorted_f(cdf_evaluator, data)
-    i = np.arange(1, n + 1)
-    return float(1.0 / (12.0 * n) + np.sum((f - (2 * i - 1) / (2.0 * n)) ** 2))
+    return _cvm(f, _cvm_positions(n))
 
 
 def ad_statistic(cdf_evaluator, data) -> float:
@@ -158,18 +167,30 @@ def p_value(statistic: float, kind: StatKind, n: int,
         if kind is StatKind.AD:
             return 1.0 - _ad_cdf_asymptotic(statistic)
         raise ValueError(f"unknown statistic kind: {kind!r}")
-    if bootstrap_sampler is None or bootstrap_refitter is None:
+    return _bootstrap_p_values({kind: statistic}, n, bootstrap_sampler,
+                               bootstrap_refitter, b, seed)[kind]
+
+
+_STATISTICS = {StatKind.KS: ks_statistic, StatKind.CVM: cvm_statistic,
+               StatKind.AD: ad_statistic}
+
+
+def _bootstrap_p_values(observed: dict, n: int, sampler, refitter, b: int,
+                        seed: int) -> dict:
+    """Bootstrap p-values of several observed statistics, {kind: value},
+    from one loop of B draws and refits; replicate rep is drawn with the
+    seed SeedSequence([seed, rep])."""
+    if sampler is None or refitter is None:
         raise ValueError("bootstrap mode requires sampler and refitter")
-    stat_fn = {StatKind.KS: ks_statistic, StatKind.CVM: cvm_statistic,
-               StatKind.AD: ad_statistic}[kind]
-    exceed = 0
+    exceed = dict.fromkeys(observed, 0)
     for rep in range(b):
         rep_seed = int(np.random.SeedSequence([seed, rep]).generate_state(1)[0])
-        boot = bootstrap_sampler(n, rep_seed)
-        boot_cdf = bootstrap_refitter(boot)
-        if stat_fn(boot_cdf, boot) >= statistic:
-            exceed += 1
-    return (1.0 + exceed) / (b + 1.0)
+        boot = sampler(n, rep_seed)
+        boot_cdf = refitter(boot)
+        for kind, statistic in observed.items():
+            if _STATISTICS[kind](boot_cdf, boot) >= statistic:
+                exceed[kind] += 1
+    return {kind: (1.0 + k) / (b + 1.0) for kind, k in exceed.items()}
 
 
 def aic(minus2loglik: float, r: int) -> float:
@@ -186,18 +207,20 @@ def gof_report(cdf_evaluator, data, minus2loglik: float, r: int,
     """All three statistics with p-values, plus -2logL and AIC."""
     x = np.asarray(data, dtype=float)
     n = len(x)
-    ks = ks_statistic(cdf_evaluator, x)
-    cvm = cvm_statistic(cdf_evaluator, x)
-    ad = ad_statistic(cdf_evaluator, x)
-    kwargs = dict(mode=mode, bootstrap_sampler=bootstrap_sampler,
-                  bootstrap_refitter=bootstrap_refitter, b=b, seed=seed)
-    mode_label = ("asymptotic" if mode is PValueMode.ASYMPTOTIC
-                  else f"bootstrap({b})")
+    observed = {StatKind.KS: ks_statistic(cdf_evaluator, x),
+                StatKind.CVM: cvm_statistic(cdf_evaluator, x),
+                StatKind.AD: ad_statistic(cdf_evaluator, x)}
+    if mode is PValueMode.ASYMPTOTIC:
+        p = {kind: p_value(stat, kind, n) for kind, stat in observed.items()}
+        mode_label = "asymptotic"
+    else:
+        p = _bootstrap_p_values(observed, n, bootstrap_sampler,
+                                bootstrap_refitter, b, seed)
+        mode_label = f"bootstrap({b})"
     return GofReport(
-        ks=ks, cvm=cvm, ad=ad,
-        p_ks=p_value(ks, StatKind.KS, n, **kwargs),
-        p_cvm=p_value(cvm, StatKind.CVM, n, **kwargs),
-        p_ad=p_value(ad, StatKind.AD, n, **kwargs),
+        ks=observed[StatKind.KS], cvm=observed[StatKind.CVM],
+        ad=observed[StatKind.AD],
+        p_ks=p[StatKind.KS], p_cvm=p[StatKind.CVM], p_ad=p[StatKind.AD],
         p_value_mode=mode_label,
         minus2loglik=minus2loglik,
         aic=aic(minus2loglik, r),

@@ -153,3 +153,12 @@ def test_out_file(tmp_path, capsys):
                            "2", "--seed", "3", "--out", str(target))
     assert code == 0
     assert len(target.read_text().strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("content", ["1.3\n", "2.0 2.0 2.0 2.0 2.0\n"])
+def test_degenerate_data_exit_code(tmp_path, capsys, content):
+    f = tmp_path / "degenerate.txt"
+    f.write_text(content)
+    code, _, err = run_cli(capsys, "fit", "--data", str(f))
+    assert code == 3
+    assert "distinct" in err

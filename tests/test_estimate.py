@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rtgle.compare import fit_competitor
+from rtgle import DegenerateData
+from rtgle.compare import comparison_table, fit_competitor
 from rtgle.distribution import RtgleParams, sample, validate
 from rtgle.estimate import (AllStartsFailed, EstimationMethod, NonPositiveData,
                             OptimizerConfig, _OBJECTIVES, ad_objective,
@@ -211,3 +212,25 @@ def test_converged_false_at_iteration_limit():
     assert not fit(x, EstimationMethod.MLE, config,
                    polish_gradient=False).converged
     assert not fit_competitor("TW", x, config).converged
+
+
+def test_converged_on_ordinary_mle_fit():
+    # the BFGS polish stops on precision loss at a stationary point
+    r = fit(sample(TRUE, 80, seed=0), EstimationMethod.MLE,
+            OptimizerConfig(n_starts=4))
+    assert r.converged
+
+
+@pytest.mark.parametrize("data", [[1.3], [2.0] * 5])
+@pytest.mark.parametrize("method", list(EstimationMethod))
+def test_degenerate_sample_raises_typed_error(data, method):
+    with pytest.raises(DegenerateData):
+        fit(data, method, OptimizerConfig(n_starts=2))
+    assert issubclass(DegenerateData, ValueError)
+
+
+def test_degenerate_sample_is_error_row_in_comparison():
+    rows = comparison_table([2.0] * 5, OptimizerConfig(n_starts=2),
+                            kinds=("RTGLE",))
+    assert len(rows) == 1
+    assert rows[0].gof is None and "distinct" in rows[0].error

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rtgle.distribution import RtgleParams, cdf, quantile, sample
+from rtgle.distribution import (RtgleParams, cdf, exponential, quantile,
+                                sample)
 from rtgle.estimate import EstimationMethod, OptimizerConfig, fit
 from rtgle.gof import (GofReport, PValueMode, StatKind, _ad_cdf_asymptotic,
                        _cvm_cdf_asymptotic, ad_statistic, aic, cvm_statistic,
@@ -133,3 +134,31 @@ def test_bootstrap_requires_callables():
 def test_empty_data_rejected():
     with pytest.raises(ValueError):
         ks_statistic(_uniform_cdf, [])
+
+
+def test_report_bootstrap_refits_each_replicate_once():
+    x = sample(PARAMS, 40, seed=21)
+    calls = {"sampler": 0, "refitter": 0}
+
+    def sampler(n, seed):
+        calls["sampler"] += 1
+        return sample(PARAMS, n, seed)
+
+    def refitter(boot):
+        # a cheap real refit: the exponential rate 1/mean
+        calls["refitter"] += 1
+        fitted = exponential(1.0 / float(np.mean(boot)))
+        return lambda t: cdf(fitted, t)
+
+    fitted = exponential(1.0 / float(np.mean(x)))
+    b = 7
+    kwargs = dict(mode=PValueMode.BOOTSTRAP, bootstrap_sampler=sampler,
+                  bootstrap_refitter=refitter, b=b, seed=3)
+    rep = gof_report(lambda t: cdf(fitted, t), x, minus2loglik=1.0, r=1,
+                     **kwargs)
+    assert calls == {"sampler": b, "refitter": b}
+    separate = [p_value(stat, kind, len(x), **kwargs) for stat, kind in
+                ((rep.ks, StatKind.KS), (rep.cvm, StatKind.CVM),
+                 (rep.ad, StatKind.AD))]
+    assert [rep.p_ks, rep.p_cvm, rep.p_ad] == separate
+    assert rep.p_value_mode == f"bootstrap({b})"
