@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import lambert_wm1_exp
+from .special import _lambert_wm1_exp_array, lambert_wm1_exp
 
 
 class InvalidParams(ValueError):
@@ -260,9 +260,43 @@ def quantile(params: RtgleParams, u: float) -> float:
     return 2.0 * c / (a + math.sqrt(a * a + 2.0 * b * c))
 
 
+def _z_of_u_array(p: float, u: np.ndarray) -> np.ndarray:
+    """The root zc of ``_c_of_u`` on a 1-d array of u, before the power
+    1/gamma: the same start, polish and stop rules per element, each Newton
+    step taken only by the elements still moving."""
+    target = np.log1p(-u)
+    if p < 1e-6:
+        zc = -target
+    else:
+        logmv = np.minimum(target - 1.0 / p - math.log(p), -1.0)
+        zc = np.maximum(-1.0 / p - _lambert_wm1_exp_array(logmv), 0.0)
+    if p > 0.0:
+        # act indexes zc; za and target hold only the elements still moving
+        act, za = np.arange(zc.size), zc
+        for _ in range(50):
+            if not act.size:
+                break
+            slope = p / (1.0 + p * za) - 1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (np.log1p(p * za) - za - target) / slope
+            z_new = np.maximum(za - step, 0.0)
+            moved = (slope != 0.0) & (z_new != za)
+            zc[act[moved]] = z_new[moved]
+            moved &= np.abs(step) > 1e-15 * np.maximum(1.0, z_new)
+            act, za, target = act[moved], z_new[moved], target[moved]
+    return zc
+
+
 def quantile_vec(params: RtgleParams, u) -> np.ndarray:
+    """``quantile`` elementwise over an array of any shape, in one pass of
+    array arithmetic; within 1e-13 relative of ``quantile`` on sampled u."""
     u = np.asarray(u, dtype=float)
-    return np.array([quantile(params, ui) for ui in u.ravel()]).reshape(u.shape)
+    flat = u.ravel()
+    bad = ~((flat > 0.0) & (flat < 1.0))
+    if bad.any():
+        raise ValueError(f"quantile: u={float(flat[bad][0])!r} must lie in "
+                         "(0, 1)")
+    return _gle_inverse(params, _z_of_u_array(params.p, flat)).reshape(u.shape)
 
 
 def sample(params: RtgleParams, n: int, seed: int) -> np.ndarray:

@@ -430,8 +430,15 @@ def standard_errors(params_at_mle: RtgleParams, data
 
     The Hessian of the negative log-likelihood is taken by central
     differences in transformed coordinates (step 1e-4 * (1 + |theta|)),
-    inverted, and mapped to the natural scale.
+    inverted, and mapped to the natural scale.  An estimate on the edge of
+    the parameter space (a rate at 0, p at 0 or 1) has no transformed
+    coordinates and raises HessianNotPD naming that coordinate.
     """
+    for name, v, kind in zip(("alpha", "beta", "gamma", "p"),
+                             params_at_mle.as_tuple(), _RTGLE_KINDS):
+        if v <= 0.0 or (kind == "unit" and v >= 1.0):
+            raise HessianNotPD(f"{name}={v!r} is on the boundary of the "
+                               "parameter space; no information matrix there")
     nll = _objective(EstimationMethod.MLE, data)
 
     def f(th):

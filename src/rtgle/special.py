@@ -3,7 +3,9 @@
 Lambert W solves w * exp(w) = v.  The principal branch ``lambert_w0`` covers
 v >= -1/e with values in [-1, inf); the negative branch ``lambert_wm1``
 covers -1/e <= v < 0 with values in (-inf, -1].  Both use Halley iteration
-from branch-specific initial guesses.
+from branch-specific initial guesses.  ``_lambert_wm1_exp_array`` runs the
+iterations of ``lambert_wm1_exp`` on a whole array at once, for the array
+quantile.
 
 Gamma and log-gamma come from the standard library (``math.gamma``,
 ``math.lgamma``), restricted to the positive reals.
@@ -12,6 +14,8 @@ Gamma and log-gamma come from the standard library (``math.gamma``,
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 ABS_TOL = 1e-12     # Lambert W residual |w e^w - v|
 MAX_ITER = 50
@@ -126,6 +130,67 @@ def lambert_wm1_exp(logmv: float) -> float:
             return w_new
         w = w_new
     return w
+
+
+def _lambert_wm1_exp_array(logmv: np.ndarray) -> np.ndarray:
+    """``lambert_wm1_exp`` elementwise for a 1-d array with logmv <= -1.
+
+    Each element takes the scalar function's branch and stop rules; an
+    iteration works only on the elements that have not stopped yet.
+    """
+    w = np.full(logmv.shape, -1.0)
+    near = (logmv > -2.5) & (logmv != -1.0)
+    if near.any():
+        v = -np.exp(logmv[near])
+        w[near] = _halley_array(v, _branch_series_wm1_array(v))
+    far = np.flatnonzero(logmv <= -2.5)
+    L = logmv[far]
+    lnl = np.log(-L)
+    wf = L - lnl + lnl / L
+    for _ in range(MAX_ITER):
+        if not far.size:
+            break
+        w_new = wf - (wf + np.log(-wf) - L) / (1.0 + 1.0 / wf)
+        moving = np.abs(w_new - wf) > 1e-15 * np.abs(wf)
+        w[far] = w_new
+        far, L, wf = far[moving], L[moving], w_new[moving]
+    return w
+
+
+def _branch_series_wm1_array(v: np.ndarray) -> np.ndarray:
+    """``_branch_series(v, -1.0)`` on an array, with products for the
+    powers: numpy's power of a negative base is about 100x slower."""
+    s = -np.sqrt(np.maximum(2.0 * (math.e * v + 1.0), 0.0))
+    s2 = s * s
+    return -1.0 + s - s2 / 3.0 + 11.0 * s2 * s / 72.0 - 43.0 * s2 * s2 / 540.0
+
+
+def _halley_array(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``_halley`` elementwise from the starts w, which it overwrites with
+    the results: each element iterates until it stops, and the arrays of an
+    iteration hold only the elements still iterating."""
+    out = w
+    idx = np.arange(v.size)
+    vi, stalled = v, []
+    for _ in range(MAX_ITER):
+        if not idx.size:
+            break
+        ew = np.exp(w)
+        f = w * ew - vi
+        wp1 = w + 1.0
+        go = np.abs(f) > ABS_TOL * np.abs(vi)
+        stalled.append(idx[go & (wp1 == 0.0)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_new = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        go &= (wp1 != 0.0) & (w_new != w)
+        idx, w, vi = idx[go], w_new[go], vi[go]
+        out[idx] = w
+    # the scalar path's acceptance test for a stalled or exhausted iteration
+    left = np.concatenate(stalled + [idx])
+    if np.any(np.abs(out[left] * np.exp(out[left]) - v[left])
+              > 1e-10 * np.abs(v[left])):
+        raise NonConvergenceError("Lambert W Halley iteration stalled")
+    return out
 
 
 def log_gamma(a: float) -> float:

@@ -130,6 +130,47 @@ def test_quantile_vec_matches_scalar():
         assert vi == quantile(params, ui)
 
 
+# GRID plus the other criterion-6 sets (the kernels benchmark draws from
+# them) and a small-p, small-gamma set: together they reach beta = 0,
+# alpha = 0, p = 0, p = 1 and the 0 < p < 1e-6 start of the quantile
+ARRAY_SETS = GRID + [
+    RtgleParams(1.0, 0.0, 1.0, 0.5),
+    RtgleParams(0.0, 1.0, 0.8, 0.9),
+    RtgleParams(2.0, 0.3, 2.0, 0.0),
+    RtgleParams(0.7, 1.5, 0.6, 1.0),
+    RtgleParams(1.0, 1.0, 0.05, 1e-7),
+]
+
+
+@pytest.mark.parametrize("params", ARRAY_SETS,
+                         ids=lambda p: "-".join(map(str, p.as_tuple())))
+def test_quantile_vec_matches_scalar_on_draws(params):
+    # the array kernel against the scalar quantile on sample-style uniforms
+    rng = np.random.Generator(np.random.Philox(key=17))
+    u = np.nextafter(rng.random(40_000), 1.0)
+    q = quantile_vec(params, u)
+    ref = np.array([quantile(params, ui) for ui in u])
+    assert np.all(np.abs(q - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan])
+def test_quantile_vec_rejects_u_outside_open_interval(bad):
+    with pytest.raises(ValueError, match="must lie in"):
+        quantile_vec(GRID[0], np.array([0.2, bad, 0.7]))
+
+
+def test_quantile_vec_preserves_shape():
+    params = GRID[5]
+    q0 = quantile_vec(params, 0.3)
+    assert isinstance(q0, np.ndarray) and q0.shape == ()
+    assert float(q0) == pytest.approx(quantile(params, 0.3), rel=1e-14)
+    assert quantile_vec(params, np.array([])).shape == (0,)
+    u = np.linspace(0.05, 0.95, 12).reshape(3, 4)
+    q = quantile_vec(params, u)
+    assert q.shape == (3, 4)
+    assert np.array_equal(q.ravel(), quantile_vec(params, u.ravel()))
+
+
 def test_quantile_monotone_in_u():
     for params in GRID:
         q = quantile_vec(params, np.linspace(0.01, 0.99, 99))
@@ -207,3 +248,16 @@ def test_roundtrip_property(u, a, b, g, p):
     params = validate(a, b, g, p)
     x = quantile(params, u)
     assert abs(cdf(params, x) - u) <= 1e-9
+
+
+@given(st.lists(st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+                min_size=1, max_size=40),
+       st.floats(min_value=0.05, max_value=3.0),
+       st.floats(min_value=0.0, max_value=3.0),
+       st.floats(min_value=0.3, max_value=3.0),
+       st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_quantile_vec_roundtrip_property(us, a, b, g, p):
+    params = validate(a, b, g, p)
+    u = np.array(us)
+    assert np.all(np.abs(cdf(params, quantile_vec(params, u)) - u) <= 1e-9)

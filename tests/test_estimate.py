@@ -6,9 +6,9 @@ import pytest
 from rtgle import DegenerateData
 from rtgle.compare import comparison_table, fit_competitor
 from rtgle.distribution import RtgleParams, sample, validate
-from rtgle.estimate import (AllStartsFailed, EstimationMethod, NonPositiveData,
-                            OptimizerConfig, _OBJECTIVES, ad_objective,
-                            cvm_objective, fit, ls_objective,
+from rtgle.estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
+                            NonPositiveData, OptimizerConfig, _OBJECTIVES,
+                            ad_objective, cvm_objective, fit, ls_objective,
                             neg_log_likelihood, nll_gradient, standard_errors,
                             transform, untransform, wls_objective)
 
@@ -219,6 +219,17 @@ def test_converged_on_ordinary_mle_fit():
     r = fit(sample(TRUE, 80, seed=0), EstimationMethod.MLE,
             OptimizerConfig(n_starts=4))
     assert r.converged
+
+
+def test_boundary_mle_has_typed_standard_error_outcome():
+    # the likelihood drives p to the logit clamp, where p == 1.0 exactly and
+    # no transformed coordinates (so no information matrix) exist
+    x = sample(TRUE, 60, seed=5)
+    r = fit(x, EstimationMethod.MLE, OptimizerConfig(n_starts=4, seed=5))
+    assert r.params.p == 1.0
+    assert r.standard_errors is None and "p=1.0" in r.diagnostics
+    with pytest.raises(HessianNotPD, match="p=1.0"):
+        standard_errors(r.params, x)
 
 
 @pytest.mark.parametrize("data", [[1.3], [2.0] * 5])

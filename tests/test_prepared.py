@@ -14,13 +14,45 @@ import math
 import numpy as np
 import pytest
 
-from rtgle.distribution import RtgleParams, cdf, log_pdf, sample, sf
+from rtgle.distribution import RtgleParams, cdf, log_pdf, sf
 from rtgle.estimate import (_IGNORE, _OBJECTIVES, EstimationMethod,
                             OptimizerConfig, _objective, fit)
 from rtgle.sim import default_sim_optimizer
 
 TRUE = RtgleParams(1.2, 0.5, 1.5, 0.8)
-X = sample(TRUE, 80, seed=0)
+# sample(TRUE, 80, seed=0) as drawn by the scalar quantile when the golden
+# values were recorded.  The array sampler rounds 5 of these 80 draws
+# differently in the last bit (numpy's log1p/exp/power against math's), and
+# these tests pin the fit path, not the sampler, so the input is a literal.
+X = np.array([
+    0.11567891976523811, 0.606859010225619, 0.4093213999182231,
+    0.9797603925635737, 0.9092860142754775, 0.6523348833051674,
+    1.6711653204422294, 1.9612974303018789, 0.6226070153275205,
+    0.5439531926677768, 1.1629609821382685, 0.444937267824841,
+    0.9890693131941763, 0.6241036517711519, 1.4228408708666829,
+    1.2332334270399559, 0.6545762759122737, 0.5075439706891419,
+    1.6865021981753652, 0.827965480361034, 0.49945915558864107,
+    0.2709477115379274, 0.8743278533642722, 1.8908843148834207,
+    1.1150267954399984, 0.6087579638554438, 1.1012149445734671,
+    2.4607080913410466, 0.8252155347201464, 1.8658354770342098,
+    0.8453605037961149, 0.8849227186390453, 0.685097228250239,
+    0.8959126736848684, 1.0488423569484915, 0.6448081217091107,
+    1.0680393817256555, 1.3707436321569733, 0.23457926438260235,
+    0.6694128744099143, 1.3819796468861405, 1.7844390751563048,
+    1.277238648836794, 0.2077798667272372, 0.6178745361872127,
+    0.8506837417206489, 2.0417012605409686, 0.979607605993582,
+    1.2763842266245338, 0.7150517819558518, 1.5368756424598193,
+    0.9722252498947669, 1.467083660432195, 1.0478135027575277,
+    0.17582729050887588, 1.010755539504613, 0.6526830505661564,
+    0.9914958767312869, 0.6619568794986184, 1.4619834427936973,
+    1.2337610968663433, 1.1453315792404744, 0.6137781674555127,
+    1.1393967641888634, 1.2319093749017547, 1.4621893988524919,
+    0.09854815109879879, 1.412054090188403, 0.8878194390150337,
+    0.2231834483167606, 1.2918206414334603, 0.9675773110360769,
+    0.47685567194665196, 0.6661096320860553, 1.632366093968811,
+    0.843045445349549, 1.4071578742018978, 0.8892994968475991,
+    1.4466566577309226, 0.9005981386285149
+])
 
 # method -> (alpha, beta, gamma, p, objective, iterations) of
 # fit(X, method, default_sim_optimizer(TRUE), polish_gradient=False,
