@@ -50,16 +50,16 @@ class GofReport:
     n: int
 
 
-def _sorted_f(cdf_evaluator, data) -> tuple[np.ndarray, int]:
+def _sorted_f(cdf_evaluator, data) -> np.ndarray:
+    """F at the sorted sample; every statistic below is a function of it."""
     x = np.sort(np.asarray(data, dtype=float))
     if len(x) == 0:
         raise ValueError("data must be nonempty")
-    return np.asarray(cdf_evaluator(x), dtype=float), len(x)
+    return np.asarray(cdf_evaluator(x), dtype=float)
 
 
-def ks_statistic(cdf_evaluator, data) -> float:
-    """D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n)."""
-    f, n = _sorted_f(cdf_evaluator, data)
+def _ks(f: np.ndarray) -> float:
+    n = len(f)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
@@ -74,20 +74,34 @@ def _cvm(f: np.ndarray, mid: np.ndarray) -> float:
     return float(1.0 / (12.0 * len(mid)) + ((f - mid) ** 2).sum())
 
 
+def _ad(f: np.ndarray) -> float:
+    if np.any(f <= 0.0) or np.any(f >= 1.0):
+        return math.inf
+    n = len(f)
+    i = np.arange(1, n + 1)
+    return float(-n - np.sum((2 * i - 1) * (np.log(f)
+                                            + np.log1p(-f[::-1]))) / n)
+
+
+_STATISTICS = {StatKind.KS: _ks,
+               StatKind.CVM: lambda f: _cvm(f, _cvm_positions(len(f))),
+               StatKind.AD: _ad}
+
+
+def ks_statistic(cdf_evaluator, data) -> float:
+    """D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n)."""
+    return _ks(_sorted_f(cdf_evaluator, data))
+
+
 def cvm_statistic(cdf_evaluator, data) -> float:
     """W^2 = 1/(12n) + sum (F(x_(i)) - (2i-1)/(2n))^2."""
-    f, n = _sorted_f(cdf_evaluator, data)
-    return _cvm(f, _cvm_positions(n))
+    f = _sorted_f(cdf_evaluator, data)
+    return _cvm(f, _cvm_positions(len(f)))
 
 
 def ad_statistic(cdf_evaluator, data) -> float:
     """A^2 = -n - (1/n) sum (2i-1)[log F(x_(i)) + log(1-F(x_(n+1-i)))]."""
-    f, n = _sorted_f(cdf_evaluator, data)
-    if np.any(f <= 0.0) or np.any(f >= 1.0):
-        return math.inf
-    i = np.arange(1, n + 1)
-    return float(-n - np.sum((2 * i - 1) * (np.log(f)
-                                            + np.log1p(-f[::-1]))) / n)
+    return _ad(_sorted_f(cdf_evaluator, data))
 
 
 # --- asymptotic null distributions ---------------------------------------------
@@ -171,10 +185,6 @@ def p_value(statistic: float, kind: StatKind, n: int,
                                bootstrap_refitter, b, seed)[kind]
 
 
-_STATISTICS = {StatKind.KS: ks_statistic, StatKind.CVM: cvm_statistic,
-               StatKind.AD: ad_statistic}
-
-
 def _bootstrap_p_values(observed: dict, n: int, sampler, refitter, b: int,
                         seed: int) -> dict:
     """Bootstrap p-values of several observed statistics, {kind: value},
@@ -186,9 +196,9 @@ def _bootstrap_p_values(observed: dict, n: int, sampler, refitter, b: int,
     for rep in range(b):
         rep_seed = int(np.random.SeedSequence([seed, rep]).generate_state(1)[0])
         boot = sampler(n, rep_seed)
-        boot_cdf = refitter(boot)
+        f = _sorted_f(refitter(boot), boot)
         for kind, statistic in observed.items():
-            if _STATISTICS[kind](boot_cdf, boot) >= statistic:
+            if _STATISTICS[kind](f) >= statistic:
                 exceed[kind] += 1
     return {kind: (1.0 + k) / (b + 1.0) for kind, k in exceed.items()}
 
@@ -205,11 +215,9 @@ def gof_report(cdf_evaluator, data, minus2loglik: float, r: int,
                bootstrap_sampler=None, bootstrap_refitter=None,
                b: int = 199, seed: int = 0) -> GofReport:
     """All three statistics with p-values, plus -2logL and AIC."""
-    x = np.asarray(data, dtype=float)
-    n = len(x)
-    observed = {StatKind.KS: ks_statistic(cdf_evaluator, x),
-                StatKind.CVM: cvm_statistic(cdf_evaluator, x),
-                StatKind.AD: ad_statistic(cdf_evaluator, x)}
+    f = _sorted_f(cdf_evaluator, data)
+    n = len(f)
+    observed = {kind: stat(f) for kind, stat in _STATISTICS.items()}
     if mode is PValueMode.ASYMPTOTIC:
         p = {kind: p_value(stat, kind, n) for kind, stat in observed.items()}
         mode_label = "asymptotic"

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .distribution import RtgleParams, cdf, log_pdf, pdf, quantile, sf
+from .distribution import (RtgleParams, _log_sf_kernel, cdf, log_pdf, pdf,
+                           quantile, sf)
 from .special import gamma_fn, log_beta
 
 _TAIL_Q = 1.0 - 1e-12  # upper integration cutoff quantile
@@ -374,10 +375,8 @@ def largest_order_statistic_pdf(params: RtgleParams, n: int, x) -> float:
 
 def cumulative_hazard(params: RtgleParams, x):
     """-log survival; equals z - log(1 + p*z)."""
-    x = np.asarray(x, dtype=float)
-    z = np.power(np.maximum(params.alpha * x + 0.5 * params.beta * x * x, 0.0),
-                 params.gamma)
-    out = z - np.log1p(params.p * z)
+    xm = np.maximum(np.asarray(x, dtype=float), 0.0)
+    out = -_log_sf_kernel(*params.as_tuple(), xm, np.square(xm))
     return out if out.ndim else float(out)
 
 

@@ -162,3 +162,24 @@ def test_report_bootstrap_refits_each_replicate_once():
                  (rep.ad, StatKind.AD))]
     assert [rep.p_ks, rep.p_cvm, rep.p_ad] == separate
     assert rep.p_value_mode == f"bootstrap({b})"
+
+
+def test_report_evaluates_cdf_once_per_sample():
+    x = sample(PARAMS, 40, seed=22)
+    calls = [0]
+
+    def counted(params):
+        def cdf_evaluator(t):
+            calls[0] += 1
+            return cdf(params, t)
+        return cdf_evaluator
+
+    gof_report(counted(PARAMS), x, minus2loglik=1.0, r=4)
+    assert calls[0] == 1
+    calls[0] = 0
+    b = 5
+    gof_report(counted(PARAMS), x, minus2loglik=1.0, r=4,
+               mode=PValueMode.BOOTSTRAP,
+               bootstrap_sampler=lambda n, seed: sample(PARAMS, n, seed),
+               bootstrap_refitter=lambda boot: counted(PARAMS), b=b, seed=1)
+    assert calls[0] == 1 + b

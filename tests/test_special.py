@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtgle.special import (NonConvergenceError, SpecialDomainError, gamma_fn,
-                           lambert_w0, lambert_wm1, lambert_wm1_exp, log_beta,
-                           log_gamma)
+from rtgle.special import (NonConvergenceError, SpecialDomainError,
+                           _lambert_wm1_exp_array, gamma_fn, lambert_w0,
+                           lambert_wm1, lambert_wm1_exp, log_beta, log_gamma)
 
 BRANCH_POINT = -1.0 / math.e
 
@@ -76,6 +77,25 @@ def test_wm1_log_argument_variant():
         assert w <= -1.0
         # residual of w + log(-w) = logmv
         assert abs(w + math.log(-w) - logmv) <= 1e-10 * max(1.0, abs(logmv))
+
+
+# log(-v) from 1e-14 below the branch point out to the far tail
+LOGMV_GRID = np.concatenate([-1.0 - np.logspace(-14, math.log10(1.5), 200),
+                             -np.logspace(math.log10(2.5), 4, 100)])
+
+
+def test_wm1_exp_against_mpmath():
+    with mpmath.workdps(40):
+        ref = [float(mpmath.lambertw(-mpmath.exp(mpmath.mpf(float(L))), -1).real)
+               for L in LOGMV_GRID]
+    got = [lambert_wm1_exp(float(L)) for L in LOGMV_GRID]
+    assert np.max(np.abs(np.subtract(got, ref)) / np.abs(ref)) <= 1e-12
+
+
+def test_wm1_exp_array_matches_scalar():
+    scalar = np.array([lambert_wm1_exp(float(L)) for L in LOGMV_GRID])
+    array = _lambert_wm1_exp_array(LOGMV_GRID)
+    assert np.max(np.abs(array - scalar) / np.abs(scalar)) <= 1e-15
 
 
 def test_domain_errors():
