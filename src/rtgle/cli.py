@@ -29,8 +29,8 @@ from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
                        NonPositiveData, OptimizerConfig, fit,
                        neg_log_likelihood)
 from .gof import PValueMode, gof_report
-from .properties import (QuadratureError, kurtosis, moment_quadrature,
-                         quantile_measures, skewness, variance)
+from .properties import (QuadratureError, _kurtosis, _raw_moments, _skewness,
+                         quantile_measures)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -230,11 +230,12 @@ def _cmd_table(args) -> int:
                             galton=qm.galton_skewness,
                             moors=qm.moors_kurtosis)
             else:
-                for r in range(1, 5):
-                    base[f"E(X^{r})"] = moment_quadrature(params, r)
-                base["V(X)"] = variance(params)
-                base["skewness"] = skewness(params)
-                base["kurtosis"] = kurtosis(params)
+                m = _raw_moments(params, (1, 2, 3, 4))
+                for r, mr in enumerate(m, start=1):
+                    base[f"E(X^{r})"] = mr
+                base["V(X)"] = m[1] - m[0] ** 2
+                base["skewness"] = _skewness(m)
+                base["kurtosis"] = _kurtosis(m)
         except (QuadratureError, ArithmeticError) as exc:
             print(f"row {params.as_tuple()}: {exc}", file=sys.stderr)
             continue

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _lambert_wm1_exp_array, lambert_wm1_exp
+from .special import _lambert_wm1_exp_array
+# looked up here by the benchmark's per-layer tracing (bench/tracing.py)
+from .special import lambert_wm1_exp  # noqa: F401
 
 
 class InvalidParams(ValueError):
@@ -210,86 +212,68 @@ def hazard(params: RtgleParams, x):
 
 
 # --- quantile and sampling ---------------------------------------------------
+# Q(u) solves (1 + p*z) * exp(-z) = 1 - u, i.e. z - log1p(p*z) = T with
+# T = -log1p(-u), for z = m(x)^gamma, then inverts m.  The closed form is
+# z = -1/p - W-1(-(1-u) * exp(-1/p) / p); a Newton polish restores the
+# relative digits it loses to cancellation where z is small.
 
-def _c_of_u(params: RtgleParams, u: float) -> float:
-    """Solve (1 + p*C)*exp(-C) = 1-u for C >= 0, then return C^(1/gamma).
+def _log1pmx(y: np.ndarray) -> np.ndarray:
+    """log1p(y) - y for y >= 0, summed as its series below 0.01, where the
+    difference would cancel (the first term left out is y^8/5 relative)."""
+    out = np.log1p(y) - y
+    small = y < 0.01
+    ys = y[small]
+    acc = np.zeros_like(ys)
+    for k in range(9, 1, -1):
+        acc = 1.0 / k - ys * acc
+    out[small] = -ys * ys * acc
+    return out
 
-    Returns the value of (alpha*x + beta*x^2/2) at the u-quantile.
-    """
-    g, p = params.gamma, params.p
-    target = math.log1p(-u)
-    if p < 1e-6:
-        # the Lambert route computes zc = -1/p - W, which cancels
-        # catastrophically for small p; start from the p = 0 limit instead
-        zc = -target
-    else:
-        # W-1 argument is (u-1)/(p*e^(1/p)); work with its log to survive
-        # underflow at small p or u near 1
-        logmv = target - 1.0 / p - math.log(p)
-        w = lambert_wm1_exp(min(logmv, -1.0))
-        zc = max(-1.0 / p - w, 0.0)
-    if p > 0.0:
-        # Newton polish of log1p(p*z) - z = log(1-u); the left side is
-        # strictly decreasing in z, so this converges from any start
-        for _ in range(50):
-            slope = p / (1.0 + p * zc) - 1.0
-            if slope == 0.0:
-                break
-            resid = math.log1p(p * zc) - zc - target
-            step = resid / slope
-            zc_new = max(zc - step, 0.0)
-            if zc_new == zc:
-                break
-            zc = zc_new
-            if abs(step) <= 1e-15 * max(1.0, zc):
-                break
-    return zc ** (1.0 / g)
+
+def _z_of_u_array(p: float, u: np.ndarray) -> np.ndarray:
+    """The root z >= 0 of z - log1p(p*z) = -log1p(-u) on a 1-d array of u;
+    each Newton step is taken only by the elements still moving."""
+    T = -np.log1p(-u)
+    if p == 0.0:
+        return T
+    q = 1.0 - p
+    # root of q*z + p^2 z^2 / 2 = T: a lower bound of the root, because
+    # log1p(y) >= y - y^2/2, and accurate where z is small (p = 1 included)
+    z = 2.0 * T / (q + np.sqrt(q * q + 2.0 * p * p * T))
+    if p >= 1e-6:
+        # the Lambert start, with the W-1 argument taken through its log
+        # so that it survives underflow at small p or u near 1; below
+        # p = 1e-6 it cancels catastrophically
+        logmv = np.minimum(-T - 1.0 / p - math.log(p), -1.0)
+        z = np.maximum(z, -1.0 / p - _lambert_wm1_exp_array(logmv))
+    # log1p(p*z) - z + T is concave and decreasing in z, so Newton converges
+    # from any start, and a step of relative size s leaves a relative error
+    # of about s^2/2: stopping at s <= 1e-10 leaves only rounding error.
+    # act indexes z; za and T hold only the elements still moving
+    act, za = np.arange(z.size), z
+    for _ in range(50):
+        if not act.size:
+            break
+        pz = p * za
+        slope = -(q + pz) / (1.0 + pz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (_log1pmx(pz) - q * za + T) / slope
+        z_new = np.maximum(za - step, 0.0)
+        moved = (slope != 0.0) & (z_new != za)
+        z[act[moved]] = z_new[moved]
+        moved &= np.abs(step) > 1e-10 * z_new
+        act, za, T = act[moved], z_new[moved], T[moved]
+    return z
 
 
 def quantile(params: RtgleParams, u: float) -> float:
     """Exact quantile Q(u) for u in (0,1); cdf(quantile(u)) = u."""
-    if not (0.0 < u < 1.0):
-        raise ValueError(f"quantile: u={u!r} must lie in (0, 1)")
-    a, b = params.alpha, params.beta
-    c = _c_of_u(params, u)
-    if b == 0.0:
-        return c / a
-    if a == 0.0:
-        return math.sqrt(2.0 * c / b)
-    # stable root of (b/2) x^2 + a x - c = 0
-    return 2.0 * c / (a + math.sqrt(a * a + 2.0 * b * c))
-
-
-def _z_of_u_array(p: float, u: np.ndarray) -> np.ndarray:
-    """The root zc of ``_c_of_u`` on a 1-d array of u, before the power
-    1/gamma: the same start, polish and stop rules per element, each Newton
-    step taken only by the elements still moving."""
-    target = np.log1p(-u)
-    if p < 1e-6:
-        zc = -target
-    else:
-        logmv = np.minimum(target - 1.0 / p - math.log(p), -1.0)
-        zc = np.maximum(-1.0 / p - _lambert_wm1_exp_array(logmv), 0.0)
-    if p > 0.0:
-        # act indexes zc; za and target hold only the elements still moving
-        act, za = np.arange(zc.size), zc
-        for _ in range(50):
-            if not act.size:
-                break
-            slope = p / (1.0 + p * za) - 1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = (np.log1p(p * za) - za - target) / slope
-            z_new = np.maximum(za - step, 0.0)
-            moved = (slope != 0.0) & (z_new != za)
-            zc[act[moved]] = z_new[moved]
-            moved &= np.abs(step) > 1e-15 * np.maximum(1.0, z_new)
-            act, za, target = act[moved], z_new[moved], target[moved]
-    return zc
+    return float(quantile_vec(params, u))
 
 
 def quantile_vec(params: RtgleParams, u) -> np.ndarray:
-    """``quantile`` elementwise over an array of any shape, in one pass of
-    array arithmetic; within 1e-13 relative of ``quantile`` on sampled u."""
+    """The quantile Q(u) elementwise over an array of any shape, in one pass
+    of array arithmetic; within 1e-13 relative of a 40-digit root."""
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     bad = ~((flat > 0.0) & (flat < 1.0))
@@ -313,11 +297,12 @@ def sample(params: RtgleParams, n: int, seed: int) -> np.ndarray:
 def _gle_inverse(params: RtgleParams, t: np.ndarray) -> np.ndarray:
     """Inverse of the GLE baseline cumulative hazard: m(x)^gamma = t."""
     a, b, g, _ = params.as_tuple()
+    if a == 0.0:
+        # sqrt(2c/b) without forming c, which underflows first
+        return math.sqrt(2.0 / b) * np.power(t, 0.5 / g)
     c = np.power(t, 1.0 / g)
     if b == 0.0:
         return c / a
-    if a == 0.0:
-        return np.sqrt(2.0 * c / b)
     return 2.0 * c / (a + np.sqrt(a * a + 2.0 * b * c))
 
 

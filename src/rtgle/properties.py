@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .distribution import (RtgleParams, _log_sf_kernel, cdf, log_pdf, pdf,
-                           quantile, sf)
+                           quantile_vec, sf)
 from .special import gamma_fn, log_beta
 
 _TAIL_Q = 1.0 - 1e-12  # upper integration cutoff quantile
@@ -49,8 +49,10 @@ class QuantileMeasures:
     moors_kurtosis: float
 
 
-def _upper_cutoff(params: RtgleParams) -> float:
-    return quantile(params, _TAIL_Q)
+def _cutoff_and(params: RtgleParams, *u: float) -> list[float]:
+    """The upper integration cutoff Q(1-1e-12), then Q at each u: one
+    quantile solve for all of them."""
+    return quantile_vec(params, (_TAIL_Q,) + u).tolist()
 
 
 def _quad(fn, lo, hi, *, rtol=1e-11, points=None) -> float:
@@ -63,13 +65,25 @@ def _quad(fn, lo, hi, *, rtol=1e-11, points=None) -> float:
     return val
 
 
+def _expectations(params: RtgleParams, fns) -> list[float]:
+    """E[fn(X)] for each fn by adaptive quadrature of fn(x) * pdf(x) over
+    (0, Q(1-1e-12)) with breaks at Q(0.25), Q(0.5) and Q(0.9); the cutoff
+    and the break points are solved once for all of them."""
+    hi, *points = _cutoff_and(params, 0.25, 0.5, 0.9)
+    return [_quad(lambda x, fn=fn: fn(x) * pdf(params, x), 0.0, hi,
+                  points=points) for fn in fns]
+
+
+def _raw_moments(params: RtgleParams, orders) -> list[float]:
+    """E[X^r] for each r in orders, under one cutoff."""
+    return _expectations(params, [lambda x, r=r: x ** r for r in orders])
+
+
 def moment_quadrature(params: RtgleParams, r: int) -> float:
     """r-th raw moment E[X^r] by adaptive quadrature over (0, Q(1-1e-12))."""
     if r < 1:
         raise ValueError("moment order r must be >= 1")
-    hi = _upper_cutoff(params)
-    return _quad(lambda x: x ** r * pdf(params, x), 0.0, hi,
-                 points=[quantile(params, q) for q in (0.25, 0.5, 0.9)])
+    return _raw_moments(params, (r,))[0]
 
 
 def _gen_binom_terms(s: float, max_j: int):
@@ -167,10 +181,11 @@ def recurrence_rhs(params: RtgleParams, r: int) -> float:
 def moment_recurrence_residual(params: RtgleParams, r: int) -> float:
     """|sum_i C(r,i) a^i (b/2)^(r-i) mu'_{2r-i} - (1+pr/gamma)Gamma(r/gamma+1)|."""
     a, b = params.alpha, params.beta
-    lhs = 0.0
-    for i in range(r + 1):
-        mom = moment_quadrature(params, 2 * r - i)
-        lhs += math.comb(r, i) * a ** i * (b / 2.0) ** (r - i) * mom
+    if r < 1:
+        raise ValueError("moment order r must be >= 1")
+    moms = _raw_moments(params, [2 * r - i for i in range(r + 1)])
+    lhs = sum(math.comb(r, i) * a ** i * (b / 2.0) ** (r - i) * mom
+              for i, mom in enumerate(moms))
     return abs(lhs - recurrence_rhs(params, r))
 
 
@@ -184,44 +199,46 @@ def variance(params: RtgleParams) -> float:
     return m2 - m1 * m1
 
 
-def _central_moments(params: RtgleParams) -> tuple[float, float, float, float]:
-    m = [moment_quadrature(params, r) for r in (1, 2, 3, 4)]
-    m1 = m[0]
-    mu2 = m[1] - m1 ** 2
-    mu3 = m[2] - 3.0 * m1 * m[1] + 2.0 * m1 ** 3
-    mu4 = m[3] - 4.0 * m1 * m[2] + 6.0 * m1 ** 2 * m[1] - 3.0 * m1 ** 4
-    return m1, mu2, mu3, mu4
+def _skewness(m) -> float:
+    """Skewness from the raw moments m = (E X, E X^2, E X^3, ...)."""
+    mu2 = m[1] - m[0] ** 2
+    mu3 = m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3
+    return mu3 / mu2 ** 1.5
+
+
+def _kurtosis(m) -> float:
+    """Kurtosis from the raw moments m = (E X, ..., E X^4)."""
+    mu2 = m[1] - m[0] ** 2
+    mu4 = (m[3] - 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1]
+           - 3.0 * m[0] ** 4)
+    return mu4 / mu2 ** 2
 
 
 def skewness(params: RtgleParams) -> float:
     """Standardized third central moment (gamma_1)."""
-    _, mu2, mu3, _ = _central_moments(params)
-    return mu3 / mu2 ** 1.5
+    return _skewness(_raw_moments(params, (1, 2, 3)))
 
 
 def kurtosis(params: RtgleParams) -> float:
     """Standardized fourth central moment (beta_2, not excess)."""
-    _, mu2, _, mu4 = _central_moments(params)
-    return mu4 / mu2 ** 2
+    return _kurtosis(_raw_moments(params, (1, 2, 3, 4)))
 
 
 def quantile_measures(params: RtgleParams) -> QuantileMeasures:
     """Median, quartiles, IQR, Galton skewness, Moors kurtosis."""
-    q = {u: quantile(params, u)
-         for u in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)}
-    q1, q2, q3 = q[0.25], q[0.5], q[0.75]
+    o = quantile_vec(params, np.arange(1, 8) / 8.0).tolist()  # the octiles
+    q1, q2, q3 = o[1], o[3], o[5]
     iqr = q3 - q1
     gc = (q1 + q3 - 2.0 * q2) / iqr
-    mc = (q[0.875] - q[0.625] + q[0.375] - q[0.125]) / iqr
+    mc = (o[6] - o[4] + o[2] - o[0]) / iqr
     return QuantileMeasures(median=q2, q1=q1, q3=q3, iqr=iqr,
                             galton_skewness=gc, moors_kurtosis=mc)
 
 
 def _quantile_integral(params: RtgleParams, weight) -> float:
-    # integral of weight(u) * Q(u) du over (0,1); Q blows up slowly at u=1
-    return _quad(lambda u: weight(u) * quantile(params, u),
-                 1e-14, 1.0 - 1e-14, rtol=1e-10,
-                 points=[0.5, 0.9, 0.99, 0.999])
+    # int_0^1 weight(u) Q(u) du = E[weight(F(X)) X], by u = F(x): the
+    # integrand needs the cdf, not a quantile solve per point
+    return _expectations(params, [lambda x: weight(cdf(params, x)) * x])[0]
 
 
 def gini_mean_difference(params: RtgleParams) -> float:
@@ -249,7 +266,7 @@ def mgf(params: RtgleParams, t: float) -> float:
     """Moment generating function E[exp(tX)] by quadrature."""
     if t == 0.0:
         return 1.0
-    hi = _upper_cutoff(params)
+    hi, median = _cutoff_and(params, 0.5)
 
     def log_integrand(x):
         return t * x + log_pdf(params, x)
@@ -260,7 +277,7 @@ def mgf(params: RtgleParams, t: float) -> float:
             raise MgfDiverged(f"integrand not decaying at cutoff for t={t!r}")
     try:
         return _quad(lambda x: math.exp(log_integrand(x)), 0.0, hi,
-                     points=[quantile(params, 0.5)])
+                     points=[median])
     except OverflowError:
         raise MgfDiverged(f"integrand overflows for t={t!r}") from None
 
@@ -269,9 +286,9 @@ def renyi_entropy(params: RtgleParams, rho: float) -> float:
     """Renyi entropy (1/(1-rho)) * log int f^rho, rho > 0, rho != 1."""
     if rho <= 0.0 or rho == 1.0:
         raise ValueError("rho must be positive and different from 1")
-    hi = _upper_cutoff(params)
+    hi, median = _cutoff_and(params, 0.5)
     val = _quad(lambda x: math.exp(rho * log_pdf(params, x)), 0.0, hi,
-                points=[quantile(params, 0.5)])
+                points=[median])
     return math.log(val) / (1.0 - rho)
 
 

@@ -4,8 +4,9 @@ A design fixes the true parameters, sample sizes, methods, replicate count
 and a master seed.  Each replicate draws a fresh sample with a seed derived
 from (master seed, sample-size index, replicate index), so results are
 bit-identical regardless of execution schedule, then fits every requested
-method to the same sample.  Replicates whose fit fails are excluded from
-the averages and counted.
+method to the same sample.  Replicates whose fit fails with a typed error
+(no start succeeded, degenerate or nonpositive data, invalid parameters)
+are excluded from the averages and counted; any other error propagates.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import RtgleParams, sample, validate
-from .estimate import (AllStartsFailed, EstimationMethod, OptimizerConfig,
-                       fit)
+from .distribution import InvalidParams, RtgleParams, sample, validate
+from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
+                       NonPositiveData, OptimizerConfig, fit)
 
 PARAM_LABELS = ("alpha", "beta", "gamma", "p")
 
@@ -95,7 +96,8 @@ def run_design(design: SimDesign) -> SimReport:
                 try:
                     result = fit(x, m, config, polish_gradient=False,
                                  compute_se=False)
-                except (AllStartsFailed, ValueError):
+                except (AllStartsFailed, DegenerateData, NonPositiveData,
+                        InvalidParams):
                     failed[m] += 1
                     continue
                 if not np.isfinite(result.objective):

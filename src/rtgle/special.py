@@ -5,8 +5,8 @@ v >= -1/e with values in [-1, inf) and comes from ``scipy.special.lambertw``.
 The negative branch ``lambert_wm1`` covers -1/e <= v < 0 with values in
 (-inf, -1]; it goes through ``lambert_wm1_exp``, which takes L = log(-v) and
 runs Halley's iteration in log space on w + log(-w) = L, so it stays
-well-conditioned where v underflows.  ``_lambert_wm1_exp_array`` runs the
-same start, step and stop on a whole array at once, for the array quantile.
+well-conditioned where v underflows.  The iteration itself is
+``_lambert_wm1_exp_array``, which the quantile runs on whole arrays.
 
 Gamma and log-gamma come from the standard library (``math.gamma``,
 ``math.lgamma``), restricted to the positive reals.
@@ -58,48 +58,31 @@ def lambert_wm1(v: float) -> float:
     return lambert_wm1_exp(math.log(-v))
 
 
-# W-1(-exp(L)) solves phi(w) = w + log(-w) - L = 0 for w <= -1, with
-# phi' = 1 + 1/w and phi'' = -1/w^2.  The start for L > -2.5 is the series
-# about the branch point in s = -sqrt(2(e*v + 1)) = -sqrt(-2 expm1(L + 1)),
-# otherwise the asymptotic L - log(-L) + log(-L)/L.  The scalar and array
-# versions spell out the same operations, so they differ only where numpy's
-# log or expm1 rounds differently from math's.
-
 def lambert_wm1_exp(logmv: float) -> float:
-    """W-1(-exp(logmv)) for logmv <= -1, stable when -exp(logmv) underflows.
-
-    Halley's iteration on w + log(-w) = logmv stops when the residual is
-    at most 1e-15*|logmv|; one still above 1e-10*|logmv| after MAX_ITER
-    steps raises ``NonConvergenceError``.
-    """
+    """W-1(-exp(logmv)) for logmv <= -1, stable when -exp(logmv) underflows;
+    ``_lambert_wm1_exp_array`` on one element after the domain checks."""
     if math.isnan(logmv):
         raise SpecialDomainError("lambert_wm1_exp: NaN argument")
     if logmv > -1.0:
         if logmv <= -1.0 + 1e-12:
             return -1.0
         raise SpecialDomainError(f"lambert_wm1_exp: log(-v)={logmv!r} > -1")
-    L = logmv
-    if L > -2.5:
-        s = -math.sqrt(-2.0 * math.expm1(L + 1.0))
-        s2 = s * s
-        w = -1.0 + s - s2 / 3.0 + 11.0 * s2 * s / 72.0 - 43.0 * s2 * s2 / 540.0
-    else:
-        lnl = math.log(-L)
-        w = L - lnl + lnl / L
-    for _ in range(MAX_ITER):
-        f = w + math.log(-w) - L
-        if abs(f) <= 1e-15 * abs(L):
-            return w
-        d1 = 1.0 + 1.0 / w
-        w = w - f / (d1 + f / (2.0 * w * w * d1))
-    if abs(w + math.log(-w) - L) <= 1e-10 * abs(L):
-        return w
-    raise NonConvergenceError(f"lambert_wm1_exp: stalled at logmv={logmv!r}")
+    return float(_lambert_wm1_exp_array(np.array([logmv]))[0])
 
+
+# W-1(-exp(L)) solves phi(w) = w + log(-w) - L = 0 for w <= -1, with
+# phi' = 1 + 1/w and phi'' = -1/w^2.  The start for L > -2.5 is the series
+# about the branch point in s = -sqrt(2(e*v + 1)) = -sqrt(-2 expm1(L + 1)),
+# otherwise the asymptotic L - log(-L) + log(-L)/L.
 
 def _lambert_wm1_exp_array(logmv: np.ndarray) -> np.ndarray:
-    """``lambert_wm1_exp`` elementwise for a 1-d array with logmv <= -1;
-    each step works only on the elements that have not stopped yet."""
+    """W-1(-exp(logmv)) elementwise for a 1-d array with logmv <= -1.
+
+    Halley's iteration on w + log(-w) = logmv stops when the residual is
+    at most 1e-15*|logmv|, each step working only on the elements that have
+    not stopped yet; one still above 1e-10*|logmv| after MAX_ITER steps
+    raises ``NonConvergenceError``.
+    """
     w = np.empty(logmv.shape)
     near = logmv > -2.5
     s = -np.sqrt(-2.0 * np.expm1(logmv[near] + 1.0))
@@ -108,18 +91,19 @@ def _lambert_wm1_exp_array(logmv: np.ndarray) -> np.ndarray:
     far = logmv[~near]
     lnl = np.log(-far)
     w[~near] = far - lnl + lnl / far
-    # act indexes w; wa and L hold only the elements still iterating
+    # act indexes w; wa and L hold only the elements still iterating; both
+    # comparisons are written so that a NaN residual never counts as met
     act, wa, L = np.arange(w.size), w, logmv
     for _ in range(MAX_ITER):
         f = wa + np.log(-wa) - L
-        go = np.abs(f) > 1e-15 * np.abs(L)
+        go = ~(np.abs(f) <= 1e-15 * np.abs(L))
         if not go.any():
             return w
         act, wa, L, f = act[go], wa[go], L[go], f[go]
         d1 = 1.0 + 1.0 / wa
         wa = wa - f / (d1 + f / (2.0 * wa * wa * d1))
         w[act] = wa
-    if np.any(np.abs(wa + np.log(-wa) - L) > 1e-10 * np.abs(L)):
+    if not np.all(np.abs(wa + np.log(-wa) - L) <= 1e-10 * np.abs(L)):
         raise NonConvergenceError("lambert_wm1_exp: stalled")
     return w
 

@@ -1,0 +1,36 @@
+"""The benchmark's tracer wraps library names by module and attribute; a
+refactor that drops one of them must fail here rather than in a traced
+benchmark run.  ``bench/tracing.py`` is loaded by path, as the benchmark
+loads ``tests/_reference.py``."""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+from rtgle import estimate
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_tracing():
+    path = os.path.join(ROOT, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_tier1_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = _load_tracing()
+
+
+@pytest.mark.parametrize("module,attr", [site[:2] for site in TRACING.SITES],
+                         ids=lambda v: v)
+def test_traced_site_resolves(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_traced_objectives_resolve():
+    for method in TRACING.METHODS:
+        assert callable(estimate._OBJECTIVES[estimate.EstimationMethod(method)])

@@ -28,6 +28,23 @@ def test_table_moments_reference_row(capsys):
     assert "1.2058" in out and "0.5243" in out and "3.0496" in out
 
 
+def test_table_moments_row_runs_four_quadratures(capsys, monkeypatch):
+    # E(X^1..4) once; V(X), skewness and kurtosis come from those moments
+    from rtgle import properties
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    quad = properties._quad
+    monkeypatch.setattr(properties, "_quad", counted)
+    code, out, _ = run_cli(capsys, "table", "--kind", "moments",
+                           "--params", "0.5,0.5,1.2,0.2")
+    assert code == 0 and "3.0496" in out
+    assert len(calls) == 4
+
+
 def test_table_multiple_rows_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--kind", "quantiles", "--format",
                            "csv", "--params", "0.5,0.5,1.2,0.2;1,0.5,1.2,0.2")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,35 +123,68 @@ def test_quantile_extreme_tails():
         assert cdf(params, x) == pytest.approx(u, rel=1e-4, abs=1e-13)
 
 
-def test_quantile_vec_matches_scalar():
-    params = RtgleParams(1.5, 2.5, 2.0, 0.8)
-    u = np.array([0.1, 0.5, 0.9])
-    v = quantile_vec(params, u)
-    for ui, vi in zip(u, v):
-        assert vi == quantile(params, ui)
+def mp_quantile(params, u):
+    """Q(u) from the Lambert closed form z = -1/p - W-1(-(1-u) e^(-1/p) / p)
+    in mpmath, with 40 digits beyond those of u so that 1 - u is exact."""
+    a, b, g, p = (mpmath.mpf(v) for v in params.as_tuple())
+    with mpmath.workdps(40 - math.floor(math.log10(u))):
+        u = mpmath.mpf(u)
+        if p == 0:
+            z = -mpmath.log1p(-u)
+        else:
+            v = -(1 - u) * mpmath.exp(-1 / p) / p
+            z = -1 / p - mpmath.lambertw(v, -1).real
+        c = z ** (1 / g)
+        if b == 0:
+            return float(c / a)
+        if a == 0:
+            return float(mpmath.sqrt(2 * c / b))
+        return float(2 * c / (a + mpmath.sqrt(a * a + 2 * b * c)))
 
 
 # GRID plus the other criterion-6 sets (the kernels benchmark draws from
-# them) and a small-p, small-gamma set: together they reach beta = 0,
-# alpha = 0, p = 0, p = 1 and the 0 < p < 1e-6 start of the quantile
+# them), a small-p, small-gamma set and the p = 1 exponential: together
+# they reach beta = 0, alpha = 0, p = 0, p = 1 and the 0 < p < 1e-6 start
+# of the quantile
 ARRAY_SETS = GRID + [
     RtgleParams(1.0, 0.0, 1.0, 0.5),
     RtgleParams(0.0, 1.0, 0.8, 0.9),
     RtgleParams(2.0, 0.3, 2.0, 0.0),
     RtgleParams(0.7, 1.5, 0.6, 1.0),
     RtgleParams(1.0, 1.0, 0.05, 1e-7),
+    RtgleParams(1.0, 0.0, 1.0, 1.0),
 ]
+DEEP_TAIL_U = 10.0 ** -np.arange(10, 301)
 
 
 @pytest.mark.parametrize("params", ARRAY_SETS,
                          ids=lambda p: "-".join(map(str, p.as_tuple())))
 def test_quantile_vec_matches_scalar_on_draws(params):
-    # the array kernel against the scalar quantile on sample-style uniforms
+    # the array solver against an independent scalar reference, the
+    # mpmath root of each u, on the first 4,000 sample-style uniforms and
+    # on u = 1e-10 ... 1e-300; where the true quantile is subnormal or
+    # underflows (gamma = 0.05 far in the tail) no relative bound can hold
     rng = np.random.Generator(np.random.Philox(key=17))
-    u = np.nextafter(rng.random(40_000), 1.0)
+    u = np.concatenate([np.nextafter(rng.random(4_000), 1.0), DEEP_TAIL_U])
     q = quantile_vec(params, u)
-    ref = np.array([quantile(params, ui) for ui in u])
-    assert np.all(np.abs(q - ref) <= 1e-13 * np.abs(ref))
+    ref = np.array([mp_quantile(params, ui) for ui in u])
+    normal = ref >= np.finfo(float).tiny
+    assert normal[:4_000].all()
+    assert np.all(np.abs(q - ref)[normal] <= 1e-13 * ref[normal])
+
+
+def test_quantile_deep_lower_tail():
+    # u = 1e-40 sits far below the digits the Lambert start keeps, and at
+    # p = 1 the start lies where the Newton slope vanishes
+    for p in np.arange(1, 100) / 100.0:
+        params = RtgleParams(1.0, 0.0, 1.0, float(p))
+        ref = mp_quantile(params, 1e-40)
+        assert abs(quantile(params, 1e-40) - ref) <= 1e-13 * ref
+        assert abs(quantile_vec(params, [1e-40])[0] - ref) <= 1e-13 * ref
+    params = RtgleParams(1.0, 0.0, 1.0, 1.0)
+    ref = mp_quantile(params, 1e-25)
+    assert ref == pytest.approx(4.4721e-13, rel=1e-4)
+    assert abs(quantile(params, 1e-25) - ref) <= 1e-13 * ref
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan])

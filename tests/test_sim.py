@@ -96,3 +96,22 @@ def test_failed_fits_counted_not_fatal():
     report = run_design(_design(replicates=2, seed=7))
     cell = report.cell(50, EstimationMethod.MLE)
     assert cell.n_used + cell.n_failed_fits == 2
+
+
+def test_only_typed_fit_errors_count_as_failed(monkeypatch):
+    import rtgle.sim as sim_mod
+    from rtgle.estimate import DegenerateData
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateData("fewer than two distinct values")
+
+    monkeypatch.setattr(sim_mod, "fit", degenerate)
+    cell = run_design(_design(replicates=2)).cell(50, EstimationMethod.MLE)
+    assert (cell.n_used, cell.n_failed_fits) == (0, 2)
+
+    def bug(*args, **kwargs):
+        raise ValueError("a programming error, not a failed fit")
+
+    monkeypatch.setattr(sim_mod, "fit", bug)
+    with pytest.raises(ValueError, match="programming error"):
+        run_design(_design(replicates=2))

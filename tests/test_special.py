@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtgle.special import (NonConvergenceError, SpecialDomainError,
-                           _lambert_wm1_exp_array, gamma_fn, lambert_w0,
-                           lambert_wm1, lambert_wm1_exp, log_beta, log_gamma)
+from rtgle.special import (NonConvergenceError, SpecialDomainError, gamma_fn,
+                           lambert_w0, lambert_wm1, lambert_wm1_exp, log_beta,
+                           log_gamma)
 
 BRANCH_POINT = -1.0 / math.e
 
@@ -92,10 +92,10 @@ def test_wm1_exp_against_mpmath():
     assert np.max(np.abs(np.subtract(got, ref)) / np.abs(ref)) <= 1e-12
 
 
-def test_wm1_exp_array_matches_scalar():
-    scalar = np.array([lambert_wm1_exp(float(L)) for L in LOGMV_GRID])
-    array = _lambert_wm1_exp_array(LOGMV_GRID)
-    assert np.max(np.abs(array - scalar) / np.abs(scalar)) <= 1e-15
+def test_wm1_exp_never_returns_nan():
+    # an infinite log-argument has no finite root; the iteration must say so
+    with np.errstate(invalid="ignore"), pytest.raises(NonConvergenceError):
+        lambert_wm1_exp(-math.inf)
 
 
 def test_domain_errors():
