@@ -26,7 +26,7 @@ from .datasets import (NonPositiveValue, ParseError, flag_outliers_iqr,
 from .distribution import (InvalidParams, RtgleParams, cdf, pdf, quantile,
                            sample, validate)
 from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
-                       NonPositiveData, OptimizerConfig, fit,
+                       NonPositiveData, OptimizerConfig, _check_fit_data, fit,
                        neg_log_likelihood)
 from .gof import PValueMode, gof_report
 from .properties import (QuadratureError, _kurtosis, _raw_moments, _skewness,
@@ -159,7 +159,10 @@ def _cmd_gof(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    x = _load(args.data)
+    # data that not even the smallest model can be fitted to is a data
+    # error, not a table of error rows
+    x = _check_fit_data(_load(args.data), min(
+        len(spec.param_kinds) for spec in compare_mod._SPECS.values()))
     config = OptimizerConfig(n_starts=args.n_starts, seed=args.seed)
     rows = compare_mod.comparison_table(x, config)
     table = []

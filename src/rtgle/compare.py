@@ -1,10 +1,11 @@
 """The seven competitor lifetime models and the model-comparison pipeline.
 
-W, RTW, LE and RTLE are RTGLE with some coordinates held fixed, so their
-density and distribution function are those of their RTGLE image; TW, TL
-and TLL carry their own closed forms.  Every competitor is fitted by
-maximum likelihood on the estimation engine of ``estimate`` and carries
-its free-parameter count for AIC.
+Every competitor is a log density ``log_pdf(x, x2, *params)`` and a log
+survival ``log_sf(x, x2, *params)``, with x > 0 and x2 = x*x tabulated once
+per fit.  W, RTW, LE and RTLE are RTGLE with some coordinates held fixed
+and evaluate the RTGLE kernels at that image; TW, TL and TLL transmute a
+Weibull, Lindley or log-logistic G into G(1 + lam - lam*G) (Shaw & Buckley,
+2009).  All are fitted by maximum likelihood on ``estimate``'s engine.
 
 Two printed-source corrections, both forced by normalization (a density
 must integrate to 1):
@@ -17,7 +18,8 @@ must integrate to 1):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -25,12 +27,11 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401
 
 from . import estimate
-from .distribution import (RtgleParams, cdf, linear_exponential, log_pdf,
-                           rt_linear_exponential, rt_weibull, weibull)
+from .distribution import _checked, _log_pdf_kernel, _log_sf_kernel, cdf
 from .estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
-                       OptimizerConfig, _check_data, _delta_method_se,
-                       _from_free, _search, _to_free)
-from .gof import GofReport, PValueMode, gof_report
+                       OptimizerConfig, _check_data, _check_fit_data,
+                       _delta_method_se, _from_free, _search, _to_free)
+from .gof import GofReport, gof_report
 
 
 @dataclass(frozen=True)
@@ -48,106 +49,82 @@ class CompetitorModel:
 class _Spec:
     param_names: tuple[str, ...]
     param_kinds: tuple[str, ...]          # "pos" | "sym" (lambda) | "unit" (p)
-    log_pdf: Callable
-    cdf: Callable
+    log_pdf: Callable                      # (x, x2, *params) -> log f
+    log_sf: Callable                       # (x, x2, *params) -> log S
     start: Callable                        # data -> natural-scale start
 
 
-def _weibull_cdf(x, mu, sigma):
-    return -np.expm1(-np.power(x / sigma, mu))
+def _nested(image):
+    """log_pdf and log_sf of the competitor that is RTGLE at
+    image(*params), under the checks of RTGLE's own objectives."""
+    def log_pdf(x, x2, *v):
+        return _log_pdf_kernel(*_checked(*image(*v)), x, x2)
+
+    def log_sf(x, x2, *v):
+        return _log_sf_kernel(*_checked(*image(*v)), x, x2)
+    return log_pdf, log_sf
 
 
-def _weibull_log_pdf(x, mu, sigma):
-    t = x / sigma
-    return (math.log(mu / sigma) + (mu - 1.0) * np.log(t) - np.power(t, mu))
+def _transmuted(base_log_pdf, base_log_sf):
+    """log_pdf and log_sf of G(1 + lam - lam*G) for a baseline G whose
+    parameters come before lam: S = S_G (1 - lam*G), f = g (1 + lam -
+    2*lam*G)."""
+    def log_pdf(x, x2, *v):
+        *base, lam = v
+        g = -np.expm1(base_log_sf(x, x2, *base))
+        return base_log_pdf(x, x2, *base) + np.log(1.0 + lam - 2.0 * lam * g)
+
+    def log_sf(x, x2, *v):
+        *base, lam = v
+        log_s = base_log_sf(x, x2, *base)
+        return log_s + np.log1p(lam * np.expm1(log_s))
+    return log_pdf, log_sf
 
 
-def _transmute_cdf(g, lam):
-    return (1.0 + lam) * g - lam * g * g
-
-
-def _transmute_log_pdf(log_g_pdf, g, lam):
-    factor = 1.0 + lam - 2.0 * lam * g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = log_g_pdf + np.log(np.maximum(factor, 0.0))
-    return np.where(factor > 0.0, out, -np.inf)
-
-
-def _lindley_cdf(x, theta):
-    return -np.expm1(np.log1p(theta * x / (theta + 1.0)) - theta * x)
-
-
-def _lindley_log_pdf(x, theta):
+def _lindley_log_pdf(x, x2, theta):
     return (2.0 * math.log(theta) - math.log(theta + 1.0)
             + np.log1p(x) - theta * x)
 
 
-def _loglogistic_cdf(x, a, b):
-    xb = np.power(x, b)
-    return xb / (a ** b + xb)
+def _lindley_log_sf(x, x2, theta):
+    return np.log1p(theta * x / (theta + 1.0)) - theta * x
 
 
-def _loglogistic_log_pdf(x, a, b):
-    xb = np.power(x, b)
-    return (math.log(b) + b * math.log(a) + (b - 1.0) * np.log(x)
-            - 2.0 * np.log(a ** b + xb))
+def _loglogistic_log_pdf(x, x2, a, b):
+    t = x / a
+    return (math.log(b / a) + (b - 1.0) * np.log(t)
+            - 2.0 * np.log1p(np.power(t, b)))
 
 
-_SPECS: dict[str, _Spec] = {}
+def _loglogistic_log_sf(x, x2, a, b):
+    return -np.log1p(np.power(x / a, b))
 
 
-def _register(kind, names, kinds, log_pdf, cdf, start):
-    _SPECS[kind] = _Spec(tuple(names), tuple(kinds), log_pdf, cdf, start)
+_WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0))
 
-
-def _register_nested(kind, names, kinds, image, start):
-    """Register a competitor that is RTGLE at ``image(*params)``."""
-    _register(kind, names, kinds,
-              log_pdf=lambda x, *v: log_pdf(image(*v), x),
-              cdf=lambda x, *v: cdf(image(*v), x), start=start)
-
-
-_register_nested(
-    "RTW", ("theta", "gamma", "p"), ("pos", "pos", "unit"),
-    image=lambda th, g, p: rt_weibull(th ** (1.0 / g), g, p),
-    start=lambda x: (1.0 / np.mean(x), 1.0, 0.5),
-)
-_register_nested(
-    "W", ("mu", "sigma"), ("pos", "pos"),
-    image=lambda mu, s: weibull(1.0 / s, mu),
-    start=lambda x: (1.0, np.mean(x)),
-)
-_register(
-    "TW", ("mu", "sigma", "lambda"), ("pos", "pos", "sym"),
-    log_pdf=lambda x, mu, s, lam: _transmute_log_pdf(
-        _weibull_log_pdf(x, mu, s), _weibull_cdf(x, mu, s), lam),
-    cdf=lambda x, mu, s, lam: _transmute_cdf(_weibull_cdf(x, mu, s), lam),
-    start=lambda x: (1.0, np.mean(x), 0.0),
-)
-_register(
-    "TL", ("theta", "lambda"), ("pos", "sym"),
-    log_pdf=lambda x, th, lam: _transmute_log_pdf(
-        _lindley_log_pdf(x, th), _lindley_cdf(x, th), lam),
-    cdf=lambda x, th, lam: _transmute_cdf(_lindley_cdf(x, th), lam),
-    start=lambda x: (1.0 / np.mean(x), 0.0),
-)
-_register(
-    "TLL", ("alpha", "beta", "lambda"), ("pos", "pos", "sym"),
-    log_pdf=lambda x, a, b, lam: _transmute_log_pdf(
-        _loglogistic_log_pdf(x, a, b), _loglogistic_cdf(x, a, b), lam),
-    cdf=lambda x, a, b, lam: _transmute_cdf(_loglogistic_cdf(x, a, b), lam),
-    start=lambda x: (np.median(x), 1.0, 0.0),
-)
-_register_nested(
-    "RTLE", ("alpha", "beta", "p"), ("pos", "pos", "unit"),
-    image=rt_linear_exponential,
-    start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2, 0.5),
-)
-_register_nested(
-    "LE", ("alpha", "beta"), ("pos", "pos"),
-    image=linear_exponential,
-    start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2),
-)
+_SPECS: dict[str, _Spec] = {
+    "RTW": _Spec(("theta", "gamma", "p"), ("pos", "pos", "unit"),
+                 *_nested(lambda th, g, p: (th ** (1.0 / g), 0.0, g, p)),
+                 start=lambda x: (1.0 / np.mean(x), 1.0, 0.5)),
+    "W": _Spec(("mu", "sigma"), ("pos", "pos"), *_WEIBULL,
+               start=lambda x: (1.0, np.mean(x))),
+    "TW": _Spec(("mu", "sigma", "lambda"), ("pos", "pos", "sym"),
+                *_transmuted(*_WEIBULL),
+                start=lambda x: (1.0, np.mean(x), 0.0)),
+    "TL": _Spec(("theta", "lambda"), ("pos", "sym"),
+                *_transmuted(_lindley_log_pdf, _lindley_log_sf),
+                start=lambda x: (1.0 / np.mean(x), 0.0)),
+    "TLL": _Spec(("alpha", "beta", "lambda"), ("pos", "pos", "sym"),
+                 *_transmuted(_loglogistic_log_pdf, _loglogistic_log_sf),
+                 start=lambda x: (np.median(x), 1.0, 0.0)),
+    "RTLE": _Spec(("alpha", "beta", "p"), ("pos", "pos", "unit"),
+                  *_nested(lambda a, b, p: (a, b, 1.0, p)),
+                  start=lambda x: (1.0 / np.mean(x),
+                                   0.1 / np.mean(x) ** 2, 0.5)),
+    "LE": _Spec(("alpha", "beta"), ("pos", "pos"),
+                *_nested(lambda a, b: (a, b, 1.0, 0.0)),
+                start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2)),
+}
 
 COMPETITOR_KINDS = tuple(_SPECS)
 
@@ -170,7 +147,7 @@ def competitor_log_pdf(model: CompetitorModel, x):
     x = np.asarray(x, dtype=float)
     xp = np.where(x > 0.0, x, 1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _SPECS[model.kind].log_pdf(xp, *model.params)
+        out = _SPECS[model.kind].log_pdf(xp, np.square(xp), *model.params)
     out = np.where(x > 0.0, out, -np.inf)
     out = np.where(np.isnan(out), -np.inf, out)
     return out if np.ndim(out) else float(out)
@@ -183,9 +160,10 @@ def competitor_pdf(model: CompetitorModel, x):
 
 def competitor_cdf(model: CompetitorModel, x):
     x = np.asarray(x, dtype=float)
-    xp = np.maximum(x, 0.0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = _SPECS[model.kind].cdf(xp, *model.params)
+    xm = np.maximum(x, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = -np.expm1(_SPECS[model.kind].log_sf(xm, np.square(xm),
+                                                  *model.params))
     out = np.where(x <= 0.0, 0.0, out)
     return out if np.ndim(out) else float(out)
 
@@ -205,12 +183,13 @@ def fit_competitor(kind: str, data,
                    config: OptimizerConfig | None = None) -> CompetitorFit:
     """Maximum likelihood fit of one competitor on the estimation engine."""
     config = config or OptimizerConfig()
-    x = _check_data(data)
     spec = _SPECS[kind]
     kinds = spec.param_kinds
+    x = _check_fit_data(data, len(kinds))
+    x2 = np.square(x)
 
     def nll(theta):  # the engine evaluates it with warnings off
-        total = float(np.sum(spec.log_pdf(x, *_from_free(theta, kinds))))
+        total = float(np.sum(spec.log_pdf(x, x2, *_from_free(theta, kinds))))
         return -total if math.isfinite(total) else math.inf
 
     opt = _search(nll, _to_free(spec.start(x), kinds), 1.0, config,
@@ -238,7 +217,6 @@ class ComparisonRow:
 
 
 def comparison_table(data, config: OptimizerConfig | None = None,
-                     mode: PValueMode = PValueMode.ASYMPTOTIC,
                      kinds: tuple[str, ...] | None = None
                      ) -> list[ComparisonRow]:
     """Fit RTGLE and the competitors, compute GoF for each, sort by AIC.
@@ -247,35 +225,21 @@ def comparison_table(data, config: OptimizerConfig | None = None,
     """
     x = _check_data(data)
     rows: list[ComparisonRow] = []
-
-    if kinds is None or "RTGLE" in (kinds or ()):
+    for kind in kinds or ("RTGLE",) + COMPETITOR_KINDS:
         try:
-            rf = estimate.fit(x, EstimationMethod.MLE, config)
-            pr: RtgleParams = rf.params
-            rep = gof_report(lambda t: cdf(pr, t), x,
-                             minus2loglik=2.0 * rf.objective, r=4, mode=mode)
-            names = ("alpha", "beta", "gamma", "p")
-            ses = (dict(zip(names, rf.standard_errors))
-                   if rf.standard_errors else None)
-            rows.append(ComparisonRow("RTGLE", dict(zip(names, pr.as_tuple())),
-                                      ses, rep))
-        except (AllStartsFailed, ValueError) as exc:
-            rows.append(ComparisonRow("RTGLE", {}, None, None, str(exc)))
-
-    for kind in (kinds or COMPETITOR_KINDS):
-        if kind == "RTGLE":
-            continue
-        spec = _SPECS[kind]
-        try:
-            cf = fit_competitor(kind, x, config)
-            rep = gof_report(lambda t, m=cf.model: competitor_cdf(m, t), x,
-                             minus2loglik=cf.minus2loglik,
-                             r=len(spec.param_kinds), mode=mode)
-            ses = (dict(zip(spec.param_names, cf.standard_errors))
-                   if cf.standard_errors else None)
-            rows.append(ComparisonRow(kind,
-                                      dict(zip(spec.param_names,
-                                               cf.model.params)), ses, rep))
+            if kind == "RTGLE":
+                rf = estimate.fit(x, EstimationMethod.MLE, config)
+                params, se = asdict(rf.params), rf.standard_errors
+                m2ll, model_cdf = 2.0 * rf.objective, partial(cdf, rf.params)
+            else:
+                cf = fit_competitor(kind, x, config)
+                params = dict(zip(_SPECS[kind].param_names, cf.model.params))
+                se, m2ll = cf.standard_errors, cf.minus2loglik
+                model_cdf = partial(competitor_cdf, cf.model)
+            rep = gof_report(model_cdf, x, minus2loglik=m2ll, r=len(params))
+            rows.append(ComparisonRow(kind, params,
+                                      dict(zip(params, se)) if se else None,
+                                      rep))
         except (AllStartsFailed, ValueError) as exc:
             rows.append(ComparisonRow(kind, {}, None, None, str(exc)))
 

@@ -40,7 +40,8 @@ class NonPositiveData(ValueError):
 
 
 class DegenerateData(ValueError):
-    """The sample has fewer than two distinct values, so no fit exists."""
+    """The sample has fewer than two distinct values, or no more values
+    than the model has free parameters, so no fit exists."""
 
 
 class AllStartsFailed(RuntimeError):
@@ -81,6 +82,18 @@ def _check_data(data) -> np.ndarray:
         raise NonPositiveData("data must be a nonempty 1-d vector")
     if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
         raise NonPositiveData("all data values must be positive and finite")
+    return x
+
+
+def _check_fit_data(data, k: int) -> np.ndarray:
+    """_check_data for a fit of k free parameters, which needs two distinct
+    values and more than k of them."""
+    x = _check_data(data)
+    if x.min() == x.max():
+        raise DegenerateData("fitting needs at least two distinct data values")
+    if len(x) <= k:
+        raise DegenerateData(f"fitting {k} parameters needs more than {k} "
+                             f"data values, got {len(x)}")
     return x
 
 
@@ -395,9 +408,7 @@ def fit(data, method: EstimationMethod,
     is interior.
     """
     config = config or OptimizerConfig()
-    x = _check_data(data)
-    if x.min() == x.max():
-        raise DegenerateData("fitting needs at least two distinct data values")
+    x = _check_fit_data(data, len(_RTGLE_KINDS))
     objective = _objective(method, x)
 
     def obj_t(theta):

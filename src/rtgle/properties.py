@@ -20,6 +20,7 @@ from .distribution import (RtgleParams, _log_sf_kernel, cdf, log_pdf, pdf,
 from .special import gamma_fn, log_beta
 
 _TAIL_Q = 1.0 - 1e-12  # upper integration cutoff quantile
+_MAX_TERMS = 200       # series terms summed at most: indices 0.._MAX_TERMS
 
 
 class SeriesDiverged(ArithmeticError):
@@ -55,8 +56,8 @@ def _cutoff_and(params: RtgleParams, *u: float) -> list[float]:
     return quantile_vec(params, (_TAIL_Q,) + u).tolist()
 
 
-def _quad(fn, lo, hi, *, rtol=1e-11, points=None) -> float:
-    val, err = quad(fn, lo, hi, epsabs=0.0, epsrel=rtol, limit=400,
+def _quad(fn, lo, hi, *, points=None) -> float:
+    val, err = quad(fn, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400,
                     points=points)
     if not math.isfinite(val):
         raise QuadratureError("integral is not finite")
@@ -86,11 +87,11 @@ def moment_quadrature(params: RtgleParams, r: int) -> float:
     return _raw_moments(params, (r,))[0]
 
 
-def _gen_binom_terms(s: float, max_j: int):
+def _gen_binom_terms(s: float):
     """Yield (j, binom(s, j)) for the generalized binomial coefficient."""
     c = 1.0
     yield 0, c
-    for j in range(1, max_j + 1):
+    for j in range(1, _MAX_TERMS + 1):
         c *= (s - (j - 1)) / j
         yield j, c
         if c == 0.0:
@@ -109,8 +110,31 @@ def _upper_inc(a: float, x: float) -> float:
     return float(mpmath.gammainc(a, x, mpmath.inf))
 
 
-def moment_series(params: RtgleParams, r: int, max_terms: int = 200
-                  ) -> tuple[float, int]:
+def _sum_series(term, diverged: str) -> tuple[float, int]:
+    """Sum term(0), term(1), ... until a term is at most 1e-12 of the
+    partial sum or _MAX_TERMS + 1 terms are in; returns (sum, terms used).
+    Raises SeriesDiverged(diverged) if |term| grows for 10 consecutive
+    indices."""
+    total = 0.0
+    prev_abs = math.inf
+    grow_run = 0
+    for j in range(_MAX_TERMS + 1):
+        t = term(j)
+        total += t
+        t = abs(t)
+        if total != 0.0 and t <= 1e-12 * abs(total):
+            return total, j + 1
+        if t > prev_abs:
+            grow_run += 1
+            if grow_run >= 10:
+                raise SeriesDiverged(diverged)
+        elif t < prev_abs:
+            grow_run = 0
+        prev_abs = t
+    return total, _MAX_TERMS + 1
+
+
+def moment_series(params: RtgleParams, r: int) -> tuple[float, int]:
     """r-th raw moment via the binomial double series (alpha, beta > 0).
 
     The binomial expansion of (1 + tau*z^(1/gamma))^((r-i)/2) is only valid
@@ -119,9 +143,8 @@ def moment_series(params: RtgleParams, r: int, max_terms: int = 200
     as incomplete-gamma integrals; merging them into one complete gamma term
     per j produces a series that diverges from the first term.
 
-    Truncates the j-sum when the running term drops below 1e-12 of the
-    partial sum or max_terms is hit; raises SeriesDiverged if terms grow for
-    10 consecutive j.
+    Sums over j with _sum_series: stops at a term below 1e-12 of the
+    partial sum, raises SeriesDiverged if terms grow for 10 consecutive j.
     """
     a, b, g, p = params.as_tuple()
     if a <= 0.0 or b <= 0.0:
@@ -140,36 +163,23 @@ def moment_series(params: RtgleParams, r: int, max_terms: int = 200
         return (1.0 - p) * _upper_inc(q + 1.0, T) + p * _upper_inc(q + 2.0, T)
 
     binom_i = [math.comb(r, i) for i in range(r + 1)]
-    gen_cols = [dict(_gen_binom_terms((r - i) / 2.0, max_terms))
-                for i in range(r + 1)]
+    gen_cols = [dict(_gen_binom_terms((r - i) / 2.0)) for i in range(r + 1)]
     scale = a ** r / b ** r
 
-    total = 0.0
-    prev_abs = math.inf
-    grow_run = 0
-    for j in range(max_terms + 1):
-        term = 0.0
+    def term(j: int) -> float:
+        out = 0.0
         for i in range(r + 1):
             cj = gen_cols[i].get(j, 0.0)
             if cj == 0.0:
                 continue
             s = (r - i) / 2.0
             coef = (-1.0) ** i * binom_i[i] * cj * scale
-            term += coef * (tau ** j * mix_lower(j / g)
-                            + tau ** (s - j) * mix_upper((s - j) / g))
-        total += term
-        t = abs(term)
-        if total != 0.0 and t <= 1e-12 * abs(total):
-            return total, j + 1
-        if t > prev_abs:
-            grow_run += 1
-            if grow_run >= 10:
-                raise SeriesDiverged(
-                    f"moment series terms grew for 10 consecutive j (r={r})")
-        elif t < prev_abs:
-            grow_run = 0
-        prev_abs = t
-    return total, max_terms + 1
+            out += coef * (tau ** j * mix_lower(j / g)
+                           + tau ** (s - j) * mix_upper((s - j) / g))
+        return out
+
+    return _sum_series(
+        term, f"moment series terms grew for 10 consecutive j (r={r})")
 
 
 def recurrence_rhs(params: RtgleParams, r: int) -> float:
@@ -292,8 +302,8 @@ def renyi_entropy(params: RtgleParams, rho: float) -> float:
     return math.log(val) / (1.0 - rho)
 
 
-def renyi_entropy_series(params: RtgleParams, rho: float,
-                         max_terms: int = 200) -> tuple[float, int]:
+def renyi_entropy_series(params: RtgleParams, rho: float
+                         ) -> tuple[float, int]:
     """Series route for the Renyi integral; same split-region treatment and
     truncation policy as moment_series.  Requires alpha, beta > 0.
 
@@ -311,8 +321,8 @@ def renyi_entropy_series(params: RtgleParams, rho: float,
     T = tau ** (-g)
     m = (rho - 1.0) / 2.0
     base = (rho - 1.0) * (g - 1.0) / g
-    binom_rho = dict(_gen_binom_terms(rho, max_terms))
-    binom_j = dict(_gen_binom_terms(m, max_terms))
+    binom_rho = dict(_gen_binom_terms(rho))
+    binom_j = dict(_gen_binom_terms(m))
 
     def z_integral(q: float, j: int) -> float:
         # int_0^inf (alpha^2 + 2*beta*z^(1/gamma))^m z^q e^(-rho z) dz,
@@ -323,13 +333,9 @@ def renyi_entropy_series(params: RtgleParams, rho: float,
         hi = tau ** (m - j) * _upper_inc(hi_a, rho * T) / rho ** hi_a
         return a ** (rho - 1.0) * (lo + hi)
 
-    total = 0.0
-    prev_abs = math.inf
-    grow_run = 0
-    n_used = 0
-    for k in range(max_terms + 1):
-        # sum the anti-diagonal i + j = k so both indices truncate together
-        term = 0.0
+    def term(k: int) -> float:
+        # the anti-diagonal i + j = k, so both indices truncate together
+        out = 0.0
         for i in range(k + 1):
             j = k - i
             if p == 0.0 and i > 0:
@@ -341,20 +347,11 @@ def renyi_entropy_series(params: RtgleParams, rho: float,
             if ci == 0.0 or cj == 0.0:
                 continue
             pw = p ** i if p == 1.0 else p ** i * (1.0 - p) ** (rho - i)
-            term += ci * cj * pw * z_integral(base + i, j)
-        total += term
-        n_used = k + 1
-        t = abs(term)
-        if total != 0.0 and t <= 1e-12 * abs(total):
-            break
-        if t > prev_abs:
-            grow_run += 1
-            if grow_run >= 10:
-                raise SeriesDiverged(
-                    "Renyi series terms grew for 10 consecutive indices")
-        elif t < prev_abs:
-            grow_run = 0
-        prev_abs = t
+            out += ci * cj * pw * z_integral(base + i, j)
+        return out
+
+    total, n_used = _sum_series(
+        term, "Renyi series terms grew for 10 consecutive indices")
     integral = g ** (rho - 1.0) * total
     if integral <= 0.0:
         raise SeriesDiverged("Renyi series produced a non-positive integral")
@@ -364,30 +361,24 @@ def renyi_entropy_series(params: RtgleParams, rho: float,
 # --- order and record statistics ---------------------------------------------
 
 def order_statistic_pdf(params: RtgleParams, r: int, n: int, x) -> float:
-    """Density of the r-th order statistic of an n-sample."""
+    """Density of the r-th order statistic of an n-sample,
+    f(x) F(x)^(r-1) S(x)^(n-r) / B(r, n-r+1)."""
     if not (1 <= r <= n):
         raise ValueError(f"rank r={r} out of range for n={n}")
-    x = np.asarray(x, dtype=float)
-    fx = pdf(params, x)
-    s = sf(params, x)
-    total = np.zeros_like(np.asarray(s, dtype=float))
-    for i in range(r):
-        total = total + math.comb(r - 1, i) * (-1.0) ** i * \
-            np.power(s, n + i - r)
-    out = fx * total * math.exp(-log_beta(r, n - r + 1))
+    out = (pdf(params, x) * np.power(cdf(params, x), r - 1)
+           * np.power(sf(params, x), n - r)
+           * math.exp(-log_beta(r, n - r + 1)))
     return out if np.ndim(out) else float(out)
 
 
 def smallest_order_statistic_pdf(params: RtgleParams, n: int, x) -> float:
     """Density of the sample minimum: n * f(x) * sf(x)^(n-1)."""
-    out = n * pdf(params, x) * np.power(sf(params, x), n - 1)
-    return out if np.ndim(out) else float(out)
+    return order_statistic_pdf(params, 1, n, x)
 
 
 def largest_order_statistic_pdf(params: RtgleParams, n: int, x) -> float:
     """Density of the sample maximum: n * f(x) * F(x)^(n-1)."""
-    out = n * pdf(params, x) * np.power(cdf(params, x), n - 1)
-    return out if np.ndim(out) else float(out)
+    return order_statistic_pdf(params, n, n, x)
 
 
 def cumulative_hazard(params: RtgleParams, x):

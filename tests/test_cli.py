@@ -176,6 +176,7 @@ def test_out_file(tmp_path, capsys):
 def test_degenerate_data_exit_code(tmp_path, capsys, content):
     f = tmp_path / "degenerate.txt"
     f.write_text(content)
-    code, _, err = run_cli(capsys, "fit", "--data", str(f))
-    assert code == 3
-    assert "distinct" in err
+    for command in ("fit", "compare"):
+        code, _, err = run_cli(capsys, command, "--data", str(f))
+        assert code == 3, command
+        assert "distinct" in err

@@ -58,15 +58,50 @@ def _le_log_pdf(x, a, b, p):
     return np.log(a + b * x) - m + np.log(1.0 - p + p * m)
 
 
-# published closed forms of the competitors that are RTGLE images
+def _le_cdf(x, a, b, p):
+    m = a * x + 0.5 * b * x * x
+    return 1.0 - (1.0 + p * m) * np.exp(-m)
+
+
+def _lindley_sf(x, th):
+    return (1.0 + th * x / (th + 1.0)) * np.exp(-th * x)
+
+
+# the published closed forms of every competitor; the transmuted densities
+# are g(x) (1 - lam + 2 lam S_G(x)), their cdfs G(x) (1 + lam S_G(x)), and
+# the log-logistic factor is the normalized one of the module docstring
 CLOSED_FORM_LOG_PDF = {
     "W": lambda x, mu, s: (math.log(mu / s) + (mu - 1.0) * np.log(x / s)
                            - (x / s) ** mu),
     "RTW": lambda x, th, g, p: (math.log(th * g) + (g - 1.0) * np.log(x)
                                 - th * x ** g
                                 + np.log(1.0 + p * (th * x ** g - 1.0))),
+    "TW": lambda x, mu, s, lam: (
+        math.log(mu / s) + (mu - 1.0) * np.log(x / s) - (x / s) ** mu
+        + np.log(1.0 - lam + 2.0 * lam * np.exp(-(x / s) ** mu))),
+    "TL": lambda x, th, lam: (
+        np.log(th * th / (th + 1.0) * (1.0 + x) * np.exp(-th * x)
+               * (1.0 - lam + 2.0 * lam * _lindley_sf(x, th)))),
+    "TLL": lambda x, a, b, lam: np.log(
+        b * a ** b * x ** (b - 1.0)
+        * ((1.0 + lam) * (a ** b + x ** b) - 2.0 * lam * x ** b)
+        / (a ** b + x ** b) ** 3),
     "RTLE": _le_log_pdf,
     "LE": lambda x, a, b: _le_log_pdf(x, a, b, 0.0),
+}
+
+CLOSED_FORM_CDF = {
+    "W": lambda x, mu, s: 1.0 - np.exp(-(x / s) ** mu),
+    "RTW": lambda x, th, g, p: (1.0 - (1.0 + p * th * x ** g)
+                                * np.exp(-th * x ** g)),
+    "TW": lambda x, mu, s, lam: ((1.0 - np.exp(-(x / s) ** mu))
+                                 * (1.0 + lam * np.exp(-(x / s) ** mu))),
+    "TL": lambda x, th, lam: ((1.0 - _lindley_sf(x, th))
+                              * (1.0 + lam * _lindley_sf(x, th))),
+    "TLL": lambda x, a, b, lam: (x ** b / (a ** b + x ** b)
+                                 * (1.0 + lam * a ** b / (a ** b + x ** b))),
+    "RTLE": _le_cdf,
+    "LE": lambda x, a, b: _le_cdf(x, a, b, 0.0),
 }
 
 
@@ -77,6 +112,15 @@ def test_nested_log_pdf_matches_closed_form(kind):
     got = competitor_log_pdf(make_competitor(kind, *params), x)
     expected = CLOSED_FORM_LOG_PDF[kind](x, *params)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_CDF))
+def test_cdf_matches_closed_form(kind):
+    params = EXAMPLES[kind]
+    x = np.linspace(0.05, 40.0, 200)
+    got = competitor_cdf(make_competitor(kind, *params), x)
+    assert np.allclose(got, CLOSED_FORM_CDF[kind](x, *params), rtol=1e-12,
+                       atol=0.0)
 
 
 def test_nested_likelihoods_on_real_data():

@@ -1,10 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from rtgle import DegenerateData
-from rtgle.compare import comparison_table, fit_competitor
+from rtgle.compare import (COMPETITOR_KINDS, CompetitorModel, comparison_table,
+                           fit_competitor)
 from rtgle.distribution import RtgleParams, sample, validate
 from rtgle.estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
                             NonPositiveData, OptimizerConfig, _OBJECTIVES,
@@ -232,11 +234,24 @@ def test_boundary_mle_has_typed_standard_error_outcome():
         standard_errors(r.params, x)
 
 
-@pytest.mark.parametrize("data", [[1.3], [2.0] * 5])
-@pytest.mark.parametrize("method", list(EstimationMethod))
+@pytest.mark.parametrize("data", [[1.3], [2.0] * 5, [1.0, 2.5],
+                                  [1.0, 2.5, 4.0], [1.0, 2.5, 4.0, 0.7]])
+@pytest.mark.parametrize("method",
+                         list(EstimationMethod) + list(COMPETITOR_KINDS))
 def test_degenerate_sample_raises_typed_error(data, method):
-    with pytest.raises(DegenerateData):
-        fit(data, method, OptimizerConfig(n_starts=2))
+    # a fit of k free parameters needs two distinct values and n > k; a
+    # competitor (named by its kind) runs the same check as fit
+    config = OptimizerConfig(n_starts=2)
+    if isinstance(method, EstimationMethod):
+        k, run = 4, partial(fit, data, method, config)
+    else:
+        k = CompetitorModel(method, ()).n_params
+        run = partial(fit_competitor, method, data, config)
+    if len(set(data)) > 1 and len(data) > k:
+        run()    # n = k + 1 already fits
+    else:
+        with pytest.raises(DegenerateData):
+            run()
     assert issubclass(DegenerateData, ValueError)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rtgle.distribution import RtgleParams, pdf, quantile, sf
+from rtgle.distribution import (RtgleParams, cdf, log_pdf, pdf, quantile,
+                                quantile_vec, sf)
 from rtgle.properties import (MgfDiverged, SeriesDiverged, cumulative_hazard,
                               gini_mean_difference, joint_record_log_pdf,
                               kurtosis, l_moment, largest_order_statistic_pdf,
@@ -14,6 +15,7 @@ from rtgle.properties import (MgfDiverged, SeriesDiverged, cumulative_hazard,
                               quantile_measures, record_pdf, recurrence_rhs,
                               renyi_entropy, renyi_entropy_series, skewness,
                               smallest_order_statistic_pdf, variance)
+from rtgle.special import log_beta
 
 ROW1 = RtgleParams(0.5, 0.5, 1.2, 0.2)
 
@@ -129,6 +131,18 @@ def test_order_statistic_pdf_normalizes():
         total, _ = quad(lambda x: order_statistic_pdf(params, r, n, x),
                         0.0, hi, limit=300)
         assert total == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("r,n", [(1, 30), (3, 5), (20, 30), (30, 30)])
+def test_order_statistic_pdf_matches_log_space_product(r, n):
+    # deep in the lower tail, where F^(r-1) is tiny, an expansion of
+    # (1 - S)^(r-1) in powers of S cancels to noise or a negative density
+    x = quantile_vec(ROW1, [1e-6, 0.01, 0.1, 0.5, 0.9, 0.99])
+    got = order_statistic_pdf(ROW1, r, n, x)
+    expected = np.exp(log_pdf(ROW1, x) + (r - 1) * np.log(cdf(ROW1, x))
+                      + (n - r) * np.log(sf(ROW1, x)) - log_beta(r, n - r + 1))
+    assert np.all(got >= 0.0)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 def test_extreme_order_statistics_match_general_form():
