@@ -27,7 +27,8 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401
 
 from . import estimate
-from .distribution import _checked, _log_pdf_kernel, _log_sf_kernel, cdf
+from .distribution import (_checked, _log_pdf_kernel, _log_sf_kernel,
+                           _on_support, cdf)
 from .estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
                        OptimizerConfig, _check_data, _check_fit_data,
                        _delta_method_se, _from_free, _search, _to_free)
@@ -51,24 +52,25 @@ class _Spec:
     param_kinds: tuple[str, ...]          # "pos" | "sym" (lambda) | "unit" (p)
     log_pdf: Callable                      # (x, x2, *params) -> log f
     log_sf: Callable                       # (x, x2, *params) -> log S
+    image: Callable | None                 # params -> RTGLE params, if nested
     start: Callable                        # data -> natural-scale start
 
 
 def _nested(image):
-    """log_pdf and log_sf of the competitor that is RTGLE at
+    """log_pdf, log_sf and image of the competitor that is RTGLE at
     image(*params), under the checks of RTGLE's own objectives."""
     def log_pdf(x, x2, *v):
         return _log_pdf_kernel(*_checked(*image(*v)), x, x2)
 
     def log_sf(x, x2, *v):
         return _log_sf_kernel(*_checked(*image(*v)), x, x2)
-    return log_pdf, log_sf
+    return log_pdf, log_sf, image
 
 
 def _transmuted(base_log_pdf, base_log_sf):
     """log_pdf and log_sf of G(1 + lam - lam*G) for a baseline G whose
     parameters come before lam: S = S_G (1 - lam*G), f = g (1 + lam -
-    2*lam*G)."""
+    2*lam*G); no RTGLE image."""
     def log_pdf(x, x2, *v):
         *base, lam = v
         g = -np.expm1(base_log_sf(x, x2, *base))
@@ -78,7 +80,7 @@ def _transmuted(base_log_pdf, base_log_sf):
         *base, lam = v
         log_s = base_log_sf(x, x2, *base)
         return log_s + np.log1p(lam * np.expm1(log_s))
-    return log_pdf, log_sf
+    return log_pdf, log_sf, None
 
 
 def _lindley_log_pdf(x, x2, theta):
@@ -109,7 +111,7 @@ _SPECS: dict[str, _Spec] = {
     "W": _Spec(("mu", "sigma"), ("pos", "pos"), *_WEIBULL,
                start=lambda x: (1.0, np.mean(x))),
     "TW": _Spec(("mu", "sigma", "lambda"), ("pos", "pos", "sym"),
-                *_transmuted(*_WEIBULL),
+                *_transmuted(*_WEIBULL[:2]),
                 start=lambda x: (1.0, np.mean(x), 0.0)),
     "TL": _Spec(("theta", "lambda"), ("pos", "sym"),
                 *_transmuted(_lindley_log_pdf, _lindley_log_sf),
@@ -140,32 +142,33 @@ def make_competitor(kind: str, *params: float) -> CompetitorModel:
             raise ValueError(f"{kind}: lambda must lie in [-1, 1], got {v!r}")
         if k == "unit" and not 0.0 <= v <= 1.0:
             raise ValueError(f"{kind}: p must lie in [0, 1], got {v!r}")
+    try:  # a nested kind is evaluated as RTGLE at its image
+        image = _checked(*spec.image(*params)) if spec.image else ()
+    except (OverflowError, ValueError):
+        image = (math.nan,)
+    if not all(map(math.isfinite, image)):
+        raise ValueError(f"{kind}: {params!r} has no valid finite RTGLE image")
     return CompetitorModel(kind, tuple(float(v) for v in params))
 
 
 def competitor_log_pdf(model: CompetitorModel, x):
-    x = np.asarray(x, dtype=float)
-    xp = np.where(x > 0.0, x, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _SPECS[model.kind].log_pdf(xp, np.square(xp), *model.params)
-    out = np.where(x > 0.0, out, -np.inf)
-    out = np.where(np.isnan(out), -np.inf, out)
-    return out if np.ndim(out) else float(out)
+    spec = _SPECS[model.kind]
+    return _on_support(lambda x, x2: spec.log_pdf(x, x2, *model.params),
+                       x, -np.inf, -np.inf)
 
 
 def competitor_pdf(model: CompetitorModel, x):
-    with np.errstate(over="ignore"):
-        return np.exp(competitor_log_pdf(model, x))
+    spec = _SPECS[model.kind]
+    return _on_support(
+        lambda x, x2: np.exp(spec.log_pdf(x, x2, *model.params)),
+        x, 0.0, 0.0)
 
 
 def competitor_cdf(model: CompetitorModel, x):
-    x = np.asarray(x, dtype=float)
-    xm = np.maximum(x, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = -np.expm1(_SPECS[model.kind].log_sf(xm, np.square(xm),
-                                                  *model.params))
-    out = np.where(x <= 0.0, 0.0, out)
-    return out if np.ndim(out) else float(out)
+    spec = _SPECS[model.kind]
+    return _on_support(
+        lambda x, x2: -np.expm1(spec.log_sf(x, x2, *model.params)),
+        x, 0.0, 1.0)
 
 
 # --- fitting -------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,9 +121,25 @@ def rt_linear_exponential(alpha: float, beta: float, p: float) -> RtgleParams:
 
 
 # --- evaluation -------------------------------------------------------------
-# The interior kernels take the floats (alpha, beta, gamma, p), an array
-# x >= 0 and x2 = x**2, and hold the only copy of each formula; the public
-# functions add the support masking.  Callers own the np.errstate.
+# The kernels take the floats (alpha, beta, gamma, p), an array x > 0 and
+# x2 = x**2, and hold the only copy of each formula; _on_support adds the rest.
+
+def _on_support(kernel, x, outside, tail):
+    """kernel(x, x2) on x > 0, ``outside`` at x <= 0, NaN at NaN x, and
+    the x -> inf limit ``tail`` where the kernel gives NaN at a positive x
+    (where x^2 or z overflowed); a float for scalar x."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not x.ndim and x > 0.0:  # the common scalar, without the masks
+            out = float(kernel(x, x * x))
+            return tail if math.isnan(out) else out
+        inside = x > 0.0
+        xp = np.where(inside, x, 1.0)  # placeholder, masked below
+        out = kernel(xp, np.square(xp))
+    out = np.where(inside, np.where(np.isnan(out), tail, out),
+                   np.where(np.isnan(x), np.nan, outside))
+    return out if out.ndim else float(out)
+
 
 def _m(a, b, x, x2):
     """m = a*x + b*x^2/2; the GLE baseline's cumulative hazard is m^gamma."""
@@ -148,67 +164,53 @@ def _log_pdf_kernel(a, b, g, p, x, x2):
 
 def sf(params: RtgleParams, x):
     """Survival function, cancellation-safe in the right tail."""
-    x = np.asarray(x, dtype=float)
-    xm = np.maximum(x, 0.0)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        out = np.exp(_log_sf_kernel(*params.as_tuple(), xm, np.square(xm)))
-    out = np.where(x <= 0.0, 1.0, out)
-    return out if out.ndim else float(out)
+    v = params.as_tuple()
+    return _on_support(lambda x, x2: np.exp(_log_sf_kernel(*v, x, x2)),
+                       x, 1.0, 0.0)
 
 
 def cdf(params: RtgleParams, x):
     """Distribution function F(x) = 1 - (1 + p*z) * exp(-z)."""
-    x = np.asarray(x, dtype=float)
-    xm = np.maximum(x, 0.0)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        out = -np.expm1(_log_sf_kernel(*params.as_tuple(), xm, np.square(xm)))
-    out = np.where(x <= 0.0, 0.0, out)
-    return out if out.ndim else float(out)
+    v = params.as_tuple()
+    return _on_support(lambda x, x2: -np.expm1(_log_sf_kernel(*v, x, x2)),
+                       x, 0.0, 1.0)
 
 
 def log_pdf(params: RtgleParams, x):
-    """Log density, -inf where the density vanishes.  Never NaN."""
-    x = np.asarray(x, dtype=float)
-    xp = np.where(x > 0.0, x, 1.0)  # placeholder, masked below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _log_pdf_kernel(*params.as_tuple(), xp, np.square(xp))
-    out = np.where(x > 0.0, out, -np.inf)
-    out = np.where(np.isnan(out), -np.inf, out)
-    return out if out.ndim else float(out)
+    """Log density, -inf where the density vanishes; NaN only at NaN x."""
+    v = params.as_tuple()
+    return _on_support(lambda x, x2: _log_pdf_kernel(*v, x, x2),
+                       x, -np.inf, -np.inf)
 
 
 def pdf(params: RtgleParams, x):
     """Density of RTGLE at x (0 for x <= 0)."""
-    with np.errstate(over="ignore"):
-        out = np.exp(log_pdf(params, x))
-    return out
+    v = params.as_tuple()
+    return _on_support(lambda x, x2: np.exp(_log_pdf_kernel(*v, x, x2)),
+                       x, 0.0, 0.0)
 
 
 def baseline_hazard(params: RtgleParams, x):
-    """GLE baseline hazard k(x) = gamma*(a+b*x)*(a*x+b*x^2/2)^(gamma-1)."""
-    a, b, g, _ = params.as_tuple()
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) and g < 1.0:
-        raise ValueError("baseline hazard diverges at x <= 0 for gamma < 1")
-    xp = np.where(x > 0.0, x, 1.0)
-    m = _m(a, b, xp, np.square(xp))
-    out = g * (a + b * xp) * np.power(m, g - 1.0)
-    if np.any(x <= 0.0):
-        limit = a if g == 1.0 else 0.0
-        out = np.where(x <= 0.0, limit, out)
-    return out if out.ndim else float(out)
+    """GLE baseline hazard k(x) = gamma*(a+b*x)*(a*x+b*x^2/2)^(gamma-1),
+    which is the hazard at p = 0; 0 for x <= 0."""
+    return hazard(replace(params, p=0.0), x)
 
 
 def hazard(params: RtgleParams, x):
-    """Hazard h(x) = k(x) * (1 - p + p*z) / (1 + p*z); h <= k everywhere."""
+    """Hazard h(x) = k(x) * (1 - p + p*z) / (1 + p*z) <= k(x), 0 for x <= 0,
+    from log m = log x + log(a + b*x/2), which survives the overflow of x^2."""
     a, b, g, p = params.as_tuple()
-    x = np.asarray(x, dtype=float)
-    k = np.asarray(baseline_hazard(params, x), dtype=float)
-    xm = np.maximum(x, 0.0)
-    z = np.power(_m(a, b, xm, np.square(xm)), g)
-    damp = ((1.0 - p) + p * z) / (1.0 + p * z)
-    out = k * damp
-    return out if out.ndim else float(out)
+
+    def kernel(x, x2):
+        log_m = np.log(x) + np.log(a + 0.5 * b * x)
+        k = g * np.exp(np.log(a + b * x) + (g - 1.0) * log_m)
+        pz = p * np.exp(g * log_m)
+        return k * np.fmin(((1.0 - p) + pz) / (1.0 + pz), 1.0)  # inf/inf: 1
+    # k grows like x^e as x -> inf, with e = 2g-1 (b > 0) or g-1 (b = 0)
+    e = 2.0 * g - 1.0 if b > 0.0 else g - 1.0
+    limit = (math.inf if e > 0.0 else 0.0 if e < 0.0
+             else math.sqrt(0.5 * b) if b > 0.0 else a)
+    return _on_support(kernel, x, 0.0, limit)
 
 
 # --- quantile and sampling ---------------------------------------------------

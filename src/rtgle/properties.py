@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .distribution import (RtgleParams, _log_sf_kernel, cdf, log_pdf, pdf,
-                           quantile_vec, sf)
+from .distribution import (RtgleParams, _log_sf_kernel, _on_support, cdf,
+                           hazard, log_pdf, pdf, quantile_vec, sf)
 from .special import gamma_fn, log_beta
 
 _TAIL_Q = 1.0 - 1e-12  # upper integration cutoff quantile
@@ -245,26 +245,24 @@ def quantile_measures(params: RtgleParams) -> QuantileMeasures:
                             galton_skewness=gc, moors_kurtosis=mc)
 
 
-def _quantile_integral(params: RtgleParams, weight) -> float:
-    # int_0^1 weight(u) Q(u) du = E[weight(F(X)) X], by u = F(x): the
-    # integrand needs the cdf, not a quantile solve per point
-    return _expectations(params, [lambda x: weight(cdf(params, x)) * x])[0]
-
-
 def gini_mean_difference(params: RtgleParams) -> float:
-    """Gini mean difference Delta = 2 * int_0^1 (2u - 1) Q(u) du."""
-    return 2.0 * _quantile_integral(params, lambda u: 2.0 * u - 1.0)
+    """Gini mean difference Delta = 2 * int_0^1 (2u - 1) Q(u) du, which is
+    2 E[(2F(X) - 1) X] by u = F(x): a cdf per point, not a quantile."""
+    return 2.0 * _expectations(
+        params, [lambda x: (2.0 * cdf(params, x) - 1.0) * x])[0]
 
 
 def l_moment(params: RtgleParams, r: int) -> float:
-    """r-th L-moment as the standard signed sum of int u^k Q(u) du."""
+    """r-th L-moment, the standard signed sum of int_0^1 u^k Q(u) du =
+    E[F(X)^k X] for k < r, integrated under one cutoff."""
     if r < 1:
         raise ValueError("L-moment order r must be >= 1")
+    integrals = _expectations(params, [lambda x, k=k: cdf(params, x) ** k * x
+                                       for k in range(r)])
     total = 0.0
-    for k in range(r):
-        coef = ((-1.0) ** (r - 1 - k) * math.comb(r - 1, k)
-                * math.comb(r - 1 + k, k))
-        total += coef * _quantile_integral(params, lambda u, k=k: u ** k)
+    for k, val in enumerate(integrals):
+        total += ((-1.0) ** (r - 1 - k) * math.comb(r - 1, k)
+                  * math.comb(r - 1 + k, k) * val)
     return total
 
 
@@ -382,10 +380,10 @@ def largest_order_statistic_pdf(params: RtgleParams, n: int, x) -> float:
 
 
 def cumulative_hazard(params: RtgleParams, x):
-    """-log survival; equals z - log(1 + p*z)."""
-    xm = np.maximum(np.asarray(x, dtype=float), 0.0)
-    out = -_log_sf_kernel(*params.as_tuple(), xm, np.square(xm))
-    return out if out.ndim else float(out)
+    """-log survival; equals z - log(1 + p*z); 0 for x <= 0."""
+    v = params.as_tuple()
+    return _on_support(lambda x, x2: -_log_sf_kernel(*v, x, x2),
+                       x, 0.0, np.inf)
 
 
 def record_pdf(params: RtgleParams, n: int, x) -> float:
@@ -407,11 +405,7 @@ def joint_record_log_pdf(params: RtgleParams, records) -> float:
         raise ValueError("records must be a nonempty 1-d vector")
     if np.any(np.diff(r) <= 0.0):
         raise ValueError("record vector must be strictly increasing")
-    from .distribution import hazard
-    total = float(log_pdf(params, r[-1]))
-    if len(r) > 1:
-        total += float(np.sum(np.log(hazard(params, r[:-1]))))
-    return total
+    return log_pdf(params, r[-1]) + float(np.log(hazard(params, r[:-1])).sum())
 
 
 def moment_report(params: RtgleParams, r: int) -> MomentReport:

@@ -147,6 +147,12 @@ def test_make_competitor_validation():
         make_competitor("TW", 1.0, 1.0, 1.5)   # lambda out of [-1, 1]
     with pytest.raises(ValueError):
         make_competitor("RTW", 1.0, 1.0, 1.5)  # p out of [0, 1]
+    # nested kinds whose RTGLE image is invalid or not finite
+    for kind, params in (("RTW", (1e-5, 0.01, 0.5)),   # alpha underflows
+                         ("RTW", (5.0, 0.001, 0.5)),   # alpha overflows
+                         ("W", (2.0, 1e-310))):        # alpha = 1/sigma = inf
+        with pytest.raises(ValueError, match=kind):
+            make_competitor(kind, *params)
 
 
 def test_weibull_reduction_of_tw():

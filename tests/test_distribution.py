@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,6 +17,10 @@ from rtgle.distribution import (BothRatesZero, HazardShapeClass, NegativeRate,
                                 log_pdf, pdf, quantile, quantile_vec,
                                 rayleigh, sample, sample_via_records, sf,
                                 validate, weibull)
+from rtgle.compare import (competitor_cdf, competitor_log_pdf, competitor_pdf,
+                           make_competitor)
+from rtgle.properties import cumulative_hazard
+from test_compare import EXAMPLES
 
 GRID = [
     RtgleParams(0.5, 0.5, 1.2, 0.2),
@@ -73,12 +78,76 @@ def test_pdf_is_cdf_derivative():
             assert pdf(params, x) == pytest.approx(fd, rel=1e-6)
 
 
-def test_log_pdf_never_nan():
-    x = np.array([-1.0, 0.0, 1e-300, 0.5, 1e6])
-    for params in GRID:
-        lp = log_pdf(params, x)
-        assert not np.any(np.isnan(lp))
-        assert np.all(np.isneginf(lp[:2]))  # outside support
+# Every public evaluation function masks through one support policy: its
+# value at x <= 0, its x -> inf limit wherever x^2 or z overflows, NaN at
+# NaN x, never a RuntimeWarning.  (name, function, value at x <= 0, limit;
+# None where the limit depends on the parameters.)
+_POLICY = [
+    ("sf", sf, 1.0, 0.0),
+    ("cdf", cdf, 0.0, 1.0),
+    ("log_pdf", log_pdf, -math.inf, -math.inf),
+    ("pdf", pdf, 0.0, 0.0),
+    ("baseline_hazard", baseline_hazard, 0.0, None),
+    ("hazard", hazard, 0.0, None),
+    ("cumulative_hazard", cumulative_hazard, 0.0, math.inf),
+    ("competitor_log_pdf", competitor_log_pdf, -math.inf, -math.inf),
+    ("competitor_pdf", competitor_pdf, 0.0, 0.0),
+    ("competitor_cdf", competitor_cdf, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("name, fn, outside, tail", _POLICY,
+                         ids=[c[0] for c in _POLICY])
+def test_support_policy(name, fn, outside, tail):
+    if name.startswith("competitor"):
+        models = [make_competitor(k, *v) for k, v in EXAMPLES.items()]
+    else:
+        models = GRID + [RtgleParams(1.0, 0.0, 0.5, 0.3)]
+    far = [1e150, 1e300, math.inf]
+    for model in models:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x in (-1.0, 0.0):
+                assert fn(model, x) == outside, (model, x)
+            assert np.all(fn(model, np.array([-1.0, 0.0])) == outside)
+            assert not np.any(np.isnan(fn(model, [1e-300, 0.5, 1e6])))
+            out = fn(model, np.array(far))
+            assert math.isnan(fn(model, math.nan)), model
+            assert np.isnan(fn(model, np.array([math.nan, 1.0])))[0]
+        # a scalar gives a float, on either side of the support
+        assert all(isinstance(fn(model, x), float)
+                   for x in (-1.0, 0.5, math.inf, math.nan))
+        assert not np.any(np.isnan(out)), (model, out)
+        assert [fn(model, x) for x in far] == out.tolist()
+        if tail is None:  # a hazard: k's own limit, damped by 1 at z = inf
+            assert out[-1] == baseline_hazard(model, math.inf) >= 0.0
+            continue
+        assert out[-1] == tail, (model, out)
+        if math.isfinite(tail) and (isinstance(model, RtgleParams)
+                                    or "cdf" in name):
+            assert np.all(out == tail), (model, out)
+        else:  # an unbounded limit, or a power tail (TLL), is approached
+            assert out.tolist() in (sorted(out), sorted(out)[::-1]), out
+
+
+def test_hazard_against_closed_form():
+    # k(x) runs through log m, so it keeps its digits where x^2 overflows
+    # (GRID[3] has beta = 0, GRID[6] gamma = 0.5 with limit sqrt(beta/2)),
+    # and the damping keeps them at p = 1 where z is tiny (GRID[4])
+    with mpmath.workdps(30):
+        for params in GRID:
+            a, b, g, p = (mpmath.mpf(v) for v in params.as_tuple())
+            for x in (1e-8, 1e100, 1e200, 1e300):
+                m = a * x + b * x * x / 2
+                k = g * (a + b * x) * m ** (g - 1)
+                h = k * (1 - p + p * m ** g) / (1 + p * m ** g)
+                for got, want in ((baseline_hazard(params, x), k),
+                                  (hazard(params, x), h)):
+                    if want > np.finfo(float).max:
+                        assert got == math.inf
+                    else:
+                        assert got == pytest.approx(float(want), rel=1e-12)
+    assert hazard(GRID[6], math.inf) == math.sqrt(0.05)
 
 
 def test_exponential_reduction():
