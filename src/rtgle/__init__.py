@@ -14,8 +14,8 @@ from .distribution import (BothRatesZero, HazardShapeClass, InvalidParams,
                            validate, weibull)
 from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
                        FitResult, HessianNotPD, NonPositiveData,
-                       OptimizerConfig, fit, neg_log_likelihood, nll_gradient,
-                       standard_errors)
+                       OptimizerConfig, fit, fit_many, neg_log_likelihood,
+                       nll_gradient, standard_errors)
 from .gof import (GofReport, PValueMode, StatKind, ad_statistic, aic,
                   cvm_statistic, gof_report, ks_statistic, p_value)
 from .properties import (MgfDiverged, MomentReport, QuadratureError,

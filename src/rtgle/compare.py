@@ -2,10 +2,12 @@
 
 Every competitor is a log density ``log_pdf(x, x2, *params)`` and a log
 survival ``log_sf(x, x2, *params)``, with x > 0 and x2 = x*x tabulated once
-per fit.  W, RTW, LE and RTLE are RTGLE with some coordinates held fixed
-and evaluate the RTGLE kernels at that image; TW, TL and TLL transmute a
-Weibull, Lindley or log-logistic G into G(1 + lam - lam*G) (Shaw & Buckley,
-2009).  All are fitted by maximum likelihood on ``estimate``'s engine.
+per fit; the parameters are floats, or (R, 1) columns of the R parameter
+vectors one step of the estimation engine evaluates.  W, RTW, LE and RTLE
+are RTGLE with some coordinates held fixed and evaluate the RTGLE kernels
+at that image; TW, TL and TLL transmute a Weibull, Lindley or log-logistic
+G into G(1 + lam - lam*G) (Shaw & Buckley, 2009).  All are fitted by
+maximum likelihood on ``estimate``'s engine.
 
 Two printed-source corrections, both forced by normalization (a density
 must integrate to 1):
@@ -27,11 +29,12 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401
 
 from . import estimate
-from .distribution import (_checked, _log_pdf_kernel, _log_sf_kernel,
-                           _on_support, cdf)
+from .distribution import (_checked, _columns, _libm, _log, _log_pdf_kernel,
+                           _log_sf_kernel, _on_support, _valid_rows, cdf)
 from .estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
                        OptimizerConfig, _check_data, _check_fit_data,
-                       _delta_method_se, _from_free, _search, _to_free)
+                       _delta_method_se, _free_objective, _from_free, _search,
+                       _to_free)
 from .gof import GofReport, gof_report
 
 
@@ -58,12 +61,18 @@ class _Spec:
 
 def _nested(image):
     """log_pdf, log_sf and image of the competitor that is RTGLE at
-    image(*params), under the checks of RTGLE's own objectives."""
+    image(*params), under the checks of RTGLE's own objectives: _checked
+    on floats, while a fit checks its (R, 1) columns with _valid_rows."""
+    def checked_image(v):
+        if isinstance(v[0], np.ndarray):
+            return image(*v)
+        return _checked(*image(*v))
+
     def log_pdf(x, x2, *v):
-        return _log_pdf_kernel(*_checked(*image(*v)), x, x2)
+        return _log_pdf_kernel(*checked_image(v), x, x2)
 
     def log_sf(x, x2, *v):
-        return _log_sf_kernel(*_checked(*image(*v)), x, x2)
+        return _log_sf_kernel(*checked_image(v), x, x2)
     return log_pdf, log_sf, image
 
 
@@ -84,7 +93,7 @@ def _transmuted(base_log_pdf, base_log_sf):
 
 
 def _lindley_log_pdf(x, x2, theta):
-    return (2.0 * math.log(theta) - math.log(theta + 1.0)
+    return (2.0 * _log(theta) - _log(theta + 1.0)
             + np.log1p(x) - theta * x)
 
 
@@ -94,7 +103,7 @@ def _lindley_log_sf(x, x2, theta):
 
 def _loglogistic_log_pdf(x, x2, a, b):
     t = x / a
-    return (math.log(b / a) + (b - 1.0) * np.log(t)
+    return (_log(b / a) + (b - 1.0) * np.log(t)
             - 2.0 * np.log1p(np.power(t, b)))
 
 
@@ -102,11 +111,18 @@ def _loglogistic_log_sf(x, x2, a, b):
     return -np.log1p(np.power(x / a, b))
 
 
+def _root(th, g):
+    """th ** (1/g); through _libm on per-row arrays."""
+    if isinstance(th, np.ndarray):
+        return _libm(np.power, th, 1.0 / g)
+    return th ** (1.0 / g)
+
+
 _WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0))
 
 _SPECS: dict[str, _Spec] = {
     "RTW": _Spec(("theta", "gamma", "p"), ("pos", "pos", "unit"),
-                 *_nested(lambda th, g, p: (th ** (1.0 / g), 0.0, g, p)),
+                 *_nested(lambda th, g, p: (_root(th, g), 0.0, g, p)),
                  start=lambda x: (1.0 / np.mean(x), 1.0, 0.5)),
     "W": _Spec(("mu", "sigma"), ("pos", "pos"), *_WEIBULL,
                start=lambda x: (1.0, np.mean(x))),
@@ -182,24 +198,37 @@ class CompetitorFit:
     standard_errors: tuple[float, ...] | None = None
 
 
+def _likelihood(kind: str, x: np.ndarray):
+    """The negative log-likelihood of a competitor on checked data x, as a
+    one-fit objective of the free coordinates (estimate._free_objective)."""
+    spec = _SPECS[kind]
+    x2 = np.square(x)
+
+    def nll(values, fits):  # the engine evaluates it with warnings off
+        total = spec.log_pdf(x, x2, *_columns(values)).reshape(
+            len(values), -1).sum(axis=1)
+        return np.where(np.isfinite(total), -total, np.inf)
+
+    valid = None if spec.image is None else (
+        lambda v: _valid_rows(*spec.image(*v.T)))
+    return _free_objective(nll, spec.param_kinds, valid)
+
+
 def fit_competitor(kind: str, data,
                    config: OptimizerConfig | None = None) -> CompetitorFit:
     """Maximum likelihood fit of one competitor on the estimation engine."""
     config = config or OptimizerConfig()
-    spec = _SPECS[kind]
-    kinds = spec.param_kinds
+    kinds = _SPECS[kind].param_kinds
     x = _check_fit_data(data, len(kinds))
-    x2 = np.square(x)
-
-    def nll(theta):  # the engine evaluates it with warnings off
-        total = float(np.sum(spec.log_pdf(x, x2, *_from_free(theta, kinds))))
-        return -total if math.isfinite(total) else math.inf
-
-    opt = _search(nll, _to_free(spec.start(x), kinds), 1.0, config,
-                  f"likelihood for {kind}")
+    objective = _likelihood(kind, x)
+    opt, = _search(objective, _to_free(_SPECS[kind].start(x), kinds)[None],
+                   1.0, config)
+    if opt is None:
+        raise AllStartsFailed(f"no start produced a finite likelihood for "
+                              f"{kind}")
     values = _from_free(opt.x, kinds)
     try:
-        se = _delta_method_se(nll, opt.x, values, kinds)
+        se = _delta_method_se(objective, opt.x, values, kinds)
     except HessianNotPD:
         se = None
     return CompetitorFit(model=CompetitorModel(kind, values),

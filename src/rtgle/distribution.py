@@ -77,6 +77,13 @@ def _checked(alpha: float, beta: float, gamma: float,
     return float(alpha), float(beta), float(gamma), float(p)
 
 
+def _valid_rows(alpha, beta, gamma, p) -> np.ndarray:
+    """The checks of ``_checked`` on arrays of per-row values: True where
+    ``_checked`` would return."""
+    return ((gamma > 0.0) & (alpha >= 0.0) & (beta >= 0.0)
+            & ((alpha != 0.0) | (beta != 0.0)) & (0.0 <= p) & (p <= 1.0))
+
+
 def validate(alpha: float, beta: float, gamma: float, p: float) -> RtgleParams:
     """Validate raw reals, naming the violated constraint on failure."""
     return RtgleParams(*_checked(alpha, beta, gamma, p))
@@ -123,6 +130,30 @@ def rt_linear_exponential(alpha: float, beta: float, p: float) -> RtgleParams:
 # --- evaluation -------------------------------------------------------------
 # The kernels take the floats (alpha, beta, gamma, p), an array x > 0 and
 # x2 = x**2, and hold the only copy of each formula; _on_support adds the rest.
+# The estimation engine also passes the parameters of many fits at once as
+# (R, 1) columns against (R, n) or (1, n) data.
+
+def _libm(ufunc, *args) -> np.ndarray:
+    """ufunc elementwise on arrays of per-row values, rounded as ``math``
+    and ``**`` round each float.  numpy's SIMD exp, log and power loops
+    round some results differently from the C library's scalar routines
+    (about 1 in 20 for exp); on a 1-d negative-stride view numpy uses the
+    C library, so a batched fit sees the bits of a fit on its own."""
+    return ufunc(*(a.ravel()[::-1] for a in args))[::-1].reshape(
+        args[0].shape)
+
+
+def _columns(values: np.ndarray):
+    """The parameters of each row of values (R, k) as kernel arguments:
+    (R, 1) columns, or the floats of a single row, on which numpy's loops
+    are cheaper; the kernel's values come out as (R, n) or (n,)."""
+    return values[0].tolist() if len(values) == 1 else values.T[:, :, None]
+
+
+def _log(v):
+    """math.log of a float, elementwise on an array through ``_libm``."""
+    return _libm(np.log, v) if isinstance(v, np.ndarray) else math.log(v)
+
 
 def _on_support(kernel, x, outside, tail):
     """kernel(x, x2) on x > 0, ``outside`` at x <= 0, NaN at NaN x, and
@@ -134,10 +165,14 @@ def _on_support(kernel, x, outside, tail):
             out = float(kernel(x, x * x))
             return tail if math.isnan(out) else out
         inside = x > 0.0
-        xp = np.where(inside, x, 1.0)  # placeholder, masked below
+        everywhere = inside.all()
+        xp = x if everywhere else np.where(inside, x, 1.0)  # masked below
         out = kernel(xp, np.square(xp))
-    out = np.where(inside, np.where(np.isnan(out), tail, out),
-                   np.where(np.isnan(x), np.nan, outside))
+    overflow = np.isnan(out)
+    if overflow.any():
+        out = np.where(overflow, tail, out)
+    if not everywhere:
+        out = np.where(inside, out, np.where(np.isnan(x), np.nan, outside))
     return out if out.ndim else float(out)
 
 
@@ -157,7 +192,7 @@ def _log_pdf_kernel(a, b, g, p, x, x2):
     m = _m(a, b, x, x2)
     z = np.power(m, g)
     mix = (1.0 - p) + p * z
-    return (math.log(g) + np.log(a + b * x) + (g - 1.0) * np.log(m)
+    return (_log(g) + np.log(a + b * x) + (g - 1.0) * np.log(m)
             + np.where(mix > 0.0, np.log(np.maximum(mix, 1e-320)), -np.inf)
             - z)
 

@@ -6,9 +6,11 @@ One private engine serves these fits and the competitor fits in
 ``compare``.  It searches a smooth unconstrained reparametrization chosen
 per coordinate kind (log for positive values, logit for probabilities,
 atanh for values in [-1, 1]) by multi-start Nelder-Mead, with an optional
-analytic-gradient BFGS polish.  Standard errors come from the inverse
-observed information (central-difference Hessian in transformed
-coordinates, mapped back by the delta method).
+analytic-gradient BFGS polish.  The Nelder-Mead runs every start of a fit,
+or of many fits (``fit_many``), in lockstep on row objectives, and takes
+scipy's adaptive Nelder-Mead steps to the bit.  Standard errors come from
+the inverse observed information (central-difference Hessian in
+transformed coordinates, mapped back by the delta method).
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 # log_pdf, cdf and sf are looked up here by the benchmark's per-layer
 # tracing (bench/tracing.py)
-from .distribution import (RtgleParams, _checked, _log_pdf_kernel,  # noqa: F401
-                           _log_sf_kernel, cdf, log_pdf, sf, validate)
-from .gof import _cvm, _cvm_positions
+from .distribution import (InvalidParams, RtgleParams,  # noqa: F401
+                           _checked, _columns, _libm, _log_pdf_kernel,
+                           _log_sf_kernel, _valid_rows, cdf, log_pdf, sf,
+                           validate)
+from .gof import _cvm_positions
 
 
 class EstimationMethod(enum.Enum):
@@ -98,59 +102,100 @@ def _check_fit_data(data, k: int) -> np.ndarray:
 
 
 # --- objectives ---------------------------------------------------------------
-# _objective checks the data once per fit (and, for the distance methods,
-# sorts it and tabulates every data-only array once) and returns the
-# objective as a function of the plain floats (alpha, beta, gamma, p) on the
-# interior kernels of ``distribution``.  The data are positive, so of the
-# public functions' masking only NaN log density -> -inf can act.  Callers
-# evaluate it under _IGNORE: far from the optimum the kernels overflow.
+# _row_objective takes checked samples, sorts them and tabulates every
+# data-only array once, and returns the objectives of many fits as one
+# function of natural values (alpha, beta, gamma, p), one row per
+# evaluation, on the interior kernels of ``distribution``.  A row's value
+# does not depend on the other rows, to the bit; _objective is the row
+# objective of one fit on one row.  The data are positive, so of the public
+# functions' masking only NaN log density -> -inf can act.  Callers evaluate
+# it under _IGNORE: far from the optimum the kernels overflow.
 
 _IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _objective(method: EstimationMethod, data):
-    x = _check_data(data)
-    if method is EstimationMethod.MLE:
-        x2 = np.square(x)
-
-        def nll(a, b, g, p):
-            lp = _log_pdf_kernel(a, b, g, p, x, x2)
-            total = float(lp.sum())
-            # a -inf or NaN log density is a zero density: +inf
-            if not math.isfinite(total) and (np.isneginf(lp)
-                                             | np.isnan(lp)).any():
-                return math.inf
-            return -total
-        return nll
-
-    x = np.sort(x)
-    x2 = np.square(x)
-    n = len(x)
+def _row_objective(methods, data: np.ndarray):
+    """objective(v, fits) -> (R,) for natural values v (R, 4) and fit
+    numbers fits (R,): fit f is method methods[f % M] on sample
+    data[f // M] of the checked samples data (S, n)."""
+    n_methods, n = len(methods), data.shape[1]
+    x2 = np.square(data)
+    xs = np.sort(data, axis=1)
+    xs2 = np.square(xs)
     i = np.arange(1, n + 1)
-
-    if method is EstimationMethod.ADE:
-        coef = 2 * i - 1
-
-        def ad(a, b, g, p):
-            log_s = _log_sf_kernel(a, b, g, p, x, x2)
-            f, s = -np.expm1(log_s), np.exp(log_s)
-            if (f <= 0.0).any() or (s <= 0.0).any():
-                return math.inf
-            return float(-n - (coef * (np.log(f) + np.log(s[::-1]))).sum() / n)
-        return ad
-
-    def cdf_at(a, b, g, p):
-        return -np.expm1(_log_sf_kernel(a, b, g, p, x, x2))
-
-    if method is EstimationMethod.CME:
-        mid = _cvm_positions(n)
-        return lambda a, b, g, p: _cvm(cdf_at(a, b, g, p), mid)
+    coef = 2 * i - 1
     pos = i / (n + 1.0)
-    if method is EstimationMethod.LSE:
-        return lambda a, b, g, p: float(((cdf_at(a, b, g, p) - pos) ** 2).sum())
-    w = (n + 1.0) ** 2 * (n + 2.0) / (i * (n - i + 1.0))
+    # LSE, WLSE and CME are c0 + sum w (F(x_(i)) - position)^2; w = 1 and
+    # c0 = 0 change no bit of the unweighted and unshifted sums
+    ones = np.ones(n)
+    least_squares = {
+        EstimationMethod.LSE: (0.0, ones, pos),
+        EstimationMethod.WLSE: (0.0, (n + 1.0) ** 2 * (n + 2.0)
+                                / (i * (n - i + 1.0)), pos),
+        EstimationMethod.CME: (1.0 / (12.0 * n), ones, _cvm_positions(n))}
+    c0, w, target = (np.array(t) for t in zip(*(
+        least_squares.get(m, (0.0, ones, pos)) for m in methods)))
+    formula = np.array([0 if m is EstimationMethod.MLE
+                        else 1 if m is EstimationMethod.ADE else 2
+                        for m in methods])
+
+    def rows(table, index):
+        """The rows of a per-sample or per-method table; one row is
+        broadcast instead of copied."""
+        return table[0] if len(table) == 1 else table[index]
+
+    def mle(v, s, j):
+        lp = _log_pdf_kernel(*_columns(v), rows(data, s), rows(x2, s)
+                             ).reshape(len(v), -1)
+        total = lp.sum(axis=1)
+        out = -total
+        bad = np.flatnonzero(~np.isfinite(total))
+        if bad.size:
+            # a -inf or NaN log density is a zero density: +inf
+            zero = (np.isneginf(lp[bad]) | np.isnan(lp[bad])).any(axis=1)
+            out[bad[zero]] = np.inf
+        return out
+
+    def ade(v, s, j):
+        log_s = _log_sf_kernel(*_columns(v), rows(xs, s), rows(xs2, s)
+                               ).reshape(len(v), -1)
+        f, sv = -np.expm1(log_s), np.exp(log_s)
+        # a fit on its own takes np.log(s[::-1]) of a 1-d s: a
+        # negative-stride view, so the C library's log
+        terms = np.log(f) + _libm(np.log, sv)[:, ::-1]
+        out = -n - (coef * terms).sum(axis=1) / n
+        out[((f <= 0.0) | (sv <= 0.0)).any(axis=1)] = np.inf
+        return out
+
+    def squares(v, s, j):
+        f = -np.expm1(_log_sf_kernel(*_columns(v), rows(xs, s),
+                                     rows(xs2, s)).reshape(len(v), -1))
+        return rows(c0, j) + (rows(w, j) * (f - rows(target, j)) ** 2
+                              ).sum(axis=1)
+
+    formulas = (mle, ade, squares)
+
+    def objective(v, fits):
+        if n_methods == 1:
+            return formulas[formula[0]](v, fits, None)
+        s, j = np.divmod(fits, n_methods)
+        kind = formula[j]
+        out = np.empty(len(v))
+        for k, evaluate in enumerate(formulas):
+            sel = kind == k
+            if sel.any():
+                out[sel] = evaluate(v[sel], s[sel], j[sel])
+        return out
+    return objective
+
+
+def _objective(method: EstimationMethod, data):
+    """The objective of method on data as a function of the floats
+    (alpha, beta, gamma, p)."""
+    rows = _row_objective((method,), _check_data(data)[None])
+    first = np.zeros(1, dtype=int)
     return lambda a, b, g, p: float(
-        (w * (cdf_at(a, b, g, p) - pos) ** 2).sum())
+        rows(np.array([[a, b, g, p]], dtype=float), first)[0])
 
 
 @np.errstate(**_IGNORE)
@@ -289,57 +334,210 @@ def untransform(theta) -> RtgleParams:
     return RtgleParams(*_untransform_values(theta))
 
 
-@np.errstate(**_IGNORE)
-def _search(objective, center: np.ndarray, scale, config: OptimizerConfig,
-            what: str, gradient=None):
-    """Multi-start Nelder-Mead on an objective of the free coordinates.
+def _free_objective(objective, kinds, valid=None):
+    """objective(values, fits) of natural values (R, k) as a function of
+    the free coordinates, theta (R, k) and fits (R,): each row's values are
+    _from_free's to the bit, and the value is +inf on the rows where
+    _from_free raises (exp of a finite "pos" coordinate overflows) or
+    valid(values) is False.
 
-    The starts are center and config.n_starts - 1 normal perturbations of
-    it with standard deviation scale (Philox keyed by config.seed).  An
-    objective raising ArithmeticError or ValueError counts as +inf; it runs
-    with floating-point warnings off (_IGNORE).  With a
-    gradient, a BFGS polish from the best simplex optimum is kept unless it
-    raises the objective.  Returns that optimum's OptimizeResult, whose
-    ``success`` is that of the step that produced it.
+    valid runs only on calls with a value at 0, inf or NaN: while every
+    value is positive and finite, RTGLE and the competitors' RTGLE images
+    pass their checks, or give a non-finite log-likelihood, +inf all the
+    same.
     """
-    def guarded(theta):
+    kinds = np.array(kinds)
+    unit = np.flatnonzero(kinds == "unit")
+    sym = np.flatnonzero(kinds == "sym")
+    # exp(theta) for "pos", exp(-theta) for "unit" and exp(0) for "sym".
+    # _logistic clamps t to [-40, 40]; above 40, 1 + exp(-t) rounds to 1
+    # either way, so only -t <= 40 needs the clamp
+    sign = np.where(kinds == "unit", -1.0,
+                    np.where(kinds == "sym", 0.0, 1.0))
+    bound = np.where(kinds == "unit", _LOGIT_CLAMP, np.inf)
+
+    def evaluate(values, fits):
+        # one row runs on floats (_columns), whose arithmetic raises where
+        # numpy's gives inf or NaN; the value is +inf either way
+        if len(values) > 1:
+            return objective(values, fits)
         try:
-            return objective(theta)
+            return objective(values, fits)
         except (ArithmeticError, ValueError):
-            return math.inf
+            return np.full(1, np.inf)
 
+    def on_free(theta, fits):
+        values = _libm(np.exp, np.minimum(theta * sign, bound))
+        extreme = not 0.0 < np.minimum.reduce(values, axis=None) \
+            <= np.maximum.reduce(values, axis=None) < np.inf
+        if extreme:
+            ok = ~np.logical_or.reduce((values == np.inf) & (theta < np.inf),
+                                       axis=1)
+        for c in unit:
+            values[:, c] = 1.0 / (1.0 + values[:, c])
+        for c in sym:  # numpy's tanh rounds differently on every path
+            values[:, c] = [math.tanh(t) for t in theta[:, c].tolist()]
+        if not extreme:
+            return evaluate(values, fits)
+        if valid is not None:
+            ok &= valid(values)
+        out = np.full(len(ok), np.inf)
+        if ok.any():
+            out[ok] = evaluate(values[ok], fits[ok])
+        return out
+    return on_free
+
+
+def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
+                 xatol: float, fatol: float):
+    """scipy's minimize(method="Nelder-Mead") with options adaptive=True,
+    maxiter, xatol and fatol, run from every row of x0 (S, N) at once; row
+    s minimizes objective(., fits[s]) of the rows (R, N) -> (R,).
+
+    The searches advance in lockstep on (S, N+1, N) simplices and leave as
+    they stop.  Each step evaluates the reflections in one call, the
+    expansion or contraction points in a second and the shrunk simplices in
+    a third.  Every row takes scipy's steps in scipy's arithmetic, so the
+    returned x (S, N), fun, nit and success (S,) are scipy's to the bit.
+    """
+    n_rows, N = x0.shape
+    chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    # the trial points k1 * xbar - k2 * x_last: reflection, expansion,
+    # outside and inside contraction.  (1 - psi) xbar - (-psi) x_last is
+    # scipy's (1 - psi) xbar + psi x_last to the bit
+    k1 = np.array([2.0, 1 + chi, 1 + psi, 1 - psi])[:, None, None]
+    k2 = np.array([1.0, chi, psi, -psi])[:, None, None]
+
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    d = np.arange(N)
+    sim[:, d + 1, d] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = objective(sim.reshape(-1, N),
+                     np.repeat(fits, N + 1)).reshape(n_rows, N + 1)
+    rows = np.arange(n_rows)[:, None]
+    for _ in range(2):  # scipy sorts the first simplex twice; ties can move
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+
+    x, fun = np.empty((n_rows, N)), np.empty(n_rows)
+    nit = np.empty(n_rows, dtype=int)
+    ids = np.arange(n_rows)  # the rows of x0 still searching
+    iterations = 1
+    while iterations < maxiter:
+        # scipy's stopping test, the cheaper function-value half first; in
+        # a sorted simplex max |f_j - f_0| is f_N - f_0, NaN and inf alike
+        stop = fsim[:, -1] - fsim[:, 0] <= fatol
+        if stop.any():
+            stop &= np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]).reshape(
+                len(ids), -1), axis=1) <= xatol
+            if stop.any():
+                done = ids[stop]
+                x[done], fun[done] = sim[stop, 0], fsim[stop].min(axis=1)
+                nit[done] = iterations
+                keep = ~stop
+                ids, sim, fsim, fits = (ids[keep], sim[keep], fsim[keep],
+                                        fits[keep])
+                rows = rows[:len(ids)]
+                if not ids.size:
+                    break
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        last = sim[:, -1]
+        trials = k1 * xbar - k2 * last
+        new_x = trials[0]
+        new_f = objective(new_x, fits)
+        # scipy's choice: 0 take the reflection, 1 try an expansion,
+        # 2 an outside and 3 an inside contraction
+        case = np.where(new_f < fsim[:, 0], 1, np.where(
+            new_f < fsim[:, -2], 0, 3 - (new_f < fsim[:, -1])))
+        second = case.nonzero()[0]
+        shrink = second[:0]
+        if second.size:
+            c = case[second]
+            trial = trials[c, second]
+            f_trial = objective(trial, fits[second])
+            f_ref = np.where(c == 3, fsim[second, -1], new_f[second])
+            # an outside contraction is taken on a tie, the others are not
+            take = (f_trial < f_ref) | ((f_trial == f_ref) & (c == 2))
+            taken = second[take]
+            new_x[taken], new_f[taken] = trial[take], f_trial[take]
+            shrink = second[(c > 1) & ~take]
+            if shrink.size:
+                new_x[shrink], new_f[shrink] = last[shrink], fsim[shrink, -1]
+        sim[:, -1], fsim[:, -1] = new_x, new_f
+        if shrink.size:
+            best = sim[shrink, :1]
+            shrunk = best + sigma * (sim[shrink, 1:] - best)
+            sim[shrink, 1:] = shrunk
+            fsim[shrink, 1:] = objective(
+                shrunk.reshape(-1, N), np.repeat(fits[shrink], N)
+            ).reshape(-1, N)
+        iterations += 1
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+    x[ids], fun[ids], nit[ids] = sim[:, 0], fsim.min(axis=1), iterations
+    return x, fun, nit, nit < maxiter
+
+
+@np.errstate(**_IGNORE)
+def _search(objective, centers: np.ndarray, scale,
+            config: OptimizerConfig) -> list[OptimizeResult | None]:
+    """Multi-start Nelder-Mead for many fits at once, all in one lockstep
+    search (_nelder_mead).
+
+    Fit f's objective is objective(., f) of the free coordinates (see
+    _free_objective).  Its starts are centers[f] and config.n_starts - 1
+    normal perturbations of it with standard deviation scale (Philox keyed
+    by config.seed, the same for every fit); a start with a non-finite
+    objective is dropped.  Runs with floating-point warnings off (_IGNORE).
+    Returns for each fit the optimum of its best start as an OptimizeResult
+    (x, fun, nit, success), or None where no start ended finite.
+    """
+    n_fits, k = centers.shape
+    n = config.n_starts
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    best = None
-    for i in range(config.n_starts):
-        theta0 = center if i == 0 else \
-            center + rng.normal(scale=scale, size=len(center))
-        if not np.isfinite(guarded(theta0)):
-            continue
-        res = minimize(guarded, theta0, method="Nelder-Mead",
-                       options={"maxiter": config.max_iterations,
-                                "fatol": config.tolerance,
-                                "xatol": config.step_tolerance,
-                                "adaptive": True})
-        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
-        raise AllStartsFailed(f"no start produced a finite {what}")
+    starts = np.repeat(centers[:, None, :], n, axis=1)
+    for i in range(1, n):
+        starts[:, i] += rng.normal(scale=scale, size=k)
+    starts = starts.reshape(-1, k)
+    fits = np.repeat(np.arange(n_fits), n)
+    live = np.isfinite(objective(starts, fits))
+    x, fun = starts, np.full(len(starts), np.inf)
+    nit = np.zeros(len(starts), dtype=int)
+    success = np.zeros(len(starts), dtype=bool)
+    if live.any():
+        x[live], fun[live], nit[live], success[live] = _nelder_mead(
+            objective, starts[live], fits[live], config.max_iterations,
+            config.step_tolerance, config.tolerance)
+    # each fit keeps the first of its best finite optima
+    fun[~np.isfinite(fun)] = np.inf
+    best = np.argmin(fun.reshape(n_fits, n), axis=1) + np.arange(n_fits) * n
+    return [OptimizeResult(x=x[r], fun=fun[r], nit=int(nit[r]),
+                           success=bool(success[r]))
+            if np.isfinite(fun[r]) else None for r in best.tolist()]
 
-    if gradient is not None:
-        try:
-            polished = minimize(guarded, best.x, jac=gradient, method="BFGS",
-                                options={"maxiter": 200, "gtol": 1e-8})
-            if np.isfinite(polished.fun) and polished.fun <= best.fun:
-                best.x, best.fun = polished.x, polished.fun
-                best.nit += polished.nit
-                # a stop on precision loss at a stationary point converged
-                best.success = polished.success or (
-                    polished.status == 2
-                    and np.max(np.abs(polished.jac))
-                    <= _STATIONARY_GTOL * (1.0 + abs(polished.fun)))
-        except ValueError:
-            pass
-    return best
+
+@np.errstate(**_IGNORE)
+def _polish(objective, best: OptimizeResult, gradient) -> None:
+    """Replace the optimum best of a one-fit objective by an
+    analytic-gradient BFGS polish from it, unless that raises the
+    objective."""
+    first = np.zeros(1, dtype=int)
+
+    def scalar(theta):
+        return float(objective(theta[None], first)[0])
+
+    try:
+        polished = minimize(scalar, best.x, jac=gradient, method="BFGS",
+                            options={"maxiter": 200, "gtol": 1e-8})
+        if np.isfinite(polished.fun) and polished.fun <= best.fun:
+            best.x, best.fun = polished.x, polished.fun
+            best.nit += polished.nit
+            # a stop on precision loss at a stationary point converged
+            best.success = polished.success or (
+                polished.status == 2
+                and np.max(np.abs(polished.jac))
+                <= _STATIONARY_GTOL * (1.0 + abs(polished.fun)))
+    except ValueError:
+        pass
 
 
 class HessianNotPD(ArithmeticError):
@@ -347,25 +545,31 @@ class HessianNotPD(ArithmeticError):
 
 
 @np.errstate(**_IGNORE)
-def _delta_method_se(f, theta: np.ndarray, values,
+def _delta_method_se(objective, theta: np.ndarray, values,
                      kinds) -> tuple[float, ...]:
-    """standard_errors for a negative log-likelihood ``f`` of the free
-    coordinates, at free point ``theta`` = natural-scale ``values``."""
+    """standard_errors for the negative log-likelihood of a one-fit
+    objective of the free coordinates (see _free_objective), at free point
+    theta = natural-scale values; its 2k^2 + 1 points in one call."""
     k = len(theta)
     h = 1e-4 * (1.0 + np.abs(theta))
-    hess = np.empty((k, k))
-    f0 = f(theta)
+    e = np.diag(h)
+    points = [theta]
     for i in range(k):
-        for j in range(i, k):
-            ei = np.zeros(k); ei[i] = h[i]
-            ej = np.zeros(k); ej[j] = h[j]
-            if i == j:
-                val = (f(theta + ei) - 2.0 * f0 + f(theta - ei)) / h[i] ** 2
-            else:
-                val = (f(theta + ei + ej) - f(theta + ei - ej)
-                       - f(theta - ei + ej) + f(theta - ei - ej)) \
-                    / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
+        up, down = theta + e[i], theta - e[i]
+        points += [up, down] + [p for j in range(i + 1, k)
+                                for p in (up + e[j], up - e[j],
+                                          down + e[j], down - e[j])]
+    values_at = iter(objective(np.array(points),
+                               np.zeros(len(points), dtype=int)).tolist())
+    f0 = next(values_at)
+    hess = np.empty((k, k))
+    for i in range(k):
+        hess[i, i] = (next(values_at) - 2.0 * f0
+                      + next(values_at)) / h[i] ** 2
+        for j in range(i + 1, k):
+            hess[i, j] = hess[j, i] = (
+                next(values_at) - next(values_at) - next(values_at)
+                + next(values_at)) / (4.0 * h[i] * h[j])
     if not np.all(np.isfinite(hess)):
         raise HessianNotPD("Hessian evaluation produced non-finite entries")
     try:
@@ -397,6 +601,24 @@ def _start_center(data: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     return np.array([math.log(a0), math.log(b0 * 0.5), math.log(g0), 0.0])
 
 
+# spread of the perturbed starts around the center, in free coordinates
+_START_SCALE = [1.0, 1.5, 0.5, 1.5]
+
+
+def _rtgle_objective(methods, data: np.ndarray):
+    """_objective on the free coordinates, +inf where they map to no
+    valid parameter vector."""
+    return _free_objective(_row_objective(methods, data), _RTGLE_KINDS,
+                           lambda v: _valid_rows(*v.T))
+
+
+def _fit_result(opt: OptimizeResult, method: EstimationMethod,
+                config: OptimizerConfig) -> FitResult:
+    return FitResult(params=untransform(opt.x), objective=float(opt.fun),
+                     converged=bool(opt.success), iterations=int(opt.nit),
+                     n_starts_used=config.n_starts, method=method)
+
+
 def fit(data, method: EstimationMethod,
         config: OptimizerConfig | None = None,
         polish_gradient: bool = True,
@@ -409,30 +631,61 @@ def fit(data, method: EstimationMethod,
     """
     config = config or OptimizerConfig()
     x = _check_fit_data(data, len(_RTGLE_KINDS))
-    objective = _objective(method, x)
-
-    def obj_t(theta):
-        return objective(*_untransform_values(theta))
-
-    grad_t = None
+    objective = _rtgle_objective((method,), x[None])
+    opt, = _search(objective, _start_center(x, config)[None], _START_SCALE,
+                   config)
+    if opt is None:
+        raise AllStartsFailed(
+            f"no start produced a finite {method.value} objective")
     if method is EstimationMethod.MLE and polish_gradient:
         def grad_t(th):
             values = _untransform_values(th)
             return _nll_gradient(values, x) * _jacobian(values, _RTGLE_KINDS)
-
-    opt = _search(obj_t, _start_center(x, config), [1.0, 1.5, 0.5, 1.5],
-                  config, f"{method.value} objective", grad_t)
-    params = untransform(opt.x)
-    result = FitResult(params=params, objective=float(opt.fun),
-                       converged=bool(opt.success), iterations=int(opt.nit),
-                       n_starts_used=config.n_starts, method=method)
+        _polish(objective, opt, grad_t)
+    result = _fit_result(opt, method, config)
     if method is EstimationMethod.MLE and compute_se:
         try:
-            result.standard_errors = standard_errors(params, x)
+            result.standard_errors = standard_errors(result.params, x)
         except HessianNotPD as exc:
             result.standard_errors = None
             result.diagnostics = str(exc)
     return result
+
+
+def fit_many(samples, methods, config: OptimizerConfig | None = None
+             ) -> list[list[FitResult | ValueError | AllStartsFailed]]:
+    """Every method fitted to every sample of one size in one lockstep
+    search, without polish or standard errors: results[s][j] equals
+    fit(samples[s], methods[j], config, polish_gradient=False,
+    compute_se=False) to the bit, or is the typed error that call raises
+    (NonPositiveData, DegenerateData, InvalidParams or AllStartsFailed).
+    Any other error propagates."""
+    config = config or OptimizerConfig()
+    n_methods = len(methods)
+    results: list = [None] * len(samples)
+    fitted, data, centers = [], [], []
+    for s, sample in enumerate(samples):
+        try:
+            x = _check_fit_data(sample, len(_RTGLE_KINDS))
+            centers.append(_start_center(x, config))
+        except (NonPositiveData, DegenerateData, InvalidParams) as exc:
+            results[s] = [exc] * n_methods
+            continue
+        fitted.append(s)
+        data.append(x)
+    if len({len(x) for x in data}) > 1:
+        raise ValueError("fit_many: the samples must all have one size")
+    if fitted:
+        opts = _search(_rtgle_objective(methods, np.array(data)),
+                       np.repeat(np.array(centers), n_methods, axis=0),
+                       _START_SCALE, config)
+        for i, s in enumerate(fitted):
+            results[s] = [
+                _fit_result(opt, m, config) if opt is not None else
+                AllStartsFailed(f"no start produced a finite {m.value} "
+                                "objective")
+                for m, opt in zip(methods, opts[i * n_methods:])]
+    return results
 
 
 def standard_errors(params_at_mle: RtgleParams, data
@@ -450,10 +703,7 @@ def standard_errors(params_at_mle: RtgleParams, data
         if v <= 0.0 or (kind == "unit" and v >= 1.0):
             raise HessianNotPD(f"{name}={v!r} is on the boundary of the "
                                "parameter space; no information matrix there")
-    nll = _objective(EstimationMethod.MLE, data)
-
-    def f(th):
-        return nll(*_untransform_values(th))
-
-    return _delta_method_se(f, transform(params_at_mle),
+    objective = _rtgle_objective((EstimationMethod.MLE,),
+                                 _check_data(data)[None])
+    return _delta_method_se(objective, transform(params_at_mle),
                             params_at_mle.as_tuple(), _RTGLE_KINDS)

@@ -403,7 +403,8 @@ def joint_record_log_pdf(params: RtgleParams, records) -> float:
     r = np.asarray(records, dtype=float)
     if r.ndim != 1 or len(r) < 1:
         raise ValueError("records must be a nonempty 1-d vector")
-    if np.any(np.diff(r) <= 0.0):
+    # NaN compares false, so the diff test alone would let a NaN through
+    if np.any(np.isnan(r)) or np.any(np.diff(r) <= 0.0):
         raise ValueError("record vector must be strictly increasing")
     return log_pdf(params, r[-1]) + float(np.log(hazard(params, r[:-1])).sum())
 

@@ -3,16 +3,19 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from rtgle import DegenerateData
-from rtgle.compare import (COMPETITOR_KINDS, CompetitorModel, comparison_table,
-                           fit_competitor)
+from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
+                           _likelihood, comparison_table, fit_competitor)
 from rtgle.distribution import RtgleParams, sample, validate
-from rtgle.estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
-                            NonPositiveData, OptimizerConfig, _OBJECTIVES,
-                            ad_objective, cvm_objective, fit, ls_objective,
-                            neg_log_likelihood, nll_gradient, standard_errors,
-                            transform, untransform, wls_objective)
+from rtgle.estimate import (_IGNORE, _OBJECTIVES, AllStartsFailed,
+                            EstimationMethod, HessianNotPD, NonPositiveData,
+                            OptimizerConfig, _nelder_mead, _rtgle_objective,
+                            _to_free, ad_objective, cvm_objective, fit,
+                            fit_many, ls_objective, neg_log_likelihood, nll_gradient,
+                            standard_errors, transform, untransform,
+                            wls_objective)
 
 TRUE = RtgleParams(1.2, 0.5, 1.5, 0.8)
 
@@ -260,3 +263,89 @@ def test_degenerate_sample_is_error_row_in_comparison():
                             kinds=("RTGLE",))
     assert len(rows) == 1
     assert rows[0].gof is None and "distinct" in rows[0].error
+
+
+def _scipy_nelder_mead(objective, x0, maxiter):
+    """The reference: scipy's adaptive Nelder-Mead on one row at a time."""
+    first = np.zeros(1, dtype=int)
+    return minimize(lambda th: float(objective(th[None], first)[0]), x0,
+                    method="Nelder-Mead",
+                    options={"maxiter": maxiter, "xatol": 1e-8,
+                             "fatol": 1e-10, "adaptive": True})
+
+
+def _row_sizes(objective):
+    """objective, recording the number of rows of every call."""
+    sizes = []
+
+    def counted(theta, fits):
+        sizes.append(len(theta))
+        return objective(theta, fits)
+    return counted, sizes
+
+
+def _initial_simplex(x0):
+    sim = np.repeat(x0[None], len(x0) + 1, axis=0)
+    for k, v in enumerate(x0):
+        sim[k + 1, k] = (1 + 0.05) * v if v != 0 else 0.00025
+    return sim
+
+
+LOCKSTEP_X = sample(TRUE, 40, seed=5)
+
+
+@pytest.mark.parametrize("model",
+                         list(EstimationMethod) + list(COMPETITOR_KINDS),
+                         ids=str)
+def test_lockstep_matches_scipy_nelder_mead(model):
+    x = LOCKSTEP_X
+    if isinstance(model, EstimationMethod):
+        objective = _rtgle_objective((model,), x[None])
+        center = transform(TRUE)
+    else:
+        kinds = _SPECS[model].param_kinds
+        objective = _likelihood(model, x)
+        center = _to_free(_SPECS[model].start(x), kinds)
+    k = len(center)
+    starts = [center] + list(
+        center + np.random.default_rng(1).normal(size=(4, k)))
+    if model is EstimationMethod.MLE:   # shrinks on its own
+        starts.append(transform(TRUE)
+                      + np.random.default_rng(1).normal(size=(3, 4))[2])
+    if model is EstimationMethod.ADE:   # two initial vertices at +inf
+        starts.append(np.array([1.7075138771647236, -2.819024875455324,
+                                1.0290959842070064, 25.46412677812139]))
+    starts = np.array(starts)
+    fits = np.zeros(len(starts), dtype=int)
+    with np.errstate(**_IGNORE):
+        # the searches stop at the iteration limit, then converge
+        for maxiter, stopped in ((40, False), (2000, True)):
+            x_opt, fun, nit, success = _nelder_mead(
+                objective, starts, fits, maxiter, 1e-8, 1e-10)
+            assert success.any() == stopped
+            for row, x0 in enumerate(starts):
+                ref = _scipy_nelder_mead(objective, x0, maxiter)
+                assert x_opt[row].tolist() == ref.x.tolist(), (model, row)
+                assert (fun[row], nit[row], success[row]) \
+                    == (ref.fun, ref.nit, ref.success), (model, row)
+        if model is EstimationMethod.MLE:
+            counted, sizes = _row_sizes(objective)
+            _nelder_mead(counted, starts[-1:], fits[:1], 2000, 1e-8, 1e-10)
+            assert k in sizes[1:]   # a shrink evaluates k new vertices
+        if model is EstimationMethod.ADE:
+            first = objective(_initial_simplex(starts[-1]),
+                              np.zeros(k + 1, dtype=int))
+            assert np.isfinite(first[0]) and np.sum(np.isinf(first)) == 2
+
+
+def test_fit_many_returns_typed_errors_per_fit():
+    x = sample(TRUE, 30, seed=2)
+    config = OptimizerConfig(n_starts=3, max_iterations=300)
+    methods = (EstimationMethod.MLE, EstimationMethod.CME)
+    results = fit_many([[2.0] * 30, x, [1.0, -1.0] * 15], methods, config)
+    assert all(isinstance(r, DegenerateData) for r in results[0])
+    assert all(isinstance(r, NonPositiveData) for r in results[2])
+    for m, r in zip(methods, results[1]):
+        assert r == fit(x, m, config, polish_gradient=False, compute_se=False)
+    with pytest.raises(ValueError, match="one size"):
+        fit_many([x, x[:20]], methods, config)

@@ -182,8 +182,9 @@ def test_joint_record_log_pdf_chain():
     direct = math.log(pdf(params, 2.7)) \
         + sum(math.log(pdf(params, r) / sf(params, r)) for r in (0.5, 1.2))
     assert lp == pytest.approx(direct, rel=1e-10)
-    with pytest.raises(ValueError):
-        joint_record_log_pdf(params, [1.0, 0.5])
+    for bad in ([1.0, 0.5], [1.0, math.nan], [math.nan, 1.0]):
+        with pytest.raises(ValueError):
+            joint_record_log_pdf(params, bad)
 
 
 def test_l_moment_and_gini():

@@ -41,6 +41,28 @@ def test_single_replicate_equals_single_fit():
     assert cell.n_used == 1
 
 
+def test_replicates_equal_fits_one_at_a_time():
+    # the lockstep search gives every (replicate, method) fit the bits of
+    # the same fit on its own
+    from rtgle.sim import _replicate_seed
+    design = _design(replicates=20, seed=5, methods=tuple(EstimationMethod))
+    report = run_design(design)
+    config = default_sim_optimizer(TRUE, seed=5)
+    samples = [sample(TRUE, 50, seed=_replicate_seed(5, 0, rep))
+               for rep in range(20)]
+    for m in EstimationMethod:
+        err_sum, err2_sum = np.zeros(4), np.zeros(4)
+        for x in samples:
+            r = fit(x, m, config, polish_gradient=False, compute_se=False)
+            err = np.array(r.params.as_tuple()) - np.array(TRUE.as_tuple())
+            err_sum += err
+            err2_sum += err * err
+        cell = report.cell(50, m)
+        assert (cell.n_used, cell.n_failed_fits) == (20, 0)
+        assert cell.bias == tuple((err_sum / 20).tolist())
+        assert cell.mse == tuple((err2_sum / 20).tolist())
+
+
 def test_determinism():
     design = _design(replicates=3, seed=11,
                      methods=(EstimationMethod.LSE, EstimationMethod.CME))
@@ -102,16 +124,18 @@ def test_only_typed_fit_errors_count_as_failed(monkeypatch):
     import rtgle.sim as sim_mod
     from rtgle.estimate import DegenerateData
 
-    def degenerate(*args, **kwargs):
-        raise DegenerateData("fewer than two distinct values")
+    # fit_many returns a typed error in place of each fit that raised one
+    def degenerate(samples, methods, config):
+        return [[DegenerateData("fewer than two distinct values")]
+                * len(methods) for _ in samples]
 
-    monkeypatch.setattr(sim_mod, "fit", degenerate)
+    monkeypatch.setattr(sim_mod, "fit_many", degenerate)
     cell = run_design(_design(replicates=2)).cell(50, EstimationMethod.MLE)
     assert (cell.n_used, cell.n_failed_fits) == (0, 2)
 
     def bug(*args, **kwargs):
         raise ValueError("a programming error, not a failed fit")
 
-    monkeypatch.setattr(sim_mod, "fit", bug)
+    monkeypatch.setattr(sim_mod, "fit_many", bug)
     with pytest.raises(ValueError, match="programming error"):
         run_design(_design(replicates=2))
