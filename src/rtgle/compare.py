@@ -29,12 +29,12 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401
 
 from . import estimate
-from .distribution import (_checked, _columns, _libm, _log, _log_pdf_kernel,
+from .distribution import (_checked, _libm, _log, _log_pdf_kernel,
                            _log_sf_kernel, _on_support, _valid_rows, cdf)
 from .estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
                        OptimizerConfig, _check_data, _check_fit_data,
-                       _delta_method_se, _free_objective, _from_free, _search,
-                       _to_free)
+                       _delta_method_se, _free_objective, _from_free,
+                       _row_objective, _search, _to_free)
 from .gof import GofReport, gof_report
 
 
@@ -61,19 +61,9 @@ class _Spec:
 
 def _nested(image):
     """log_pdf, log_sf and image of the competitor that is RTGLE at
-    image(*params), under the checks of RTGLE's own objectives: _checked
-    on floats, while a fit checks its (R, 1) columns with _valid_rows."""
-    def checked_image(v):
-        if isinstance(v[0], np.ndarray):
-            return image(*v)
-        return _checked(*image(*v))
-
-    def log_pdf(x, x2, *v):
-        return _log_pdf_kernel(*checked_image(v), x, x2)
-
-    def log_sf(x, x2, *v):
-        return _log_sf_kernel(*checked_image(v), x, x2)
-    return log_pdf, log_sf, image
+    image(*params)."""
+    return (lambda x, x2, *v: _log_pdf_kernel(x, x2, *image(*v)),
+            lambda x, x2, *v: _log_sf_kernel(x, x2, *image(*v)), image)
 
 
 def _transmuted(base_log_pdf, base_log_sf):
@@ -200,15 +190,11 @@ class CompetitorFit:
 
 def _likelihood(kind: str, x: np.ndarray):
     """The negative log-likelihood of a competitor on checked data x, as a
-    one-fit objective of the free coordinates (estimate._free_objective)."""
+    one-fit objective of the free coordinates: RTGLE's MLE row objective on
+    the competitor's log density."""
     spec = _SPECS[kind]
-    x2 = np.square(x)
-
-    def nll(values, fits):  # the engine evaluates it with warnings off
-        total = spec.log_pdf(x, x2, *_columns(values)).reshape(
-            len(values), -1).sum(axis=1)
-        return np.where(np.isfinite(total), -total, np.inf)
-
+    nll = _row_objective((EstimationMethod.MLE,), x[None], spec.log_pdf,
+                         spec.log_sf)
     valid = None if spec.image is None else (
         lambda v: _valid_rows(*spec.image(*v.T)))
     return _free_objective(nll, spec.param_kinds, valid)

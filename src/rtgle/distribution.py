@@ -128,10 +128,11 @@ def rt_linear_exponential(alpha: float, beta: float, p: float) -> RtgleParams:
 
 
 # --- evaluation -------------------------------------------------------------
-# The kernels take the floats (alpha, beta, gamma, p), an array x > 0 and
-# x2 = x**2, and hold the only copy of each formula; _on_support adds the rest.
-# The estimation engine also passes the parameters of many fits at once as
-# (R, 1) columns against (R, n) or (1, n) data.
+# The kernels take an array x > 0, x2 = x**2 and the floats (alpha, beta,
+# gamma, p), the signature of every competitor model in ``compare``, and hold
+# the only copy of each formula; _on_support adds the rest.  The estimation
+# engine also passes the parameters of many fits at once as (R, 1) columns
+# against (R, n) or (1, n) data.
 
 def _libm(ufunc, *args) -> np.ndarray:
     """ufunc elementwise on arrays of per-row values, rounded as ``math``
@@ -177,22 +178,30 @@ def _on_support(kernel, x, outside, tail):
 
 
 def _m(a, b, x, x2):
-    """m = a*x + b*x^2/2; the GLE baseline's cumulative hazard is m^gamma."""
+    """m = a*x + b*x^2/2; the GLE baseline's cumulative hazard is m^gamma.
+    A scalar b = 0 drops its term, which is 0*inf = NaN where x^2
+    overflows and adds 0.0 elsewhere."""
+    if not isinstance(b, np.ndarray) and b == 0.0:
+        return a * x
     return a * x + 0.5 * b * x2
 
 
-def _log_sf_kernel(a, b, g, p, x, x2):
+def _log_sf_kernel(x, x2, a, b, g, p):
     """log S(x) = log1p(p*z) - z with z = m^g."""
     z = np.power(_m(a, b, x, x2), g)
     return np.log1p(p * z) - z
 
 
-def _log_pdf_kernel(a, b, g, p, x, x2):
+def _log_pdf_kernel(x, x2, a, b, g, p):
     """log f(x) = log g + log(a + b*x) + (g-1) log m + log(1-p+p*z) - z."""
     m = _m(a, b, x, x2)
+    log_m = np.log(m)
+    if not (m.min() if m.ndim else m) > 0.0:
+        # m underflowed: log m = log x + log(a + b*x/2), as in hazard
+        log_m = np.where(m == 0.0, np.log(x) + np.log(a + 0.5 * b * x), log_m)
     z = np.power(m, g)
     mix = (1.0 - p) + p * z
-    return (_log(g) + np.log(a + b * x) + (g - 1.0) * np.log(m)
+    return (_log(g) + np.log(a + b * x) + (g - 1.0) * log_m
             + np.where(mix > 0.0, np.log(np.maximum(mix, 1e-320)), -np.inf)
             - z)
 
@@ -200,28 +209,28 @@ def _log_pdf_kernel(a, b, g, p, x, x2):
 def sf(params: RtgleParams, x):
     """Survival function, cancellation-safe in the right tail."""
     v = params.as_tuple()
-    return _on_support(lambda x, x2: np.exp(_log_sf_kernel(*v, x, x2)),
+    return _on_support(lambda x, x2: np.exp(_log_sf_kernel(x, x2, *v)),
                        x, 1.0, 0.0)
 
 
 def cdf(params: RtgleParams, x):
     """Distribution function F(x) = 1 - (1 + p*z) * exp(-z)."""
     v = params.as_tuple()
-    return _on_support(lambda x, x2: -np.expm1(_log_sf_kernel(*v, x, x2)),
+    return _on_support(lambda x, x2: -np.expm1(_log_sf_kernel(x, x2, *v)),
                        x, 0.0, 1.0)
 
 
 def log_pdf(params: RtgleParams, x):
     """Log density, -inf where the density vanishes; NaN only at NaN x."""
     v = params.as_tuple()
-    return _on_support(lambda x, x2: _log_pdf_kernel(*v, x, x2),
+    return _on_support(lambda x, x2: _log_pdf_kernel(x, x2, *v),
                        x, -np.inf, -np.inf)
 
 
 def pdf(params: RtgleParams, x):
     """Density of RTGLE at x (0 for x <= 0)."""
     v = params.as_tuple()
-    return _on_support(lambda x, x2: np.exp(_log_pdf_kernel(*v, x, x2)),
+    return _on_support(lambda x, x2: np.exp(_log_pdf_kernel(x, x2, *v)),
                        x, 0.0, 0.0)
 
 

@@ -5,12 +5,12 @@ Anderson-Darling, Cramer-von Mises).
 One private engine serves these fits and the competitor fits in
 ``compare``.  It searches a smooth unconstrained reparametrization chosen
 per coordinate kind (log for positive values, logit for probabilities,
-atanh for values in [-1, 1]) by multi-start Nelder-Mead, with an optional
-analytic-gradient BFGS polish.  The Nelder-Mead runs every start of a fit,
-or of many fits (``fit_many``), in lockstep on row objectives, and takes
-scipy's adaptive Nelder-Mead steps to the bit.  Standard errors come from
-the inverse observed information (central-difference Hessian in
-transformed coordinates, mapped back by the delta method).
+atanh for values in [-1, 1]) by multi-start Nelder-Mead.  The Nelder-Mead
+runs every start of a fit, or of many fits (``fit_many``), in lockstep on
+row objectives, and takes scipy's adaptive Nelder-Mead steps to the bit.
+``fit`` adds an analytic-gradient BFGS polish to an MLE, and standard
+errors from the inverse observed information (central-difference Hessian
+in transformed coordinates, mapped back by the delta method).
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from scipy.optimize import OptimizeResult, minimize
 # log_pdf, cdf and sf are looked up here by the benchmark's per-layer
 # tracing (bench/tracing.py)
 from .distribution import (InvalidParams, RtgleParams,  # noqa: F401
-                           _checked, _columns, _libm, _log_pdf_kernel,
-                           _log_sf_kernel, _valid_rows, cdf, log_pdf, sf,
-                           validate)
+                           _columns, _libm, _log_pdf_kernel, _log_sf_kernel,
+                           _valid_rows, cdf, log_pdf, sf, validate)
 from .gof import _cvm_positions
 
 
@@ -104,20 +103,21 @@ def _check_fit_data(data, k: int) -> np.ndarray:
 # --- objectives ---------------------------------------------------------------
 # _row_objective takes checked samples, sorts them and tabulates every
 # data-only array once, and returns the objectives of many fits as one
-# function of natural values (alpha, beta, gamma, p), one row per
-# evaluation, on the interior kernels of ``distribution``.  A row's value
-# does not depend on the other rows, to the bit; _objective is the row
-# objective of one fit on one row.  The data are positive, so of the public
-# functions' masking only NaN log density -> -inf can act.  Callers evaluate
-# it under _IGNORE: far from the optimum the kernels overflow.
+# function of natural values, one row per evaluation, on the interior
+# kernels of ``distribution`` or of a competitor in ``compare``.  A row's
+# value does not depend on the other rows, to the bit; the public objectives
+# are its value on one row.  Callers evaluate it under _IGNORE: far from the
+# optimum the kernels overflow.
 
 _IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _row_objective(methods, data: np.ndarray):
-    """objective(v, fits) -> (R,) for natural values v (R, 4) and fit
+def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
+                   log_sf=_log_sf_kernel):
+    """objective(v, fits) -> (R,) for natural values v (R, k) and fit
     numbers fits (R,): fit f is method methods[f % M] on sample
-    data[f // M] of the checked samples data (S, n)."""
+    data[f // M] of the checked samples data (S, n), for the model with log
+    density log_pdf(x, x2, *v) and log survival log_sf(x, x2, *v)."""
     n_methods, n = len(methods), data.shape[1]
     x2 = np.square(data)
     xs = np.sort(data, axis=1)
@@ -145,39 +145,42 @@ def _row_objective(methods, data: np.ndarray):
         return table[0] if len(table) == 1 else table[index]
 
     def mle(v, s, j):
-        lp = _log_pdf_kernel(*_columns(v), rows(data, s), rows(x2, s)
-                             ).reshape(len(v), -1)
-        total = lp.sum(axis=1)
-        out = -total
-        bad = np.flatnonzero(~np.isfinite(total))
-        if bad.size:
-            # a -inf or NaN log density is a zero density: +inf
-            zero = (np.isneginf(lp[bad]) | np.isnan(lp[bad])).any(axis=1)
-            out[bad[zero]] = np.inf
-        return out
+        total = log_pdf(rows(data, s), rows(x2, s), *_columns(v)).reshape(
+            len(v), -1).sum(axis=1)
+        # a non-finite total is a zero, infinite or undefined likelihood
+        return np.where(np.isfinite(total), -total, np.inf)
 
     def ade(v, s, j):
-        log_s = _log_sf_kernel(*_columns(v), rows(xs, s), rows(xs2, s)
-                               ).reshape(len(v), -1)
+        log_s = log_sf(rows(xs, s), rows(xs2, s), *_columns(v)).reshape(
+            len(v), -1)
         f, sv = -np.expm1(log_s), np.exp(log_s)
         # a fit on its own takes np.log(s[::-1]) of a 1-d s: a
         # negative-stride view, so the C library's log
         terms = np.log(f) + _libm(np.log, sv)[:, ::-1]
+        # every term is <= 0, so F = 0 or S = 0 makes the value +inf; it is
+        # NaN where z overflowed, where S = 0
         out = -n - (coef * terms).sum(axis=1) / n
-        out[((f <= 0.0) | (sv <= 0.0)).any(axis=1)] = np.inf
+        out[np.isnan(out)] = np.inf
         return out
 
-    def squares(v, s, j):
-        f = -np.expm1(_log_sf_kernel(*_columns(v), rows(xs, s),
-                                     rows(xs2, s)).reshape(len(v), -1))
+    def distance(f, j):
         return rows(c0, j) + (rows(w, j) * (f - rows(target, j)) ** 2
                               ).sum(axis=1)
+
+    def squares(v, s, j):
+        f = -np.expm1(log_sf(rows(xs, s), rows(xs2, s), *_columns(v)
+                             ).reshape(len(v), -1))
+        out = distance(f, j)
+        bad = np.isnan(out)
+        if bad.any():  # F is NaN where z overflowed; cdf's limit there is 1
+            out[bad] = distance(np.fmin(f[bad], 1.0), j[bad])
+        return out
 
     formulas = (mle, ade, squares)
 
     def objective(v, fits):
-        if n_methods == 1:
-            return formulas[formula[0]](v, fits, None)
+        if n_methods == 1:  # s = fits, and every per-method table has one row
+            return formulas[formula[0]](v, fits, fits)
         s, j = np.divmod(fits, n_methods)
         kind = formula[j]
         out = np.empty(len(v))
@@ -189,22 +192,16 @@ def _row_objective(methods, data: np.ndarray):
     return objective
 
 
-def _objective(method: EstimationMethod, data):
-    """The objective of method on data as a function of the floats
-    (alpha, beta, gamma, p)."""
-    rows = _row_objective((method,), _check_data(data)[None])
-    first = np.zeros(1, dtype=int)
-    return lambda a, b, g, p: float(
-        rows(np.array([[a, b, g, p]], dtype=float), first)[0])
-
-
 @np.errstate(**_IGNORE)
 def _evaluate(method: EstimationMethod, params: RtgleParams, data) -> float:
-    return _objective(method, data)(*params.as_tuple())
+    objective = _row_objective((method,), _check_data(data)[None])
+    return float(objective(np.array([params.as_tuple()], dtype=float),
+                           np.zeros(1, dtype=int))[0])
 
 
 def neg_log_likelihood(params: RtgleParams, data) -> float:
-    """Negative log-likelihood; +inf if any point has zero density."""
+    """Negative log-likelihood; +inf where the log-likelihood is not
+    finite."""
     return _evaluate(EstimationMethod.MLE, params, data)
 
 
@@ -299,18 +296,43 @@ def _to_free(values, kinds) -> np.ndarray:
     return np.array(out)
 
 
-def _logistic(t: float) -> float:
-    t = min(max(t, -_LOGIT_CLAMP), _LOGIT_CLAMP)
-    return 1.0 / (1.0 + math.exp(-t))
+def _inverse(kinds):
+    """The inverse of _to_free on rows, logit coordinates clamped to |t| <=
+    40: natural(theta (R, k)) -> (values (R, k), ok), where ok is None while
+    every exp is positive and finite, else the (R,) mask of the rows where
+    no finite "pos" coordinate overflowed."""
+    kinds = np.array(kinds)
+    unit = np.flatnonzero(kinds == "unit")
+    sym = np.flatnonzero(kinds == "sym")
+    # exp(theta) for "pos", exp(-theta) for "unit" and exp(0) for "sym";
+    # above t = 40, 1 + exp(-t) rounds to 1, so only -t <= 40 needs the clamp
+    sign = np.where(kinds == "unit", -1.0,
+                    np.where(kinds == "sym", 0.0, 1.0))
+    bound = np.where(kinds == "unit", _LOGIT_CLAMP, np.inf)
+
+    def natural(theta):
+        values = _libm(np.exp, np.minimum(theta * sign, bound))
+        ok = None
+        if not 0.0 < np.minimum.reduce(values, axis=None) \
+                <= np.maximum.reduce(values, axis=None) < np.inf:
+            ok = ~np.logical_or.reduce((values == np.inf) & (theta < np.inf),
+                                       axis=1)
+        for c in unit:
+            values[:, c] = 1.0 / (1.0 + values[:, c])
+        for c in sym:  # numpy's tanh rounds differently on every path
+            values[:, c] = [math.tanh(t) for t in theta[:, c].tolist()]
+        return values, ok
+    return natural
 
 
-_INVERSE = {"pos": math.exp, "unit": _logistic, "sym": math.tanh}
-
-
+@np.errstate(**_IGNORE)
 def _from_free(theta, kinds) -> tuple[float, ...]:
-    """Inverse of _to_free; logit coordinates are clamped to |t| <= 40."""
-    return tuple([_INVERSE[k](t) for t, k in
-                  zip(np.asarray(theta, dtype=float).tolist(), kinds)])
+    """_inverse at one point; OverflowError, as from math.exp, where a
+    finite "pos" coordinate overflows."""
+    values, ok = _inverse(kinds)(np.asarray(theta, dtype=float)[None])
+    if ok is not None and not ok[0]:
+        raise OverflowError("math range error")
+    return tuple(values[0].tolist())
 
 
 def _jacobian(values, kinds) -> np.ndarray:
@@ -324,37 +346,23 @@ def transform(params: RtgleParams) -> np.ndarray:
     return _to_free(params.as_tuple(), _RTGLE_KINDS)
 
 
-def _untransform_values(theta) -> tuple[float, float, float, float]:
-    """untransform as validated floats, without building RtgleParams."""
-    return _checked(*_from_free(theta, _RTGLE_KINDS))
-
-
 def untransform(theta) -> RtgleParams:
     """Inverse of transform; the logit coordinate is clamped to |t| <= 40."""
-    return RtgleParams(*_untransform_values(theta))
+    return validate(*_from_free(theta, _RTGLE_KINDS))
 
 
 def _free_objective(objective, kinds, valid=None):
     """objective(values, fits) of natural values (R, k) as a function of
-    the free coordinates, theta (R, k) and fits (R,): each row's values are
-    _from_free's to the bit, and the value is +inf on the rows where
-    _from_free raises (exp of a finite "pos" coordinate overflows) or
-    valid(values) is False.
+    the free coordinates, theta (R, k) and fits (R,), through _inverse; the
+    value is +inf on the rows where exp of a finite "pos" coordinate
+    overflows or valid(values) is False.
 
     valid runs only on calls with a value at 0, inf or NaN: while every
     value is positive and finite, RTGLE and the competitors' RTGLE images
     pass their checks, or give a non-finite log-likelihood, +inf all the
     same.
     """
-    kinds = np.array(kinds)
-    unit = np.flatnonzero(kinds == "unit")
-    sym = np.flatnonzero(kinds == "sym")
-    # exp(theta) for "pos", exp(-theta) for "unit" and exp(0) for "sym".
-    # _logistic clamps t to [-40, 40]; above 40, 1 + exp(-t) rounds to 1
-    # either way, so only -t <= 40 needs the clamp
-    sign = np.where(kinds == "unit", -1.0,
-                    np.where(kinds == "sym", 0.0, 1.0))
-    bound = np.where(kinds == "unit", _LOGIT_CLAMP, np.inf)
+    natural = _inverse(kinds)
 
     def evaluate(values, fits):
         # one row runs on floats (_columns), whose arithmetic raises where
@@ -367,17 +375,8 @@ def _free_objective(objective, kinds, valid=None):
             return np.full(1, np.inf)
 
     def on_free(theta, fits):
-        values = _libm(np.exp, np.minimum(theta * sign, bound))
-        extreme = not 0.0 < np.minimum.reduce(values, axis=None) \
-            <= np.maximum.reduce(values, axis=None) < np.inf
-        if extreme:
-            ok = ~np.logical_or.reduce((values == np.inf) & (theta < np.inf),
-                                       axis=1)
-        for c in unit:
-            values[:, c] = 1.0 / (1.0 + values[:, c])
-        for c in sym:  # numpy's tanh rounds differently on every path
-            values[:, c] = [math.tanh(t) for t in theta[:, c].tolist()]
-        if not extreme:
+        values, ok = natural(theta)
+        if ok is None:
             return evaluate(values, fits)
         if valid is not None:
             ok &= valid(values)
@@ -516,14 +515,18 @@ def _search(objective, centers: np.ndarray, scale,
 
 
 @np.errstate(**_IGNORE)
-def _polish(objective, best: OptimizeResult, gradient) -> None:
-    """Replace the optimum best of a one-fit objective by an
-    analytic-gradient BFGS polish from it, unless that raises the
-    objective."""
+def _polish(objective, best: OptimizeResult, x: np.ndarray) -> None:
+    """Replace the optimum best of the one-fit MLE objective on checked
+    data x by a BFGS polish from it on the analytic gradient, unless that
+    raises the objective."""
     first = np.zeros(1, dtype=int)
 
     def scalar(theta):
         return float(objective(theta[None], first)[0])
+
+    def gradient(theta):
+        values = untransform(theta).as_tuple()
+        return _nll_gradient(values, x) * _jacobian(values, _RTGLE_KINDS)
 
     try:
         polished = minimize(scalar, best.x, jac=gradient, method="BFGS",
@@ -606,10 +609,42 @@ _START_SCALE = [1.0, 1.5, 0.5, 1.5]
 
 
 def _rtgle_objective(methods, data: np.ndarray):
-    """_objective on the free coordinates, +inf where they map to no
+    """_row_objective on the free coordinates, +inf where they map to no
     valid parameter vector."""
     return _free_objective(_row_objective(methods, data), _RTGLE_KINDS,
                            lambda v: _valid_rows(*v.T))
+
+
+def _lockstep_fits(samples, methods, config: OptimizerConfig):
+    """The search of fit_many: its objective, the checked samples it fits
+    and, for sample s and method j, the best optimum (an OptimizeResult in
+    free coordinates) or the typed error of that fit."""
+    n_methods = len(methods)
+    found: list = [None] * len(samples)
+    fitted, data, centers = [], [], []
+    for s, sample in enumerate(samples):
+        try:
+            x = _check_fit_data(sample, len(_RTGLE_KINDS))
+            centers.append(_start_center(x, config))
+        except (NonPositiveData, DegenerateData, InvalidParams) as exc:
+            found[s] = [exc] * n_methods
+            continue
+        fitted.append(s)
+        data.append(x)
+    if len({len(x) for x in data}) > 1:
+        raise ValueError("fit_many: the samples must all have one size")
+    objective = None
+    if fitted:
+        objective = _rtgle_objective(methods, np.array(data))
+        opts = _search(objective,
+                       np.repeat(np.array(centers), n_methods, axis=0),
+                       _START_SCALE, config)
+        for i, s in enumerate(fitted):
+            found[s] = [AllStartsFailed(f"no start produced a finite "
+                                        f"{m.value} objective")
+                        if opt is None else opt
+                        for m, opt in zip(methods, opts[i * n_methods:])]
+    return objective, data, found
 
 
 def _fit_result(opt: OptimizeResult, method: EstimationMethod,
@@ -621,33 +656,25 @@ def _fit_result(opt: OptimizeResult, method: EstimationMethod,
 
 def fit(data, method: EstimationMethod,
         config: OptimizerConfig | None = None,
-        polish_gradient: bool = True,
         compute_se: bool = True) -> FitResult:
     """Minimize the chosen objective by multi-start Nelder-Mead.
 
-    Deterministic given (data, method, config.seed).  For MLE an analytic
-    gradient BFGS polish runs from the best simplex optimum when the result
-    is interior.
+    Deterministic given (data, method, config.seed).  This is
+    fit_many([data], (method,), config)[0][0], raised if an error, and for
+    MLE an analytic-gradient BFGS polish from it when it is interior, then
+    the standard errors (compute_se).
     """
     config = config or OptimizerConfig()
-    x = _check_fit_data(data, len(_RTGLE_KINDS))
-    objective = _rtgle_objective((method,), x[None])
-    opt, = _search(objective, _start_center(x, config)[None], _START_SCALE,
-                   config)
-    if opt is None:
-        raise AllStartsFailed(
-            f"no start produced a finite {method.value} objective")
-    if method is EstimationMethod.MLE and polish_gradient:
-        def grad_t(th):
-            values = _untransform_values(th)
-            return _nll_gradient(values, x) * _jacobian(values, _RTGLE_KINDS)
-        _polish(objective, opt, grad_t)
+    objective, checked, ((opt,),) = _lockstep_fits([data], (method,), config)
+    if isinstance(opt, Exception):
+        raise opt
+    if method is EstimationMethod.MLE:
+        _polish(objective, opt, checked[0])
     result = _fit_result(opt, method, config)
     if method is EstimationMethod.MLE and compute_se:
         try:
-            result.standard_errors = standard_errors(result.params, x)
+            result.standard_errors = standard_errors(result.params, checked[0])
         except HessianNotPD as exc:
-            result.standard_errors = None
             result.diagnostics = str(exc)
     return result
 
@@ -655,37 +682,14 @@ def fit(data, method: EstimationMethod,
 def fit_many(samples, methods, config: OptimizerConfig | None = None
              ) -> list[list[FitResult | ValueError | AllStartsFailed]]:
     """Every method fitted to every sample of one size in one lockstep
-    search, without polish or standard errors: results[s][j] equals
-    fit(samples[s], methods[j], config, polish_gradient=False,
-    compute_se=False) to the bit, or is the typed error that call raises
-    (NonPositiveData, DegenerateData, InvalidParams or AllStartsFailed).
-    Any other error propagates."""
+    search: results[s][j] is the fit of methods[j] on samples[s], or its
+    typed error (NonPositiveData, DegenerateData, InvalidParams or
+    AllStartsFailed).  Any other error propagates."""
     config = config or OptimizerConfig()
-    n_methods = len(methods)
-    results: list = [None] * len(samples)
-    fitted, data, centers = [], [], []
-    for s, sample in enumerate(samples):
-        try:
-            x = _check_fit_data(sample, len(_RTGLE_KINDS))
-            centers.append(_start_center(x, config))
-        except (NonPositiveData, DegenerateData, InvalidParams) as exc:
-            results[s] = [exc] * n_methods
-            continue
-        fitted.append(s)
-        data.append(x)
-    if len({len(x) for x in data}) > 1:
-        raise ValueError("fit_many: the samples must all have one size")
-    if fitted:
-        opts = _search(_rtgle_objective(methods, np.array(data)),
-                       np.repeat(np.array(centers), n_methods, axis=0),
-                       _START_SCALE, config)
-        for i, s in enumerate(fitted):
-            results[s] = [
-                _fit_result(opt, m, config) if opt is not None else
-                AllStartsFailed(f"no start produced a finite {m.value} "
-                                "objective")
-                for m, opt in zip(methods, opts[i * n_methods:])]
-    return results
+    _, _, found = _lockstep_fits(samples, methods, config)
+    return [[opt if isinstance(opt, Exception)
+             else _fit_result(opt, m, config) for m, opt in zip(methods, row)]
+            for row in found]
 
 
 def standard_errors(params_at_mle: RtgleParams, data

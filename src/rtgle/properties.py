@@ -382,7 +382,7 @@ def largest_order_statistic_pdf(params: RtgleParams, n: int, x) -> float:
 def cumulative_hazard(params: RtgleParams, x):
     """-log survival; equals z - log(1 + p*z); 0 for x <= 0."""
     v = params.as_tuple()
-    return _on_support(lambda x, x2: -_log_sf_kernel(*v, x, x2),
+    return _on_support(lambda x, x2: -_log_sf_kernel(x, x2, *v),
                        x, 0.0, np.inf)
 
 

@@ -5,6 +5,7 @@ loads ``tests/_reference.py``."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -34,3 +35,9 @@ def test_traced_site_resolves(module, attr):
 def test_traced_objectives_resolve():
     for method in TRACING.METHODS:
         assert callable(estimate._OBJECTIVES[estimate.EstimationMethod(method)])
+
+
+def test_fit_takes_data_method_config_first():
+    # the tracer reads fit's first three arguments by position
+    assert list(inspect.signature(estimate.fit).parameters)[:3] \
+        == ["data", "method", "config"]

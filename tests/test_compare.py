@@ -5,12 +5,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import weibull_min
 
-from rtgle.compare import (COMPETITOR_KINDS, CompetitorModel, comparison_table,
-                           competitor_cdf, competitor_log_pdf, competitor_pdf,
-                           fit_competitor, make_competitor)
+from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
+                           comparison_table, competitor_cdf,
+                           competitor_log_pdf, competitor_pdf, fit_competitor,
+                           make_competitor)
 from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, sample
-from rtgle.estimate import OptimizerConfig
+from rtgle.estimate import OptimizerConfig, neg_log_likelihood
 
 EXAMPLES = {
     "RTW": (0.4, 0.8, 0.5),
@@ -130,6 +131,17 @@ def test_nested_likelihoods_on_real_data():
             for k in ("W", "RTW", "LE", "RTLE")}
     assert m2ll["RTW"] <= m2ll["W"] + 1e-6
     assert m2ll["RTLE"] <= m2ll["LE"] + 1e-6
+
+
+@pytest.mark.parametrize("kind", ["W", "LE", "RTLE", "RTW"])
+def test_nested_likelihood_is_rtgle_likelihood_at_image(kind):
+    # one likelihood formula: a nested competitor's -2logL is RTGLE's at
+    # the competitor's RTGLE image, to the bit
+    full = load_dataset("embedded").values
+    trimmed = np.delete(full, flag_outliers_iqr(full))
+    cf = fit_competitor(kind, trimmed)
+    image = RtgleParams(*_SPECS[kind].image(*cf.model.params))
+    assert cf.minus2loglik == 2.0 * neg_log_likelihood(image, trimmed)
 
 
 def test_log_pdf_outside_support():

@@ -19,6 +19,7 @@ from rtgle.distribution import (BothRatesZero, HazardShapeClass, NegativeRate,
                                 validate, weibull)
 from rtgle.compare import (competitor_cdf, competitor_log_pdf, competitor_pdf,
                            make_competitor)
+from rtgle.estimate import neg_log_likelihood
 from rtgle.properties import cumulative_hazard
 from test_compare import EXAMPLES
 
@@ -128,6 +129,26 @@ def test_support_policy(name, fn, outside, tail):
             assert np.all(out == tail), (model, out)
         else:  # an unbounded limit, or a power tail (TLL), is approached
             assert out.tolist() in (sorted(out), sorted(out)[::-1]), out
+    # beta = 0: m = alpha*x where x^2 overflows (40-digit mpmath values)
+    beta_zero = {"sf": (RtgleParams(1, 0, 0.001, 0), 0.20496968425522883),
+                 "competitor_cdf": (make_competitor("W", 0.001, 1.0),
+                                    0.79503031574477117)}
+    if name in beta_zero:
+        model, value = beta_zero[name]
+        assert fn(model, 1e200) == pytest.approx(value, rel=1e-12)
+
+
+def test_log_pdf_where_m_underflows():
+    # m = a*x + b*x^2/2 underflows to 0 while log m is near -746 (40-digit
+    # mpmath values; alpha + beta*x itself rounds to the smallest subnormal)
+    params = RtgleParams(5e-324, 5e-324, 0.5, 0.5)
+    x = [0.1, 0.2, 0.3]
+    expected = [-372.38412267759389, -372.66694489870168, -372.81186062636764]
+    assert log_pdf(params, x) == pytest.approx(expected, rel=1e-3)
+    assert pdf(params, 0.1) == pytest.approx(math.exp(log_pdf(params, 0.1)),
+                                            rel=1e-12)
+    assert neg_log_likelihood(params, x) == pytest.approx(-sum(expected),
+                                                          rel=1e-3)
 
 
 def test_hazard_against_closed_form():

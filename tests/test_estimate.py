@@ -34,6 +34,11 @@ def test_transform_roundtrip():
     back = untransform(transform(params))
     for a, b in zip(params.as_tuple(), back.as_tuple()):
         assert a == pytest.approx(b, rel=1e-12)
+    # exp of a log coordinate overflows as math.exp does; the logit one is
+    # clamped to |t| <= 40
+    with pytest.raises(OverflowError):
+        untransform([1000.0, 0.0, 0.0, 0.0])
+    assert untransform([0.0, 0.0, 0.0, 1000.0]).p == 1.0
 
 
 def test_gradient_matches_finite_differences():
@@ -102,8 +107,7 @@ def test_fit_deterministic():
 def test_start_override_used():
     x = sample(TRUE, 60, seed=13)
     config = OptimizerConfig(n_starts=1, seed=0, start=TRUE.as_tuple())
-    result = fit(x, EstimationMethod.MLE, config, polish_gradient=False,
-                 compute_se=False)
+    result = fit_many([x], (EstimationMethod.MLE,), config)[0][0]
     assert result.objective <= neg_log_likelihood(TRUE, x) + 1e-9
 
 
@@ -163,6 +167,24 @@ def test_cvm_uniformized_construction():
                                                    abs=1e-15)
 
 
+def test_distance_objectives_where_z_overflows():
+    # z = m^gamma overflows at every point, where F = 1 and S = 0
+    x = sample(TRUE, 30, seed=3)
+    params = RtgleParams(1e200, 1.0, 2.0, 0.5)
+    n = len(x)
+    i = np.arange(1, n + 1)
+    pos = i / (n + 1.0)
+    w = (n + 1.0) ** 2 * (n + 2.0) / (i * (n - i + 1.0))
+    assert ls_objective(params, x) == pytest.approx(
+        np.sum((1.0 - pos) ** 2), rel=1e-12)
+    assert wls_objective(params, x) == pytest.approx(
+        np.sum(w * (1.0 - pos) ** 2), rel=1e-12)
+    assert cvm_objective(params, x) == pytest.approx(
+        1.0 / (12.0 * n) + np.sum((1.0 - (2 * i - 1) / (2.0 * n)) ** 2),
+        rel=1e-12)
+    assert ad_objective(params, x) == math.inf
+
+
 def test_ad_single_point_hand_value():
     from rtgle.distribution import quantile
     x = [quantile(TRUE, 0.5)]
@@ -214,8 +236,7 @@ def test_optimizer_config_validation():
 def test_converged_false_at_iteration_limit():
     x = sample(TRUE, 100, seed=5)
     config = OptimizerConfig(max_iterations=5, n_starts=1)
-    assert not fit(x, EstimationMethod.MLE, config,
-                   polish_gradient=False).converged
+    assert not fit_many([x], (EstimationMethod.MLE,), config)[0][0].converged
     assert not fit_competitor("TW", x, config).converged
 
 
@@ -346,6 +367,16 @@ def test_fit_many_returns_typed_errors_per_fit():
     assert all(isinstance(r, DegenerateData) for r in results[0])
     assert all(isinstance(r, NonPositiveData) for r in results[2])
     for m, r in zip(methods, results[1]):
-        assert r == fit(x, m, config, polish_gradient=False, compute_se=False)
+        assert r == fit_many([x], (m,), config)[0][0]
     with pytest.raises(ValueError, match="one size"):
         fit_many([x, x[:20]], methods, config)
+
+
+@pytest.mark.parametrize("method", [m for m in EstimationMethod
+                                    if m is not EstimationMethod.MLE], ids=str)
+def test_distance_fit_is_fit_many(method):
+    # only an MLE fit adds a polish to the lockstep search
+    x = sample(TRUE, 30, seed=2)
+    config = OptimizerConfig(n_starts=3, max_iterations=300)
+    assert fit(x, method, config, compute_se=False) \
+        == fit_many([x], (method,), config)[0][0]

@@ -16,7 +16,7 @@ import pytest
 
 from rtgle.distribution import RtgleParams, cdf, log_pdf, sf
 from rtgle.estimate import (_IGNORE, _OBJECTIVES, EstimationMethod,
-                            OptimizerConfig, _objective, fit)
+                            OptimizerConfig, _row_objective, fit, fit_many)
 from rtgle.sim import default_sim_optimizer
 
 TRUE = RtgleParams(1.2, 0.5, 1.5, 0.8)
@@ -55,8 +55,7 @@ X = np.array([
 ])
 
 # method -> (alpha, beta, gamma, p, objective, iterations) of
-# fit(X, method, default_sim_optimizer(TRUE), polish_gradient=False,
-#     compute_se=False)
+# fit_many([X], (method,), default_sim_optimizer(TRUE))[0][0]
 GOLDEN_SIM = {
     EstimationMethod.MLE: (1.2166394867746788, 0.08337648400259462,
                            1.707421587020524, 0.6879227313476404,
@@ -119,8 +118,7 @@ def _public_formula(method, params, data):
 
 @pytest.mark.parametrize("method", list(EstimationMethod))
 def test_sim_fit_matches_golden(method):
-    r = fit(X, method, default_sim_optimizer(TRUE), polish_gradient=False,
-            compute_se=False)
+    r = fit_many([X], (method,), default_sim_optimizer(TRUE))[0][0]
     assert r.params.as_tuple() + (r.objective, r.iterations) \
         == GOLDEN_SIM[method]
 
@@ -135,12 +133,15 @@ def test_multistart_mle_with_polish_and_se_matches_golden():
 def test_public_objective_equals_prepared_objective(method):
     # X is in draw order, not sorted
     assert not np.all(np.diff(X) >= 0.0)
-    prepared = _objective(method, X)
     params = [TRUE, RtgleParams(0.3, 0.0, 0.7, 0.0),
               RtgleParams(0.0, 2.0, 2.5, 1.0), RtgleParams(5.0, 3.0, 4.0, 0.5)]
-    for pr in params:
-        with np.errstate(**_IGNORE):
-            value = prepared(*pr.as_tuple())
+    # a public objective evaluates one row on floats; a fit evaluates the
+    # rows of many parameter vectors at once, as (R, 1) columns
+    with np.errstate(**_IGNORE):
+        values = _row_objective((method,), X[None])(
+            np.array([pr.as_tuple() for pr in params]),
+            np.zeros(len(params), dtype=int))
+    for pr, value in zip(params, values.tolist()):
         assert value == _OBJECTIVES[method](pr, X)
         assert value == _public_formula(method, pr, X)
     assert _OBJECTIVES[method](TRUE, X) == GOLDEN_AT_TRUE[method]
@@ -148,6 +149,5 @@ def test_public_objective_equals_prepared_objective(method):
 
 @pytest.mark.parametrize("method", list(EstimationMethod))
 def test_fit_objective_is_public_objective_at_estimate(method):
-    r = fit(X, method, default_sim_optimizer(TRUE), polish_gradient=False,
-            compute_se=False)
+    r = fit_many([X], (method,), default_sim_optimizer(TRUE))[0][0]
     assert r.objective == _OBJECTIVES[method](r.params, X)

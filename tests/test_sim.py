@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rtgle.distribution import RtgleParams, sample
-from rtgle.estimate import EstimationMethod, OptimizerConfig, fit
+from rtgle.estimate import EstimationMethod, OptimizerConfig, fit_many
 from rtgle.sim import (SimCell, SimDesign, SimReport, default_sim_optimizer,
                        report_to_table, run_design)
 
@@ -33,8 +33,7 @@ def test_single_replicate_equals_single_fit():
     from rtgle.sim import _replicate_seed
     x = sample(TRUE, 50, seed=_replicate_seed(3, 0, 0))
     config = default_sim_optimizer(TRUE, seed=3)
-    r = fit(x, EstimationMethod.MLE, config, polish_gradient=False,
-            compute_se=False)
+    r = fit_many([x], (EstimationMethod.MLE,), config)[0][0]
     err = np.array(r.params.as_tuple()) - np.array(TRUE.as_tuple())
     assert np.allclose(cell.bias, err, rtol=1e-12)
     assert np.allclose(cell.mse, err * err, rtol=1e-12)
@@ -53,7 +52,7 @@ def test_replicates_equal_fits_one_at_a_time():
     for m in EstimationMethod:
         err_sum, err2_sum = np.zeros(4), np.zeros(4)
         for x in samples:
-            r = fit(x, m, config, polish_gradient=False, compute_se=False)
+            r = fit_many([x], (m,), config)[0][0]
             err = np.array(r.params.as_tuple()) - np.array(TRUE.as_tuple())
             err_sum += err
             err2_sum += err * err
