@@ -162,9 +162,6 @@ def _on_support(kernel, x, outside, tail):
     (where x^2 or z overflowed); a float for scalar x."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not x.ndim and x > 0.0:  # the common scalar, without the masks
-            out = float(kernel(x, x * x))
-            return tail if math.isnan(out) else out
         inside = x > 0.0
         everywhere = inside.all()
         xp = x if everywhere else np.where(inside, x, 1.0)  # masked below
@@ -196,14 +193,16 @@ def _log_pdf_kernel(x, x2, a, b, g, p):
     """log f(x) = log g + log(a + b*x) + (g-1) log m + log(1-p+p*z) - z."""
     m = _m(a, b, x, x2)
     log_m = np.log(m)
-    if not (m.min() if m.ndim else m) > 0.0:
-        # m underflowed: log m = log x + log(a + b*x/2), as in hazard
-        log_m = np.where(m == 0.0, np.log(x) + np.log(a + 0.5 * b * x), log_m)
     z = np.power(m, g)
     mix = (1.0 - p) + p * z
-    return (_log(g) + np.log(a + b * x) + (g - 1.0) * log_m
-            + np.where(mix > 0.0, np.log(np.maximum(mix, 1e-320)), -np.inf)
-            - z)
+    log_mix = np.where(mix > 0.0, np.log(np.maximum(mix, 1e-320)), -np.inf)
+    if not (m.min() if m.ndim else m) > 0.0:
+        # m underflowed: log m = log x + log(a + b*x/2), as in hazard, and
+        # z with it, so at p = 1 the mixing term is log z = g * log m
+        under = m == 0.0
+        log_m = np.where(under, np.log(x) + np.log(a + 0.5 * b * x), log_m)
+        log_mix = np.where(under & (p == 1.0), g * log_m, log_mix)
+    return _log(g) + np.log(a + b * x) + (g - 1.0) * log_m + log_mix - z
 
 
 def sf(params: RtgleParams, x):
@@ -340,16 +339,16 @@ def sample(params: RtgleParams, n: int, seed: int) -> np.ndarray:
     return quantile_vec(params, u)
 
 
-def _gle_inverse(params: RtgleParams, t: np.ndarray) -> np.ndarray:
-    """Inverse of the GLE baseline cumulative hazard: m(x)^gamma = t."""
+def _gle_inverse(params: RtgleParams, t):
+    """Inverse of the GLE cumulative hazard, m(x)^gamma = t; float or array."""
     a, b, g, _ = params.as_tuple()
     if a == 0.0:
         # sqrt(2c/b) without forming c, which underflows first
-        return math.sqrt(2.0 / b) * np.power(t, 0.5 / g)
-    c = np.power(t, 1.0 / g)
+        return math.sqrt(2.0 / b) * t ** (0.5 / g)
+    c = t ** (1.0 / g)
     if b == 0.0:
         return c / a
-    return 2.0 * c / (a + np.sqrt(a * a + 2.0 * b * c))
+    return 2.0 * c / (a + (a * a + 2.0 * b * c) ** 0.5)
 
 
 def sample_via_records(params: RtgleParams, n: int, seed: int) -> np.ndarray:

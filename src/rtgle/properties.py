@@ -1,10 +1,12 @@
 """Distributional summaries of RTGLE: moments, quantile measures, entropy,
 and densities of ordered statistics.
 
-Adaptive quadrature is the authoritative route for moments, the MGF and
-Renyi entropy.  The series expansions (double sums over generalized binomial
-coefficients) carry no convergence guarantee, so they are exposed as
-secondary cross-checks with explicit divergence detection.
+Adaptive quadrature is the authoritative route for moments, L-moments, the
+MGF and Renyi entropy: every expectation is one integral over the record
+scale t = m(x)^gamma on (0, inf), with no cutoff.  The series expansions
+(double sums over generalized binomial coefficients) carry no convergence
+guarantee, so they are exposed as secondary cross-checks with explicit
+divergence detection.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .distribution import (RtgleParams, _log_sf_kernel, _on_support, cdf,
-                           hazard, log_pdf, pdf, quantile_vec, sf)
+from .distribution import (RtgleParams, _gle_inverse, _log_sf_kernel,
+                           _on_support, cdf, hazard, log_pdf, pdf,
+                           quantile_vec, sf)
 from .special import gamma_fn, log_beta
 
-_TAIL_Q = 1.0 - 1e-12  # upper integration cutoff quantile
 _MAX_TERMS = 200       # series terms summed at most: indices 0.._MAX_TERMS
 
 
@@ -50,15 +52,8 @@ class QuantileMeasures:
     moors_kurtosis: float
 
 
-def _cutoff_and(params: RtgleParams, *u: float) -> list[float]:
-    """The upper integration cutoff Q(1-1e-12), then Q at each u: one
-    quantile solve for all of them."""
-    return quantile_vec(params, (_TAIL_Q,) + u).tolist()
-
-
-def _quad(fn, lo, hi, *, points=None) -> float:
-    val, err = quad(fn, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400,
-                    points=points)
+def _quad(fn) -> float:
+    val, err = quad(fn, 0.0, math.inf, epsabs=0.0, epsrel=1e-11, limit=400)
     if not math.isfinite(val):
         raise QuadratureError("integral is not finite")
     if err > max(1e-9, 1e-8 * abs(val)):
@@ -66,22 +61,24 @@ def _quad(fn, lo, hi, *, points=None) -> float:
     return val
 
 
-def _expectations(params: RtgleParams, fns) -> list[float]:
-    """E[fn(X)] for each fn by adaptive quadrature of fn(x) * pdf(x) over
-    (0, Q(1-1e-12)) with breaks at Q(0.25), Q(0.5) and Q(0.9); the cutoff
-    and the break points are solved once for all of them."""
-    hi, *points = _cutoff_and(params, 0.25, 0.5, 0.9)
-    return [_quad(lambda x, fn=fn: fn(x) * pdf(params, x), 0.0, hi,
-                  points=points) for fn in fns]
+def _expect(params: RtgleParams, fns) -> list[float]:
+    """E[exp(fn(X, T))] for each fn, by one quadrature each on the record
+    scale: T = m(X)^gamma, the first upper record of a unit exponential with
+    probability 1-p and the second with probability p, has density
+    (1-p+p*t) e^-t on (0, inf), and X = G^-1(T) in closed form."""
+    p = params.p
+    return [_quad(lambda t, fn=fn: math.exp(
+        fn(_gle_inverse(params, t), t) + math.log(1.0 - p + p * t) - t))
+        for fn in fns]
 
 
 def _raw_moments(params: RtgleParams, orders) -> list[float]:
-    """E[X^r] for each r in orders, under one cutoff."""
-    return _expectations(params, [lambda x, r=r: x ** r for r in orders])
+    """E[X^r] for each r in orders."""
+    return _expect(params, [lambda x, t, r=r: r * math.log(x) for r in orders])
 
 
 def moment_quadrature(params: RtgleParams, r: int) -> float:
-    """r-th raw moment E[X^r] by adaptive quadrature over (0, Q(1-1e-12))."""
+    """r-th raw moment E[X^r] by adaptive quadrature on the record scale."""
     if r < 1:
         raise ValueError("moment order r must be >= 1")
     return _raw_moments(params, (r,))[0]
@@ -200,12 +197,8 @@ def moment_recurrence_residual(params: RtgleParams, r: int) -> float:
 
 
 def variance(params: RtgleParams) -> float:
-    """Var(X); second raw moment from the r=1 recurrence when beta > 0."""
-    m1 = moment_quadrature(params, 1)
-    if params.beta > 0.0:
-        m2 = 2.0 / params.beta * (recurrence_rhs(params, 1) - params.alpha * m1)
-    else:
-        m2 = moment_quadrature(params, 2)
+    """Var(X) from the raw moments E[X] and E[X^2]."""
+    m1, m2 = _raw_moments(params, (1, 2))
     return m2 - m1 * m1
 
 
@@ -246,57 +239,61 @@ def quantile_measures(params: RtgleParams) -> QuantileMeasures:
 
 
 def gini_mean_difference(params: RtgleParams) -> float:
-    """Gini mean difference Delta = 2 * int_0^1 (2u - 1) Q(u) du, which is
-    2 E[(2F(X) - 1) X] by u = F(x): a cdf per point, not a quantile."""
-    return 2.0 * _expectations(
-        params, [lambda x: (2.0 * cdf(params, x) - 1.0) * x])[0]
+    """Gini mean difference E|X - X'|, twice the second L-moment."""
+    return 2.0 * l_moment(params, 2)
 
 
 def l_moment(params: RtgleParams, r: int) -> float:
     """r-th L-moment, the standard signed sum of int_0^1 u^k Q(u) du =
-    E[F(X)^k X] for k < r, integrated under one cutoff."""
+    E[F(X)^k X] for k < r, where F(G^-1(t)) = 1 - (1+p*t) e^-t."""
     if r < 1:
         raise ValueError("L-moment order r must be >= 1")
-    integrals = _expectations(params, [lambda x, k=k: cdf(params, x) ** k * x
-                                       for k in range(r)])
-    total = 0.0
-    for k, val in enumerate(integrals):
-        total += ((-1.0) ** (r - 1 - k) * math.comb(r - 1, k)
-                  * math.comb(r - 1 + k, k) * val)
-    return total
+    p = params.p
+
+    def log_cdf(t):
+        return math.log(-math.expm1(math.log1p(p * t) - t))
+    integrals = _expect(params, [lambda x, t, k=k: k * log_cdf(t) + math.log(x)
+                                 for k in range(r)])
+    return sum((-1.0) ** (r - 1 - k) * math.comb(r - 1, k)
+               * math.comb(r - 1 + k, k) * val
+               for k, val in enumerate(integrals))
 
 
 class MgfDiverged(ArithmeticError):
-    """exp(t*x) * pdf(x) does not decay at the integration cutoff."""
+    """E[exp(tX)] is infinite, or too large for a float."""
 
 
 def mgf(params: RtgleParams, t: float) -> float:
-    """Moment generating function E[exp(tX)] by quadrature."""
+    """Moment generating function E[exp(tX)] by quadrature.
+
+    X grows like c*T^e in T = m(X)^gamma, with e = 1/(2 gamma), c =
+    sqrt(2/beta) when beta > 0 and e = 1/gamma, c = 1/alpha when beta = 0,
+    so for t > 0 the MGF is finite iff e < 1, or e = 1 and t*c < 1; outside
+    that rule MgfDiverged is raised without quadrature."""
     if t == 0.0:
         return 1.0
-    hi, median = _cutoff_and(params, 0.5)
-
-    def log_integrand(x):
-        return t * x + log_pdf(params, x)
-
-    if t > 0.0:
-        logs = [log_integrand(x) for x in np.linspace(hi / 50.0, hi, 60)]
-        if log_integrand(hi) > math.log(1e-10) + max(logs):
-            raise MgfDiverged(f"integrand not decaying at cutoff for t={t!r}")
+    a, b, g, _ = params.as_tuple()
+    e, c = (0.5 / g, math.sqrt(2.0 / b)) if b > 0.0 else (1.0 / g, 1.0 / a)
+    if t > 0.0 and (e > 1.0 or (e == 1.0 and t * c >= 1.0)):
+        raise MgfDiverged(f"E[exp(tX)] is infinite for t={t!r}")
     try:
-        return _quad(lambda x: math.exp(log_integrand(x)), 0.0, hi,
-                     points=[median])
+        return _expect(params, [lambda x, _: t * x])[0]
     except OverflowError:
         raise MgfDiverged(f"integrand overflows for t={t!r}") from None
 
 
 def renyi_entropy(params: RtgleParams, rho: float) -> float:
-    """Renyi entropy (1/(1-rho)) * log int f^rho, rho > 0, rho != 1."""
+    """Renyi entropy log(int f^rho) / (1-rho), rho > 0, rho != 1, with
+    int f^rho = E[f(X)^(rho-1)].  Near 0, f ~ x^e with e = gamma-1 (alpha >
+    0) or 2*gamma-1 (alpha = 0), plus gamma or 2*gamma at p = 1; for rho > 1
+    and rho*e <= -1, int f^rho is infinite and the entropy is -inf."""
     if rho <= 0.0 or rho == 1.0:
         raise ValueError("rho must be positive and different from 1")
-    hi, median = _cutoff_and(params, 0.5)
-    val = _quad(lambda x: math.exp(rho * log_pdf(params, x)), 0.0, hi,
-                points=[median])
+    a, _, g, p = params.as_tuple()
+    e = (g if a > 0.0 else 2.0 * g) * (2.0 if p == 1.0 else 1.0) - 1.0
+    if rho > 1.0 and rho * e <= -1.0:
+        return -math.inf
+    val = _expect(params, [lambda x, _: (rho - 1.0) * log_pdf(params, x)])[0]
     return math.log(val) / (1.0 - rho)
 
 

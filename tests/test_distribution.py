@@ -149,6 +149,10 @@ def test_log_pdf_where_m_underflows():
                                             rel=1e-12)
     assert neg_log_likelihood(params, x) == pytest.approx(-sum(expected),
                                                           rel=1e-3)
+    # at p = 1 the mixing term is log z = gamma * log m, with z underflowed
+    params = RtgleParams(5e-324, 5e-324, 0.5, 1.0)
+    expected = [-745.03790892213688, -744.95089754514725]
+    assert log_pdf(params, x[:2]) == pytest.approx(expected, rel=1e-3)
 
 
 def test_hazard_against_closed_form():

@@ -17,6 +17,10 @@ from rtgle.properties import (MgfDiverged, SeriesDiverged, cumulative_hazard,
                               smallest_order_statistic_pdf, variance)
 from rtgle.special import log_beta
 
+# a quadrature that hits its subdivision limit fails the test
+pytestmark = pytest.mark.filterwarnings(
+    "error::scipy.integrate.IntegrationWarning")
+
 ROW1 = RtgleParams(0.5, 0.5, 1.2, 0.2)
 
 # frozen 40-digit quadrature/bisection oracles for ROW1
@@ -104,6 +108,58 @@ def test_mgf_diverges_for_heavy_tail():
     heavy = RtgleParams(1.0, 0.0, 0.5, 0.0)
     with pytest.raises(MgfDiverged):
         mgf(heavy, 2.0)
+
+
+@pytest.mark.parametrize("params,t,expected", [
+    (RtgleParams(1.0, 0.0, 1.0, 0.0), 0.5, 2.0),
+    (RtgleParams(1.0, 0.0, 1.0, 0.0), 0.9, 10.0),
+    # 30-digit mpmath quadrature of exp(t x) f(x) over x
+    (ROW1, 0.5, 1.9606632095923400284),
+    (ROW1, 2.0, 41.937241492174874655),
+    (RtgleParams(1.0, 0.0, 1.5, 0.5), 1.0, 4.6360985350967778616),
+])
+def test_mgf_finite_values(params, t, expected):
+    assert mgf(params, t) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("params", [
+    RtgleParams(2.0, 0.0, 1.0, 0.3),   # beta = 0: e = 1/gamma = 1, c = 1/2
+    RtgleParams(0.0, 2.0, 0.5, 0.3),   # beta > 0: e = 1/(2 gamma) = 1, c = 1
+])
+def test_mgf_on_both_sides_of_the_edge(params):
+    # at e = 1, X = c*T, so M(t) = (1-p)/(1-ct) + p/(1-ct)^2 for t*c < 1
+    c = 0.5 if params.beta == 0.0 else 1.0
+    t = 0.95 / c
+    expected = 0.7 / (1.0 - c * t) + 0.3 / (1.0 - c * t) ** 2
+    assert mgf(params, t) == pytest.approx(expected, rel=1e-9)
+    for t_inf in (1.0 / c, 1.05 / c):
+        with pytest.raises(MgfDiverged):
+            mgf(params, t_inf)
+    # e just below 1 is finite at every t; just above 1, infinite at any t
+    steeper = RtgleParams(*params.as_tuple()[:2], params.gamma * 1.01, 0.3)
+    flatter = RtgleParams(*params.as_tuple()[:2], params.gamma * 0.99, 0.3)
+    assert math.isfinite(mgf(steeper, 0.5 / c))
+    with pytest.raises(MgfDiverged):
+        mgf(flatter, 0.01)
+
+
+def test_renyi_entropy_exponential_and_infinite_integral():
+    expo = RtgleParams(1.0, 0.0, 1.0, 0.0)
+    for rho in (0.3, 0.5, 2.0):
+        assert renyi_entropy(expo, rho) == pytest.approx(
+            math.log(rho) / (rho - 1.0), rel=1e-12)
+    # f ~ x^(-1/2) near 0: int f^rho is infinite from rho = 2 on (the
+    # finite values are 30-digit mpmath quadratures over x)
+    params = RtgleParams(1.0, 0.0, 0.5, 0.5)
+    assert renyi_entropy(params, 2.0) == -math.inf
+    assert renyi_entropy(params, 1.5) == pytest.approx(1.08814467706399,
+                                                       rel=1e-9)
+    # alpha = 0 doubles the exponent, and p = 1 adds gamma to it
+    assert renyi_entropy(RtgleParams(0.0, 1.0, 0.2, 0.0), 3.0) == -math.inf
+    params = RtgleParams(1.0, 0.0, 0.25, 1.0)
+    assert renyi_entropy(params, 2.0) == -math.inf
+    assert renyi_entropy(params, 1.9) == pytest.approx(-0.164475689098226,
+                                                       rel=1e-9)
 
 
 def test_renyi_entropy_oracle():
@@ -200,3 +256,30 @@ def test_moment_report_bundle():
     assert rep.value_quadrature == pytest.approx(1.9782, abs=5e-4)
     assert rep.value_series == pytest.approx(rep.value_quadrature, rel=1e-5)
     assert rep.recurrence_residual <= 1e-6
+
+
+@pytest.mark.parametrize("params", [RtgleParams(2.0, 0.0, 0.7, 0.5),
+                                    RtgleParams(3.0, 0.0, 0.4, 0.3)])
+def test_beta_zero_moments_closed_form(params):
+    # X = T^(1/gamma)/alpha with T ~ Gamma(1) w.p. 1-p and Gamma(2) w.p. p
+    a, _, g, p = params.as_tuple()
+    for r in (1, 2, 3, 4):
+        expected = a ** -r * ((1.0 - p) * math.gamma(1.0 + r / g)
+                              + p * math.gamma(2.0 + r / g))
+        assert moment_quadrature(params, r) == pytest.approx(expected,
+                                                             rel=1e-13)
+
+
+def test_properties_solve_no_quantile(monkeypatch):
+    # no expectation integrates up to a quantile cutoff
+    from rtgle import properties
+
+    def refuse(*args):
+        raise AssertionError("quantile_vec called")
+    monkeypatch.setattr(properties, "quantile_vec", refuse)
+    assert moment_quadrature(ROW1, 1) == pytest.approx(ROW1_MEAN, rel=1e-12)
+    for value in (variance(ROW1), skewness(ROW1), kurtosis(ROW1),
+                  l_moment(ROW1, 3), gini_mean_difference(ROW1),
+                  mgf(ROW1, 0.5), renyi_entropy(ROW1, 2.0),
+                  moment_report(ROW1, 2).recurrence_residual):
+        assert math.isfinite(value)
