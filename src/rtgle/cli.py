@@ -162,7 +162,7 @@ def _cmd_compare(args) -> int:
     # data that not even the smallest model can be fitted to is a data
     # error, not a table of error rows
     x = _check_fit_data(_load(args.data), min(
-        len(spec.param_kinds) for spec in compare_mod._SPECS.values()))
+        len(model.kinds) for model in compare_mod._SPECS.values()))
     config = OptimizerConfig(n_starts=args.n_starts, seed=args.seed)
     rows = compare_mod.comparison_table(x, config)
     table = []

@@ -6,8 +6,9 @@ per fit; the parameters are floats, or (R, 1) columns of the R parameter
 vectors one step of the estimation engine evaluates.  W, RTW, LE and RTLE
 are RTGLE with some coordinates held fixed and evaluate the RTGLE kernels
 at that image; TW, TL and TLL transmute a Weibull, Lindley or log-logistic
-G into G(1 + lam - lam*G) (Shaw & Buckley, 2009).  All are fitted by
-maximum likelihood on ``estimate``'s engine.
+G into G(1 + lam - lam*G) (Shaw & Buckley, 2009).  Each is a model record
+of ``estimate``'s engine, fitted by maximum likelihood through its one fit
+routine, as RTGLE is.
 
 Two printed-source corrections, both forced by normalization (a density
 must integrate to 1):
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 # looked up here by the benchmark's per-layer tracing (bench/tracing.py)
@@ -30,11 +30,10 @@ from scipy.optimize import minimize  # noqa: F401
 
 from . import estimate
 from .distribution import (_checked, _libm, _log, _log_pdf_kernel,
-                           _log_sf_kernel, _on_support, _valid_rows, cdf)
+                           _log_sf_kernel, _on_support, cdf)
 from .estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
-                       OptimizerConfig, _check_data, _check_fit_data,
-                       _delta_method_se, _free_objective, _from_free,
-                       _row_objective, _search, _to_free)
+                       OptimizerConfig, _check_data, _delta_method_se,
+                       _from_free, _lockstep_fits, _Model)
 from .gof import GofReport, gof_report
 
 
@@ -46,17 +45,7 @@ class CompetitorModel:
 
     @property
     def n_params(self) -> int:
-        return len(_SPECS[self.kind].param_kinds)
-
-
-@dataclass(frozen=True)
-class _Spec:
-    param_names: tuple[str, ...]
-    param_kinds: tuple[str, ...]          # "pos" | "sym" (lambda) | "unit" (p)
-    log_pdf: Callable                      # (x, x2, *params) -> log f
-    log_sf: Callable                       # (x, x2, *params) -> log S
-    image: Callable | None                 # params -> RTGLE params, if nested
-    start: Callable                        # data -> natural-scale start
+        return len(_SPECS[self.kind].kinds)
 
 
 def _nested(image):
@@ -110,38 +99,39 @@ def _root(th, g):
 
 _WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0))
 
-_SPECS: dict[str, _Spec] = {
-    "RTW": _Spec(("theta", "gamma", "p"), ("pos", "pos", "unit"),
-                 *_nested(lambda th, g, p: (_root(th, g), 0.0, g, p)),
-                 start=lambda x: (1.0 / np.mean(x), 1.0, 0.5)),
-    "W": _Spec(("mu", "sigma"), ("pos", "pos"), *_WEIBULL,
-               start=lambda x: (1.0, np.mean(x))),
-    "TW": _Spec(("mu", "sigma", "lambda"), ("pos", "pos", "sym"),
-                *_transmuted(*_WEIBULL[:2]),
-                start=lambda x: (1.0, np.mean(x), 0.0)),
-    "TL": _Spec(("theta", "lambda"), ("pos", "sym"),
-                *_transmuted(_lindley_log_pdf, _lindley_log_sf),
-                start=lambda x: (1.0 / np.mean(x), 0.0)),
-    "TLL": _Spec(("alpha", "beta", "lambda"), ("pos", "pos", "sym"),
-                 *_transmuted(_loglogistic_log_pdf, _loglogistic_log_sf),
-                 start=lambda x: (np.median(x), 1.0, 0.0)),
-    "RTLE": _Spec(("alpha", "beta", "p"), ("pos", "pos", "unit"),
-                  *_nested(lambda a, b, p: (a, b, 1.0, p)),
-                  start=lambda x: (1.0 / np.mean(x),
-                                   0.1 / np.mean(x) ** 2, 0.5)),
-    "LE": _Spec(("alpha", "beta"), ("pos", "pos"),
-                *_nested(lambda a, b: (a, b, 1.0, 0.0)),
-                start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2)),
-}
+# the competitors as model records of the estimation engine; each fit
+# starts at its own start, since config.start is an RTGLE start
+_SPECS: dict[str, _Model] = {m.name: m for m in (
+    _Model("RTW", ("theta", "gamma", "p"), ("pos", "pos", "unit"),
+           *_nested(lambda th, g, p: (_root(th, g), 0.0, g, p)),
+           start=lambda x: (1.0 / np.mean(x), 1.0, 0.5)),
+    _Model("W", ("mu", "sigma"), ("pos", "pos"), *_WEIBULL,
+           start=lambda x: (1.0, np.mean(x))),
+    _Model("TW", ("mu", "sigma", "lambda"), ("pos", "pos", "sym"),
+           *_transmuted(*_WEIBULL[:2]),
+           start=lambda x: (1.0, np.mean(x), 0.0)),
+    _Model("TL", ("theta", "lambda"), ("pos", "sym"),
+           *_transmuted(_lindley_log_pdf, _lindley_log_sf),
+           start=lambda x: (1.0 / np.mean(x), 0.0)),
+    _Model("TLL", ("alpha", "beta", "lambda"), ("pos", "pos", "sym"),
+           *_transmuted(_loglogistic_log_pdf, _loglogistic_log_sf),
+           start=lambda x: (np.median(x), 1.0, 0.0)),
+    _Model("RTLE", ("alpha", "beta", "p"), ("pos", "pos", "unit"),
+           *_nested(lambda a, b, p: (a, b, 1.0, p)),
+           start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2, 0.5)),
+    _Model("LE", ("alpha", "beta"), ("pos", "pos"),
+           *_nested(lambda a, b: (a, b, 1.0, 0.0)),
+           start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2)),
+)}
 
 COMPETITOR_KINDS = tuple(_SPECS)
 
 
 def make_competitor(kind: str, *params: float) -> CompetitorModel:
     spec = _SPECS[kind]
-    if len(params) != len(spec.param_kinds):
-        raise ValueError(f"{kind} takes {len(spec.param_kinds)} parameters")
-    for v, k in zip(params, spec.param_kinds):
+    if len(params) != len(spec.kinds):
+        raise ValueError(f"{kind} takes {len(spec.kinds)} parameters")
+    for v, k in zip(params, spec.kinds):
         if k == "pos" and not v > 0.0:
             raise ValueError(f"{kind}: parameter must be > 0, got {v!r}")
         if k == "sym" and not -1.0 <= v <= 1.0:
@@ -188,33 +178,20 @@ class CompetitorFit:
     standard_errors: tuple[float, ...] | None = None
 
 
-def _likelihood(kind: str, x: np.ndarray):
-    """The negative log-likelihood of a competitor on checked data x, as a
-    one-fit objective of the free coordinates: RTGLE's MLE row objective on
-    the competitor's log density."""
-    spec = _SPECS[kind]
-    nll = _row_objective((EstimationMethod.MLE,), x[None], spec.log_pdf,
-                         spec.log_sf)
-    valid = None if spec.image is None else (
-        lambda v: _valid_rows(*spec.image(*v.T)))
-    return _free_objective(nll, spec.param_kinds, valid)
-
-
 def fit_competitor(kind: str, data,
                    config: OptimizerConfig | None = None) -> CompetitorFit:
-    """Maximum likelihood fit of one competitor on the estimation engine."""
+    """Maximum likelihood fit of one competitor: the engine's one fit
+    routine on one sample, plus the standard errors.  Raises
+    NonPositiveData, DegenerateData or AllStartsFailed."""
     config = config or OptimizerConfig()
-    kinds = _SPECS[kind].param_kinds
-    x = _check_fit_data(data, len(kinds))
-    objective = _likelihood(kind, x)
-    opt, = _search(objective, _to_free(_SPECS[kind].start(x), kinds)[None],
-                   1.0, config)
-    if opt is None:
-        raise AllStartsFailed(f"no start produced a finite likelihood for "
-                              f"{kind}")
-    values = _from_free(opt.x, kinds)
+    model = _SPECS[kind]
+    objective, _, ((opt,),) = _lockstep_fits([data], (EstimationMethod.MLE,),
+                                             config, model)
+    if isinstance(opt, Exception):
+        raise opt
+    values = _from_free(opt.x, model.kinds)
     try:
-        se = _delta_method_se(objective, opt.x, values, kinds)
+        se = _delta_method_se(objective, opt.x, values, model.kinds)
     except HessianNotPD:
         se = None
     return CompetitorFit(model=CompetitorModel(kind, values),

@@ -351,6 +351,29 @@ def _gle_inverse(params: RtgleParams, t):
     return 2.0 * c / (a + (a * a + 2.0 * b * c) ** 0.5)
 
 
+def _log_gle_inverse(params: RtgleParams):
+    """log_t -> log G^-1(t) in closed form, finite wherever log t is: with
+    c = t^(1/gamma) and k = 2*beta/alpha^2, log x = log(2c/alpha) -
+    log1p(sqrt(1 + k*c)), whose last term rounds to 0.5*log(k*c) once k*c
+    passes e^700."""
+    a, b, g, _ = params.as_tuple()
+    if a == 0.0:
+        log_scale = 0.5 * math.log(2.0 / b)
+        return lambda log_t: log_scale + 0.5 * log_t / g
+    log_a = math.log(a)
+    if b == 0.0:
+        return lambda log_t: log_t / g - log_a
+    log_k, log_2a = math.log(2.0 * b) - 2.0 * log_a, math.log(2.0) - log_a
+
+    def log_x(log_t):
+        log_c = log_t / g
+        if log_c + log_k < 700.0:
+            return log_2a + log_c - math.log1p(
+                math.sqrt(1.0 + math.exp(log_c + log_k)))
+        return log_2a + 0.5 * (log_c - log_k)
+    return log_x
+
+
 def sample_via_records(params: RtgleParams, n: int, seed: int) -> np.ndarray:
     """Record-construction sampler; an independent oracle for ``sample``.
 

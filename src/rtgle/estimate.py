@@ -2,10 +2,11 @@
 minimum-distance methods (least squares, weighted least squares,
 Anderson-Darling, Cramer-von Mises).
 
-One private engine serves these fits and the competitor fits in
-``compare``.  It searches a smooth unconstrained reparametrization chosen
-per coordinate kind (log for positive values, logit for probabilities,
-atanh for values in [-1, 1]) by multi-start Nelder-Mead.  The Nelder-Mead
+One private engine fits every model: RTGLE and the competitors in
+``compare`` are model records (``_Model``) of one fit routine.  It searches
+a smooth unconstrained reparametrization chosen per coordinate kind (log
+for positive values, logit for probabilities, atanh for values in [-1,
+1]) by multi-start Nelder-Mead.  The Nelder-Mead
 runs every start of a fit, or of many fits (``fit_many``), in lockstep on
 row objectives, and takes scipy's adaptive Nelder-Mead steps to the bit.
 ``fit`` adds an analytic-gradient BFGS polish to an MLE, and standard
@@ -18,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
@@ -278,22 +280,20 @@ _LOGIT_CLAMP = 40.0
 # largest free-coordinate gradient, relative to 1 + |objective|, at which a
 # BFGS polish that stopped on precision loss still counts as converged
 _STATIONARY_GTOL = 1e-6
-_RTGLE_KINDS = ("pos", "pos", "pos", "unit")
+
+
+def _interior(v: float, kind: str) -> bool:
+    return (v > 0.0 if kind == "pos" else 0.0 < v < 1.0 if kind == "unit"
+            else -1.0 < v < 1.0)
 
 
 def _to_free(values, kinds) -> np.ndarray:
     """Map interior natural-scale values to unconstrained coordinates."""
-    out = []
-    for v, k in zip(values, kinds):
-        if k == "pos" and v > 0.0:
-            out.append(math.log(v))
-        elif k == "unit" and 0.0 < v < 1.0:
-            out.append(math.log(v / (1.0 - v)))
-        elif k == "sym" and -1.0 < v < 1.0:
-            out.append(math.atanh(v))
-        else:
-            raise ValueError("transform requires interior parameters")
-    return np.array(out)
+    if not all(map(_interior, values, kinds)):
+        raise ValueError("transform requires interior parameters")
+    return np.array([math.log(v) if k == "pos" else math.log(v / (1.0 - v))
+                     if k == "unit" else math.atanh(v)
+                     for v, k in zip(values, kinds)])
 
 
 def _inverse(kinds):
@@ -343,12 +343,12 @@ def _jacobian(values, kinds) -> np.ndarray:
 
 def transform(params: RtgleParams) -> np.ndarray:
     """Map interior params to unconstrained R^4 (log, log, log, logit)."""
-    return _to_free(params.as_tuple(), _RTGLE_KINDS)
+    return _to_free(params.as_tuple(), _RTGLE.kinds)
 
 
 def untransform(theta) -> RtgleParams:
     """Inverse of transform; the logit coordinate is clamped to |t| <= 40."""
-    return validate(*_from_free(theta, _RTGLE_KINDS))
+    return validate(*_from_free(theta, _RTGLE.kinds))
 
 
 def _free_objective(objective, kinds, valid=None):
@@ -526,7 +526,7 @@ def _polish(objective, best: OptimizeResult, x: np.ndarray) -> None:
 
     def gradient(theta):
         values = untransform(theta).as_tuple()
-        return _nll_gradient(values, x) * _jacobian(values, _RTGLE_KINDS)
+        return _nll_gradient(values, x) * _jacobian(values, _RTGLE.kinds)
 
     try:
         polished = minimize(scalar, best.x, jac=gradient, method="BFGS",
@@ -586,46 +586,66 @@ def _delta_method_se(objective, theta: np.ndarray, values,
     return tuple(float(v) for v in se)
 
 
-# --- RTGLE fitting ---------------------------------------------------------------
+# --- models -----------------------------------------------------------------
 
-def _start_center(data: np.ndarray, config: OptimizerConfig) -> np.ndarray:
-    """A moment-flavored start in free coordinates, or config.start."""
-    if config.start is not None:
-        return transform(validate(*config.start))
-    mean = float(np.mean(data))
-    var = float(np.var(data))
-    # exponential-rate center; beta sized so the quadratic term matters
-    # at the sample scale; gamma from the coefficient-of-variation
-    # direction
-    a0 = 1.0 / mean
-    b0 = max(1.0 / (mean * mean + var), 1e-3)
-    cv2 = var / (mean * mean) if mean > 0 else 1.0
+@dataclass(frozen=True)
+class _Model:
+    """A model the engine fits: RTGLE, or a competitor in ``compare``."""
+    name: str
+    param_names: tuple[str, ...]
+    kinds: tuple[str, ...]       # per coordinate: "pos", "unit" or "sym"
+    log_pdf: Callable            # (x, x2, *params) -> log f
+    log_sf: Callable             # (x, x2, *params) -> log S
+    image: Callable | None       # params -> RTGLE params, if it has them
+    start: Callable              # checked data -> natural-scale start
+    spread: float | tuple[float, ...] = 1.0   # of the starts, free scale
+
+
+def _moment_start(x: np.ndarray) -> tuple[float, float, float, float]:
+    """A moment-flavored RTGLE start: an exponential-rate alpha, beta sized
+    so the quadratic term matters at the sample scale, gamma from the
+    coefficient-of-variation direction, and p = 1/2."""
+    mean = float(np.mean(x))
+    var = float(np.var(x))
+    cv2 = var / (mean * mean)
     g0 = min(max(1.0 / math.sqrt(cv2), 0.3), 3.0) if cv2 > 0 else 1.0
-    return np.array([math.log(a0), math.log(b0 * 0.5), math.log(g0), 0.0])
+    return (1.0 / mean, max(1.0 / (mean * mean + var), 1e-3) * 0.5, g0, 0.5)
 
 
-# spread of the perturbed starts around the center, in free coordinates
-_START_SCALE = [1.0, 1.5, 0.5, 1.5]
+_RTGLE = _Model("RTGLE", ("alpha", "beta", "gamma", "p"),
+                ("pos", "pos", "pos", "unit"), _log_pdf_kernel,
+                _log_sf_kernel, lambda *v: v, _moment_start,
+                (1.0, 1.5, 0.5, 1.5))
 
 
-def _rtgle_objective(methods, data: np.ndarray):
-    """_row_objective on the free coordinates, +inf where they map to no
-    valid parameter vector."""
-    return _free_objective(_row_objective(methods, data), _RTGLE_KINDS,
-                           lambda v: _valid_rows(*v.T))
+def _model_objective(model: _Model, methods, data: np.ndarray):
+    """_row_objective of model on the free coordinates, +inf where they map
+    to no valid RTGLE image."""
+    image = model.image
+    return _free_objective(
+        _row_objective(methods, data, model.log_pdf, model.log_sf),
+        model.kinds, image and (lambda v: _valid_rows(*image(*v.T))))
 
 
-def _lockstep_fits(samples, methods, config: OptimizerConfig):
-    """The search of fit_many: its objective, the checked samples it fits
-    and, for sample s and method j, the best optimum (an OptimizeResult in
-    free coordinates) or the typed error of that fit."""
+def _lockstep_fits(samples, methods, config: OptimizerConfig,
+                   model: _Model = _RTGLE):
+    """The one fit routine: its objective, the checked samples it fits and,
+    for sample s and method j, the best optimum (an OptimizeResult in free
+    coordinates) of model or the typed error of that fit.
+
+    A fit starts at model.start(x), or for RTGLE at config.start, whose
+    edge coordinates (a rate at 0, p at 0 or 1) take model.start(x)'s."""
     n_methods = len(methods)
     found: list = [None] * len(samples)
     fitted, data, centers = [], [], []
     for s, sample in enumerate(samples):
         try:
-            x = _check_fit_data(sample, len(_RTGLE_KINDS))
-            centers.append(_start_center(x, config))
+            x = _check_fit_data(sample, len(model.kinds))
+            center = model.start(x)
+            if model is _RTGLE and config.start is not None:
+                center = [v if _interior(v, k) else c for v, c, k in zip(
+                    validate(*config.start).as_tuple(), center, model.kinds)]
+            centers.append(_to_free(center, model.kinds))
         except (NonPositiveData, DegenerateData, InvalidParams) as exc:
             found[s] = [exc] * n_methods
             continue
@@ -635,13 +655,14 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig):
         raise ValueError("fit_many: the samples must all have one size")
     objective = None
     if fitted:
-        objective = _rtgle_objective(methods, np.array(data))
+        objective = _model_objective(model, methods, np.array(data))
         opts = _search(objective,
                        np.repeat(np.array(centers), n_methods, axis=0),
-                       _START_SCALE, config)
+                       model.spread, config)
         for i, s in enumerate(fitted):
             found[s] = [AllStartsFailed(f"no start produced a finite "
-                                        f"{m.value} objective")
+                                        f"{m.value} objective for "
+                                        f"{model.name}")
                         if opt is None else opt
                         for m, opt in zip(methods, opts[i * n_methods:])]
     return objective, data, found
@@ -702,12 +723,12 @@ def standard_errors(params_at_mle: RtgleParams, data
     the parameter space (a rate at 0, p at 0 or 1) has no transformed
     coordinates and raises HessianNotPD naming that coordinate.
     """
-    for name, v, kind in zip(("alpha", "beta", "gamma", "p"),
-                             params_at_mle.as_tuple(), _RTGLE_KINDS):
-        if v <= 0.0 or (kind == "unit" and v >= 1.0):
+    for name, v, kind in zip(_RTGLE.param_names, params_at_mle.as_tuple(),
+                             _RTGLE.kinds):
+        if not _interior(v, kind):
             raise HessianNotPD(f"{name}={v!r} is on the boundary of the "
                                "parameter space; no information matrix there")
-    objective = _rtgle_objective((EstimationMethod.MLE,),
+    objective = _model_objective(_RTGLE, (EstimationMethod.MLE,),
                                  _check_data(data)[None])
     return _delta_method_se(objective, transform(params_at_mle),
-                            params_at_mle.as_tuple(), _RTGLE_KINDS)
+                            params_at_mle.as_tuple(), _RTGLE.kinds)

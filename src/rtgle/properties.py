@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .distribution import (RtgleParams, _gle_inverse, _log_sf_kernel,
+from .distribution import (RtgleParams, _log_gle_inverse, _log_sf_kernel,
                            _on_support, cdf, hazard, log_pdf, pdf,
                            quantile_vec, sf)
 from .special import gamma_fn, log_beta
@@ -62,19 +62,20 @@ def _quad(fn) -> float:
 
 
 def _expect(params: RtgleParams, fns) -> list[float]:
-    """E[exp(fn(X, T))] for each fn, by one quadrature each on the record
+    """E[exp(fn(log X, T))] for each fn, by one quadrature each on the record
     scale: T = m(X)^gamma, the first upper record of a unit exponential with
     probability 1-p and the second with probability p, has density
-    (1-p+p*t) e^-t on (0, inf), and X = G^-1(T) in closed form."""
-    p = params.p
+    (1-p+p*t) e^-t on (0, inf), and log X = log G^-1(T) in closed form, so
+    a node's X never overflows where its integrand is finite."""
+    p, log_x = params.p, _log_gle_inverse(params)
     return [_quad(lambda t, fn=fn: math.exp(
-        fn(_gle_inverse(params, t), t) + math.log(1.0 - p + p * t) - t))
+        fn(log_x(math.log(t)), t) + math.log(1.0 - p + p * t) - t))
         for fn in fns]
 
 
 def _raw_moments(params: RtgleParams, orders) -> list[float]:
     """E[X^r] for each r in orders."""
-    return _expect(params, [lambda x, t, r=r: r * math.log(x) for r in orders])
+    return _expect(params, [lambda lx, t, r=r: r * lx for r in orders])
 
 
 def moment_quadrature(params: RtgleParams, r: int) -> float:
@@ -252,7 +253,7 @@ def l_moment(params: RtgleParams, r: int) -> float:
 
     def log_cdf(t):
         return math.log(-math.expm1(math.log1p(p * t) - t))
-    integrals = _expect(params, [lambda x, t, k=k: k * log_cdf(t) + math.log(x)
+    integrals = _expect(params, [lambda lx, t, k=k: k * log_cdf(t) + lx
                                  for k in range(r)])
     return sum((-1.0) ** (r - 1 - k) * math.comb(r - 1, k)
                * math.comb(r - 1 + k, k) * val
@@ -277,7 +278,7 @@ def mgf(params: RtgleParams, t: float) -> float:
     if t > 0.0 and (e > 1.0 or (e == 1.0 and t * c >= 1.0)):
         raise MgfDiverged(f"E[exp(tX)] is infinite for t={t!r}")
     try:
-        return _expect(params, [lambda x, _: t * x])[0]
+        return _expect(params, [lambda lx, _: t * math.exp(lx)])[0]
     except OverflowError:
         raise MgfDiverged(f"integrand overflows for t={t!r}") from None
 
@@ -293,7 +294,8 @@ def renyi_entropy(params: RtgleParams, rho: float) -> float:
     e = (g if a > 0.0 else 2.0 * g) * (2.0 if p == 1.0 else 1.0) - 1.0
     if rho > 1.0 and rho * e <= -1.0:
         return -math.inf
-    val = _expect(params, [lambda x, _: (rho - 1.0) * log_pdf(params, x)])[0]
+    val = _expect(params, [lambda lx, _: (rho - 1.0)
+                           * log_pdf(params, math.exp(lx))])[0]
     return math.log(val) / (1.0 - rho)
 
 

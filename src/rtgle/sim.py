@@ -27,9 +27,11 @@ def default_sim_optimizer(true_params: RtgleParams,
                           seed: int = 0) -> OptimizerConfig:
     """A lean optimizer setup for replicated fits: a single local search
     started at the truth, with looser stopping rules than the one-shot
-    fitter.  Dispersed multi-start search is deliberately avoided here; it
-    occasionally hops to distant near-equivalent optima, which inflates the
-    spread of the error distribution the study is trying to measure."""
+    fitter.  A coordinate of a truth on the edge (a rate at 0, p at 0 or 1)
+    starts at the fit's moment start instead.  Dispersed multi-start search
+    is deliberately avoided here; it occasionally hops to distant
+    near-equivalent optima, which inflates the spread of the error
+    distribution the study is trying to measure."""
     return OptimizerConfig(max_iterations=1000, tolerance=1e-9, n_starts=1,
                            seed=seed, step_tolerance=1e-6,
                            start=true_params.as_tuple())
@@ -42,7 +44,6 @@ class SimDesign:
     methods: tuple[EstimationMethod, ...]
     replicates: int
     seed: int = 0
-    optimizer: OptimizerConfig | None = None
 
     def __post_init__(self):
         validate(*self.true_params.as_tuple())
@@ -82,8 +83,7 @@ def _replicate_seed(master: int, size_index: int, rep: int) -> int:
 def run_design(design: SimDesign) -> SimReport:
     """Run the full replicated study; deterministic given the design."""
     truth = np.array(design.true_params.as_tuple())
-    config = design.optimizer or default_sim_optimizer(design.true_params,
-                                                       seed=design.seed)
+    config = default_sim_optimizer(design.true_params, seed=design.seed)
     report = SimReport(design=design)
     for si, n in enumerate(design.sample_sizes):
         err_sum = {m: np.zeros(4) for m in design.methods}

@@ -7,11 +7,11 @@ from scipy.optimize import minimize
 
 from rtgle import DegenerateData
 from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
-                           _likelihood, comparison_table, fit_competitor)
+                           comparison_table, fit_competitor)
 from rtgle.distribution import RtgleParams, sample, validate
-from rtgle.estimate import (_IGNORE, _OBJECTIVES, AllStartsFailed,
+from rtgle.estimate import (_IGNORE, _OBJECTIVES, _RTGLE, AllStartsFailed,
                             EstimationMethod, HessianNotPD, NonPositiveData,
-                            OptimizerConfig, _nelder_mead, _rtgle_objective,
+                            OptimizerConfig, _model_objective, _nelder_mead,
                             _to_free, ad_objective, cvm_objective, fit,
                             fit_many, ls_objective, neg_log_likelihood, nll_gradient,
                             standard_errors, transform, untransform,
@@ -321,12 +321,12 @@ LOCKSTEP_X = sample(TRUE, 40, seed=5)
 def test_lockstep_matches_scipy_nelder_mead(model):
     x = LOCKSTEP_X
     if isinstance(model, EstimationMethod):
-        objective = _rtgle_objective((model,), x[None])
+        objective = _model_objective(_RTGLE, (model,), x[None])
         center = transform(TRUE)
     else:
-        kinds = _SPECS[model].param_kinds
-        objective = _likelihood(model, x)
-        center = _to_free(_SPECS[model].start(x), kinds)
+        spec = _SPECS[model]
+        objective = _model_objective(spec, (EstimationMethod.MLE,), x[None])
+        center = _to_free(spec.start(x), spec.kinds)
     k = len(center)
     starts = [center] + list(
         center + np.random.default_rng(1).normal(size=(4, k)))

@@ -14,6 +14,8 @@ import math
 import numpy as np
 import pytest
 
+from rtgle.compare import COMPETITOR_KINDS, fit_competitor
+from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, cdf, log_pdf, sf
 from rtgle.estimate import (_IGNORE, _OBJECTIVES, EstimationMethod,
                             OptimizerConfig, _row_objective, fit, fit_many)
@@ -90,6 +92,35 @@ GOLDEN_MLE_4 = (1.2166394804086784, 0.08337645700431517, 1.7074216155030653,
 GOLDEN_MLE_4_SE = (0.2987668796202696, 0.6924098009995333,
                    0.6859902740286979, 0.347195607282064)
 
+# kind -> (params, minus2loglik, converged, standard_errors) of
+# fit_competitor(kind, TRIMMED, OptimizerConfig(n_starts=4, seed=1)),
+# recorded before the competitors ran through RTGLE's fit routine
+GOLDEN_COMPETITOR = {
+    "RTW": ((0.371397059296318, 0.809605217009729, 0.4900691685396011),
+            261.45218791891944, True,
+            (0.16504238133306606, 0.13167455755550164, 0.28929855360402607)),
+    "W": ((0.8856678829873147, 5.7709496882354525),
+          262.4914330805419, True,
+          (0.10767234903414072, 0.9937836149642776)),
+    "TW": ((0.8316401122132571, 4.811939796310217, -0.2897934017276425),
+           261.9948428877825, True,
+           (0.1320203576577598, 1.4249868671897505, 0.37293556782077575)),
+    "TL": ((0.2653163257488797, 0.27392511361968824),
+           270.8567932798904, True,
+           (0.04662986986792509, 0.35433230233044216)),
+    "TLL": ((8.724646273507387, 1.019764285634389, 0.9999999999999942),
+            269.4633018899756, True,
+            None),
+    "RTLE": ((0.16302225966111034, 0.0026618047540354134, 0.0806764445279042),
+             263.2147208623124, True,
+             (0.12748646035729047, 0.005096644236785809, 0.7177645519954456)),
+    "LE": ((0.15009827767893824, 0.002597200651467297),
+           263.21911075524844, True,
+           (0.03422659610974889, 0.004695922534137341)),
+}
+_FULL = load_dataset("embedded").values
+TRIMMED = np.delete(_FULL, flag_outliers_iqr(_FULL))
+
 
 def _public_formula(method, params, data):
     """Each objective written on the masked public cdf/sf/log_pdf."""
@@ -151,3 +182,20 @@ def test_public_objective_equals_prepared_objective(method):
 def test_fit_objective_is_public_objective_at_estimate(method):
     r = fit_many([X], (method,), default_sim_optimizer(TRUE))[0][0]
     assert r.objective == _OBJECTIVES[method](r.params, X)
+
+
+@pytest.mark.parametrize("kind", COMPETITOR_KINDS)
+def test_competitor_fit_matches_golden(kind):
+    cf = fit_competitor(kind, TRIMMED, OptimizerConfig(n_starts=4, seed=1))
+    assert (cf.model.params, cf.minus2loglik, cf.converged,
+            cf.standard_errors) == GOLDEN_COMPETITOR[kind]
+
+
+@pytest.mark.parametrize("kind", COMPETITOR_KINDS)
+def test_competitor_fit_ignores_rtgle_start(kind):
+    # config.start is an RTGLE start; a competitor fit starts at its own
+    config = OptimizerConfig(n_starts=4, seed=1)
+    with_start = OptimizerConfig(n_starts=4, seed=1,
+                                 start=(1.2, 0.5, 1.5, 0.8))
+    assert fit_competitor(kind, TRIMMED, with_start) \
+        == fit_competitor(kind, TRIMMED, config)

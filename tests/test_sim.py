@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from rtgle import cli
 from rtgle.distribution import RtgleParams, sample
-from rtgle.estimate import EstimationMethod, OptimizerConfig, fit_many
+from rtgle.estimate import EstimationMethod, fit_many
 from rtgle.sim import (SimCell, SimDesign, SimReport, default_sim_optimizer,
                        report_to_table, run_design)
 
@@ -83,14 +86,32 @@ def test_mse_jensen_bound():
 def test_p_zero_truth_estimator_respects_bounds():
     tp = RtgleParams(1.0, 0.5, 1.2, 0.0)
     design = SimDesign(true_params=tp, sample_sizes=(50,),
-                       methods=(EstimationMethod.MLE,), replicates=3, seed=4,
-                       optimizer=OptimizerConfig(
-                           n_starts=1, seed=0, step_tolerance=1e-6,
-                           start=(1.0, 0.5, 1.2, 0.01)))
+                       methods=(EstimationMethod.MLE,), replicates=3, seed=4)
     report = run_design(design)
     cell = report.cell(50, EstimationMethod.MLE)
     # bias of p-hat is mean(p-hat) - 0, and p-hat >= 0 always
     assert cell.bias[3] >= 0.0
+
+
+@pytest.mark.parametrize("truth", [(1.0, 0.5, 1.2, 0.0), (1.0, 0.5, 1.2, 1.0),
+                                   (0.0, 0.5, 1.2, 0.5), (1.0, 0.0, 1.2, 0.5)],
+                         ids=["p=0", "p=1", "alpha=0", "beta=0"])
+def test_boundary_truth_gives_finite_cells(truth):
+    # the search starts at the truth, an edge coordinate at the moment start
+    design = SimDesign(true_params=RtgleParams(*truth), sample_sizes=(20,),
+                       methods=(EstimationMethod.MLE,), replicates=2, seed=1)
+    cell = run_design(design).cell(20, EstimationMethod.MLE)
+    assert cell.n_used == 2
+    assert np.all(np.isfinite(cell.bias + cell.mse))
+
+
+def test_cli_simulates_boundary_truth(tmp_path, capsys):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"true_params": [1.0, 0.0, 1.2, 0.5],
+                                "sample_sizes": [20], "methods": ["mle"],
+                                "replicates": 2, "seed": 1}))
+    assert cli.main(["simulate", "--design", str(path)]) == 0
+    assert "MLE" in capsys.readouterr().out
 
 
 def test_report_table_layout():
