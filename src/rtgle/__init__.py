@@ -16,8 +16,8 @@ from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
                        FitResult, HessianNotPD, NonPositiveData,
                        OptimizerConfig, fit, fit_many, neg_log_likelihood,
                        nll_gradient, standard_errors)
-from .gof import (GofReport, PValueMode, StatKind, ad_statistic, aic,
-                  cvm_statistic, gof_report, ks_statistic, p_value)
+from .gof import (GofReport, StatKind, ad_statistic, aic, cvm_statistic,
+                  gof_report, ks_statistic, p_value)
 from .properties import (MgfDiverged, MomentReport, QuadratureError,
                          QuantileMeasures, SeriesDiverged, cumulative_hazard,
                          gini_mean_difference, kurtosis, l_moment, mgf,

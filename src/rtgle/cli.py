@@ -27,8 +27,8 @@ from .distribution import (InvalidParams, RtgleParams, cdf, pdf, quantile,
                            sample, validate)
 from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
                        NonPositiveData, OptimizerConfig, _check_fit_data, fit,
-                       neg_log_likelihood)
-from .gof import PValueMode, gof_report
+                       fit_many, neg_log_likelihood)
+from .gof import gof_report
 from .properties import (QuadratureError, _kurtosis, _raw_moments, _skewness,
                          quantile_measures)
 
@@ -137,21 +137,20 @@ def _cmd_gof(args) -> int:
               f"(values: {vals})",
               file=sys.stderr)
     m2ll = 2.0 * neg_log_likelihood(params, x)
+    boot_f = None
     if args.bootstrap:
-        def sampler(n, seed):
-            return sample(params, n, seed)
-
-        def refitter(boot):
-            r = fit(boot, EstimationMethod.MLE,
-                    OptimizerConfig(n_starts=4, seed=args.seed),
-                    compute_se=False)
-            return lambda t: cdf(r.params, t)
-        rep = gof_report(lambda t: cdf(params, t), x, minus2loglik=m2ll, r=4,
-                         mode=PValueMode.BOOTSTRAP, bootstrap_sampler=sampler,
-                         bootstrap_refitter=refitter, b=args.bootstrap,
-                         seed=args.seed)
-    else:
-        rep = gof_report(lambda t: cdf(params, t), x, minus2loglik=m2ll, r=4)
+        boots = [sample(params, len(x), int(np.random.SeedSequence(
+            [args.seed, b]).generate_state(1)[0]))
+            for b in range(args.bootstrap)]
+        fits = fit_many(boots, (EstimationMethod.MLE,),
+                        OptimizerConfig(n_starts=4, seed=args.seed))
+        boot_f = []
+        for boot, (refit,) in zip(boots, fits):
+            if isinstance(refit, Exception):
+                raise refit
+            boot_f.append(cdf(refit.params, np.sort(boot)))
+    rep = gof_report(lambda t: cdf(params, t), x, minus2loglik=m2ll, r=4,
+                     bootstrap_f=boot_f)
     row = dataclasses.asdict(rep)
     with _open_out(args) as out:
         _emit([row], args.format, out)
@@ -275,6 +274,15 @@ def _cmd_sample(args) -> int:
 
 # --- argument parsing -----------------------------------------------------------
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a usage error."""
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtgle",
@@ -297,12 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, data=True)
     p.add_argument("--method", choices=[m.value for m in EstimationMethod],
                    default="mle")
-    p.add_argument("--n-starts", type=int, default=20)
+    p.add_argument("--n-starts", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("gof", help="goodness-of-fit report at given params")
     common(p, data=True, params=True)
-    p.add_argument("--bootstrap", type=int, default=0, metavar="B",
+    p.add_argument("--bootstrap", type=_int_at_least(0), default=0,
+                   metavar="B",
                    help="use parametric bootstrap p-values with B replicates")
     p.add_argument("--flag-outliers", action="store_true",
                    help="report boxplot-rule outlier indices on stderr")
@@ -311,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare",
                        help="fit RTGLE and 7 competitors, rank by AIC")
     common(p, data=True)
-    p.add_argument("--n-starts", type=int, default=20)
+    p.add_argument("--n-starts", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo bias/MSE design")

@@ -676,27 +676,26 @@ def _fit_result(opt: OptimizeResult, method: EstimationMethod,
 
 
 def fit(data, method: EstimationMethod,
-        config: OptimizerConfig | None = None,
-        compute_se: bool = True) -> FitResult:
+        config: OptimizerConfig | None = None) -> FitResult:
     """Minimize the chosen objective by multi-start Nelder-Mead.
 
     Deterministic given (data, method, config.seed).  This is
     fit_many([data], (method,), config)[0][0], raised if an error, and for
     MLE an analytic-gradient BFGS polish from it when it is interior, then
-    the standard errors (compute_se).
+    the standard errors.
     """
     config = config or OptimizerConfig()
     objective, checked, ((opt,),) = _lockstep_fits([data], (method,), config)
     if isinstance(opt, Exception):
         raise opt
-    if method is EstimationMethod.MLE:
-        _polish(objective, opt, checked[0])
+    if method is not EstimationMethod.MLE:
+        return _fit_result(opt, method, config)
+    _polish(objective, opt, checked[0])
     result = _fit_result(opt, method, config)
-    if method is EstimationMethod.MLE and compute_se:
-        try:
-            result.standard_errors = standard_errors(result.params, checked[0])
-        except HessianNotPD as exc:
-            result.diagnostics = str(exc)
+    try:
+        result.standard_errors = standard_errors(result.params, checked[0])
+    except HessianNotPD as exc:
+        result.diagnostics = str(exc)
     return result
 
 

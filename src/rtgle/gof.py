@@ -2,8 +2,9 @@
 their p-values, and likelihood-based selection criteria.
 
 Asymptotic p-values treat the fitted parameters as known, matching common
-practice; a parametric-bootstrap mode is available for honest calibration
-with estimated parameters.
+practice.  With estimated parameters, a parametric bootstrap calibrates
+them: the caller refits each bootstrap sample and hands gof_report the
+refitted distribution functions at the sorted samples.
 
 Asymptotic formulas used:
   KS  -- Kolmogorov series 2*sum (-1)^(k-1) exp(-2 k^2 lam^2) with the
@@ -29,11 +30,6 @@ class StatKind(enum.Enum):
     KS = "ks"
     CVM = "cvm"
     AD = "ad"
-
-
-class PValueMode(enum.Enum):
-    ASYMPTOTIC = "asymptotic"
-    BOOTSTRAP = "bootstrap"
 
 
 @dataclass
@@ -162,45 +158,15 @@ def _ad_cdf_asymptotic(z: float) -> float:
     return min(max(math.sqrt(2.0 * math.pi) / z * total, 0.0), 1.0)
 
 
-def p_value(statistic: float, kind: StatKind, n: int,
-            mode: PValueMode = PValueMode.ASYMPTOTIC,
-            bootstrap_sampler=None, bootstrap_refitter=None,
-            b: int = 199, seed: int = 0) -> float:
-    """Null p-value for a statistic of the given kind.
-
-    Bootstrap mode needs ``bootstrap_sampler(n, seed) -> sample`` drawing
-    from the fitted model and ``bootstrap_refitter(sample) -> cdf_evaluator``
-    refitting and returning the refitted distribution function; the p-value
-    is (1 + #{boot >= observed}) / (B + 1).
-    """
-    if mode is PValueMode.ASYMPTOTIC:
-        if kind is StatKind.KS:
-            return _ks_p_asymptotic(statistic, n)
-        if kind is StatKind.CVM:
-            return 1.0 - _cvm_cdf_asymptotic(statistic)
-        if kind is StatKind.AD:
-            return 1.0 - _ad_cdf_asymptotic(statistic)
-        raise ValueError(f"unknown statistic kind: {kind!r}")
-    return _bootstrap_p_values({kind: statistic}, n, bootstrap_sampler,
-                               bootstrap_refitter, b, seed)[kind]
-
-
-def _bootstrap_p_values(observed: dict, n: int, sampler, refitter, b: int,
-                        seed: int) -> dict:
-    """Bootstrap p-values of several observed statistics, {kind: value},
-    from one loop of B draws and refits; replicate rep is drawn with the
-    seed SeedSequence([seed, rep])."""
-    if sampler is None or refitter is None:
-        raise ValueError("bootstrap mode requires sampler and refitter")
-    exceed = dict.fromkeys(observed, 0)
-    for rep in range(b):
-        rep_seed = int(np.random.SeedSequence([seed, rep]).generate_state(1)[0])
-        boot = sampler(n, rep_seed)
-        f = _sorted_f(refitter(boot), boot)
-        for kind, statistic in observed.items():
-            if _STATISTICS[kind](f) >= statistic:
-                exceed[kind] += 1
-    return {kind: (1.0 + k) / (b + 1.0) for kind, k in exceed.items()}
+def p_value(statistic: float, kind: StatKind, n: int) -> float:
+    """Asymptotic null p-value for a statistic of the given kind."""
+    if kind is StatKind.KS:
+        return _ks_p_asymptotic(statistic, n)
+    if kind is StatKind.CVM:
+        return 1.0 - _cvm_cdf_asymptotic(statistic)
+    if kind is StatKind.AD:
+        return 1.0 - _ad_cdf_asymptotic(statistic)
+    raise ValueError(f"unknown statistic kind: {kind!r}")
 
 
 def aic(minus2loglik: float, r: int) -> float:
@@ -210,21 +176,29 @@ def aic(minus2loglik: float, r: int) -> float:
     return minus2loglik + 2.0 * r
 
 
-def gof_report(cdf_evaluator, data, minus2loglik: float, r: int,
-               mode: PValueMode = PValueMode.ASYMPTOTIC,
-               bootstrap_sampler=None, bootstrap_refitter=None,
-               b: int = 199, seed: int = 0) -> GofReport:
-    """All three statistics with p-values, plus -2logL and AIC."""
+def gof_report(cdf_evaluator, data, minus2loglik: float, r: int, *,
+               bootstrap_f=None) -> GofReport:
+    """All three statistics with p-values, plus -2logL and AIC.
+
+    The p-values are asymptotic, or with bootstrap_f parametric-bootstrap
+    ones: row b of bootstrap_f (B, n) is the refitted distribution function
+    at the sorted b-th bootstrap sample, and a p-value is
+    (1 + #{b: statistic of row b >= observed}) / (B + 1).
+    """
     f = _sorted_f(cdf_evaluator, data)
     n = len(f)
     observed = {kind: stat(f) for kind, stat in _STATISTICS.items()}
-    if mode is PValueMode.ASYMPTOTIC:
+    if bootstrap_f is None:
         p = {kind: p_value(stat, kind, n) for kind, stat in observed.items()}
         mode_label = "asymptotic"
     else:
-        p = _bootstrap_p_values(observed, n, bootstrap_sampler,
-                                bootstrap_refitter, b, seed)
-        mode_label = f"bootstrap({b})"
+        boot = np.asarray(bootstrap_f, dtype=float)
+        if boot.ndim != 2 or len(boot) == 0 or boot.shape[1] != n:
+            raise ValueError(f"bootstrap_f must have shape (B >= 1, {n}), "
+                             f"got {boot.shape}")
+        p = {kind: (1.0 + sum(stat(row) >= observed[kind] for row in boot))
+             / (len(boot) + 1.0) for kind, stat in _STATISTICS.items()}
+        mode_label = f"bootstrap({len(boot)})"
     return GofReport(
         ks=observed[StatKind.KS], cvm=observed[StatKind.CVM],
         ad=observed[StatKind.AD],

@@ -52,8 +52,8 @@ class QuantileMeasures:
     moors_kurtosis: float
 
 
-def _quad(fn) -> float:
-    val, err = quad(fn, 0.0, math.inf, epsabs=0.0, epsrel=1e-11, limit=400)
+def _quad(fn, a: float = 0.0, b: float = math.inf) -> float:
+    val, err = quad(fn, a, b, epsabs=0.0, epsrel=1e-11, limit=400)
     if not math.isfinite(val):
         raise QuadratureError("integral is not finite")
     if err > max(1e-9, 1e-8 * abs(val)):
@@ -284,18 +284,34 @@ def mgf(params: RtgleParams, t: float) -> float:
 
 
 def renyi_entropy(params: RtgleParams, rho: float) -> float:
-    """Renyi entropy log(int f^rho) / (1-rho), rho > 0, rho != 1, with
-    int f^rho = E[f(X)^(rho-1)].  Near 0, f ~ x^e with e = gamma-1 (alpha >
-    0) or 2*gamma-1 (alpha = 0), plus gamma or 2*gamma at p = 1; for rho > 1
-    and rho*e <= -1, int f^rho is infinite and the entropy is -inf."""
+    """Renyi entropy log(int f^rho) / (1-rho), rho > 0, rho != 1.
+
+    int f^rho = E[f(X)^(rho-1)] is one integral over the record scale t =
+    m(x)^gamma, in log t: f = (1-p+p*t) e^-t gamma t^(1-1/gamma) (alpha +
+    beta*x).  Near 0, x ~ t^(1/g1), g1 = gamma (alpha > 0) or 2*gamma, the
+    record density is ~ t^(q-1), q = 2 at p = 1, else 1, and f ~ x^e, e =
+    g1*q - 1, so the integrand is ~ t^c, c = (rho-1)*e/g1 + q - 1: for c <=
+    -1 (rho > 1, rho*e <= -1) int f^rho is infinite and the entropy -inf,
+    else t = s^k, k = 1/(1+c), makes it bounded on s in (0, 1)."""
     if rho <= 0.0 or rho == 1.0:
         raise ValueError("rho must be positive and different from 1")
-    a, _, g, p = params.as_tuple()
-    e = (g if a > 0.0 else 2.0 * g) * (2.0 if p == 1.0 else 1.0) - 1.0
-    if rho > 1.0 and rho * e <= -1.0:
+    a, b, g, p = params.as_tuple()
+    g1, q = (g if a > 0.0 else 2.0 * g), (2.0 if p == 1.0 else 1.0)
+    c = (rho - 1.0) * (g1 * q - 1.0) / g1 + q - 1.0
+    if c <= -1.0:
         return -math.inf
-    val = _expect(params, [lambda lx, _: (rho - 1.0)
-                           * log_pdf(params, math.exp(lx))])[0]
+    k, log_x = 1.0 / (1.0 + min(c, 0.0)), _log_gle_inverse(params)
+    log_1mp, log_p, log_a, log_b = (math.log(v) if v > 0.0 else -math.inf
+                                    for v in (1.0 - p, p, a, b))
+
+    def log_integrand(log_t):
+        return (rho * (np.logaddexp(log_1mp, log_p + log_t) - math.exp(log_t))
+                + (rho - 1.0) * (math.log(g) + (1.0 - 1.0 / g) * log_t
+                                 + np.logaddexp(log_a, log_b + log_x(log_t))))
+    val = (_quad(lambda s: math.exp(log_integrand(k * math.log(s))
+                                    + math.log(k) + (k - 1.0) * math.log(s)),
+                 0.0, 1.0)
+           + _quad(lambda t: math.exp(log_integrand(math.log(t))), 1.0))
     return math.log(val) / (1.0 - rho)
 
 

@@ -41,3 +41,13 @@ def test_fit_takes_data_method_config_first():
     # the tracer reads fit's first three arguments by position
     assert list(inspect.signature(estimate.fit).parameters)[:3] \
         == ["data", "method", "config"]
+
+
+def test_gof_report_has_four_positional_parameters():
+    # the tracer reads gof_report's fifth positional argument, or its
+    # keyword mode, as a bootstrap mode
+    from rtgle import gof
+    params = inspect.signature(gof.gof_report).parameters.values()
+    assert [p.kind for p in params].count(
+        inspect.Parameter.POSITIONAL_OR_KEYWORD) == 4
+    assert "mode" not in [p.name for p in params]

@@ -180,3 +180,83 @@ def test_degenerate_data_exit_code(tmp_path, capsys, content):
         code, _, err = run_cli(capsys, command, "--data", str(f))
         assert code == 3, command
         assert "distinct" in err
+
+
+@pytest.fixture
+def trimmed_file(tmp_path):
+    from rtgle.datasets import flag_outliers_iqr, load_dataset
+    full = load_dataset("embedded").values
+    path = tmp_path / "trimmed.txt"
+    path.write_text("\n".join(repr(float(v)) for v in
+                              np.delete(full, flag_outliers_iqr(full))))
+    return str(path)
+
+
+@pytest.mark.parametrize("seed,expected", [("0", (0.6, 0.6, 0.8)),
+                                           ("3", (0.8, 0.8, 0.8))])
+def test_gof_bootstrap_pinned(capsys, trimmed_file, seed, expected):
+    # p-values of a 4-replicate bootstrap at the reference estimate, as the
+    # per-replicate refit loop gave them
+    from _reference import REAL_DATA_MLE
+    code, out, _ = run_cli(capsys, "gof", "--data", trimmed_file, "--params",
+                           ",".join(map(repr, REAL_DATA_MLE)), "--bootstrap",
+                           "4", "--seed", seed, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["p_ks"], doc["p_cvm"], doc["p_ad"]) == expected
+    assert doc["p_value_mode"] == "bootstrap(4)"
+
+
+def test_gof_bootstrap_refits_in_one_search(capsys, monkeypatch):
+    # every replicate is drawn once and all are refitted in one fit_many
+    from rtgle import cli
+    calls = {"sample": 0, "fit_many": []}
+
+    def counted_sample(*args, **kwargs):
+        calls["sample"] += 1
+        return sample(*args, **kwargs)
+
+    def counted_fit_many(samples, *args, **kwargs):
+        calls["fit_many"].append(len(samples))
+        return fit_many(samples, *args, **kwargs)
+
+    sample, fit_many = cli.sample, cli.fit_many
+    monkeypatch.setattr(cli, "sample", counted_sample)
+    monkeypatch.setattr(cli, "fit_many", counted_fit_many)
+    code, out, _ = run_cli(capsys, "gof", "--data", "embedded", "--params",
+                           "0.1561,0.0411,0.6199,0.4068", "--bootstrap", "7",
+                           "--format", "json")
+    assert code == 0
+    assert calls == {"sample": 7, "fit_many": [7]}
+    assert json.loads(out)["p_value_mode"] == "bootstrap(7)"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gof", "--data", "embedded", "--params", "0.1561,0.0411,0.6199,0.4068",
+     "--bootstrap", "-3"),
+    ("fit", "--data", "embedded", "--n-starts", "0"),
+    ("compare", "--data", "embedded", "--n-starts", "0")], ids=lambda a: a[0])
+def test_count_option_below_minimum_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be >= " in capsys.readouterr().err
+
+
+def test_gof_bootstrap_raises_first_failed_refit(capsys, monkeypatch):
+    # as a refit loop would: the first replicate whose refit failed decides
+    from rtgle import cli
+    from rtgle.estimate import AllStartsFailed, DegenerateData
+
+    def failing_fit_many(samples, methods, config):
+        rows = fit_many(samples, methods, config)
+        rows[1] = [DegenerateData("replicate 1")]
+        rows[2] = [AllStartsFailed("replicate 2")]
+        return rows
+
+    fit_many = cli.fit_many
+    monkeypatch.setattr(cli, "fit_many", failing_fit_many)
+    code, _, err = run_cli(capsys, "gof", "--data", "embedded", "--params",
+                           "0.1561,0.0411,0.6199,0.4068", "--bootstrap", "3")
+    assert code == 3
+    assert "replicate 1" in err

@@ -79,7 +79,7 @@ def test_fit_objective_beats_truth():
     x = sample(TRUE, 150, seed=9)
     config = OptimizerConfig(n_starts=4, seed=0)
     for method in EstimationMethod:
-        result = fit(x, method, config, compute_se=False)
+        result = fit(x, method, config)
         truth_obj = _OBJECTIVES[method](TRUE, x)
         assert result.objective <= truth_obj + 1e-9
 
@@ -208,15 +208,14 @@ def test_p_zero_data_small_p_bias():
     p_hats = []
     for rep in range(20):
         x = sample(tp, 200, seed=500 + rep)
-        r = fit(x, EstimationMethod.MLE, config, compute_se=False)
+        r = fit(x, EstimationMethod.MLE, config)
         p_hats.append(r.params.p)
     assert np.mean(p_hats) <= 0.15
 
 
 def test_gradient_small_at_interior_optimum():
     x = sample(TRUE, 400, seed=33)
-    r = fit(x, EstimationMethod.MLE, OptimizerConfig(n_starts=4, seed=0),
-            compute_se=False)
+    r = fit(x, EstimationMethod.MLE, OptimizerConfig(n_starts=4, seed=0))
     a, b, g, p = r.params.as_tuple()
     if a > 0 and b > 0 and 0.0 < p < 1.0:
         grad = nll_gradient(r.params, x)
@@ -378,5 +377,5 @@ def test_distance_fit_is_fit_many(method):
     # only an MLE fit adds a polish to the lockstep search
     x = sample(TRUE, 30, seed=2)
     config = OptimizerConfig(n_starts=3, max_iterations=300)
-    assert fit(x, method, config, compute_se=False) \
+    assert fit(x, method, config) \
         == fit_many([x], (method,), config)[0][0]

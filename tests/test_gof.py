@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rtgle.distribution import (RtgleParams, cdf, exponential, quantile,
-                                sample)
-from rtgle.estimate import EstimationMethod, OptimizerConfig, fit
-from rtgle.gof import (GofReport, PValueMode, StatKind, _ad_cdf_asymptotic,
+from rtgle.distribution import RtgleParams, cdf, sample
+from rtgle.gof import (GofReport, StatKind, _ad_cdf_asymptotic,
                        _cvm_cdf_asymptotic, ad_statistic, aic, cvm_statistic,
                        gof_report, ks_statistic, p_value)
 
@@ -83,52 +81,67 @@ def test_gof_report_fields():
     assert rep.p_ks > 0.01 and rep.p_cvm > 0.01 and rep.p_ad > 0.01
 
 
+def _known_params_f(b, n, seed):
+    """bootstrap_f with the parameters treated as known: no refit, row rep
+    is the fixed cdf at the sorted sample drawn with SeedSequence([seed,
+    rep])."""
+    return np.array([cdf(PARAMS, np.sort(sample(PARAMS, n, int(
+        np.random.SeedSequence([seed, rep]).generate_state(1)[0]))))
+        for rep in range(b)])
+
+
 def test_bootstrap_p_value_deterministic_and_calibrated():
     x = sample(PARAMS, 60, seed=14)
-    obs = ks_statistic(lambda t: cdf(PARAMS, t), x)
 
-    def sampler(n, seed):
-        return sample(PARAMS, n, seed)
-
-    def refitter(boot):
-        # parameters treated as known: no refit, fixed cdf
-        return lambda t: cdf(PARAMS, t)
-
-    kwargs = dict(mode=PValueMode.BOOTSTRAP, bootstrap_sampler=sampler,
-                  bootstrap_refitter=refitter, b=99, seed=5)
-    p1 = p_value(obs, StatKind.KS, 60, **kwargs)
-    p2 = p_value(obs, StatKind.KS, 60, **kwargs)
+    def p_ks():
+        return gof_report(lambda t: cdf(PARAMS, t), x, minus2loglik=1.0, r=4,
+                          bootstrap_f=_known_params_f(99, 60, 5)).p_ks
+    p1, p2 = p_ks(), p_ks()
     assert p1 == p2
     assert 1.0 / 100.0 <= p1 <= 1.0
     # with known parameters the bootstrap and asymptotic p should agree
     # loosely for a mid-range statistic
-    p_asym = p_value(obs, StatKind.KS, 60)
+    p_asym = p_value(ks_statistic(lambda t: cdf(PARAMS, t), x),
+                     StatKind.KS, 60)
     assert abs(p1 - p_asym) < 0.3
 
 
 def test_bootstrap_calibration_under_null():
     # data drawn from the hypothesized model: p-values should look uniform
-    def sampler(n, seed):
-        return sample(PARAMS, n, seed)
-
-    def refitter(boot):
-        return lambda t: cdf(PARAMS, t)
-
     small = 0
     for rep in range(50):
         x = sample(PARAMS, 30, seed=9000 + rep)
-        obs = ks_statistic(lambda t: cdf(PARAMS, t), x)
-        p = p_value(obs, StatKind.KS, 30, mode=PValueMode.BOOTSTRAP,
-                    bootstrap_sampler=sampler, bootstrap_refitter=refitter,
-                    b=199, seed=rep)
+        p = gof_report(lambda t: cdf(PARAMS, t), x, minus2loglik=1.0, r=4,
+                       bootstrap_f=_known_params_f(199, 30, rep)).p_ks
         if p < 0.1:
             small += 1
     assert 0.02 <= small / 50.0 <= 0.25
 
 
-def test_bootstrap_requires_callables():
-    with pytest.raises(ValueError):
-        p_value(0.1, StatKind.KS, 50, mode=PValueMode.BOOTSTRAP)
+def test_bootstrap_f_shape_checked():
+    # one row of n refitted cdf values per replicate, and B >= 1 replicates
+    x = sample(PARAMS, 40, seed=21)
+    for shape in ((5,), (0, 40), (5, 39), (5, 41), (2, 5, 40)):
+        with pytest.raises(ValueError, match="bootstrap_f"):
+            gof_report(lambda t: cdf(PARAMS, t), x, minus2loglik=1.0, r=4,
+                       bootstrap_f=np.full(shape, 0.5))
+
+
+def test_bootstrap_counts_exceedances():
+    # p = (1 + #{row statistic >= observed}) / (B + 1), per statistic
+    x = sample(PARAMS, 40, seed=21)
+    f = cdf(PARAMS, np.sort(x))
+    rows = np.array([f, (np.arange(1, 41) - 0.5) / 40, f ** 3])
+    rep = gof_report(lambda t: cdf(PARAMS, t), x, minus2loglik=1.0, r=1,
+                     bootstrap_f=rows)
+    for kind, stat, p in ((StatKind.KS, ks_statistic, rep.p_ks),
+                          (StatKind.CVM, cvm_statistic, rep.p_cvm),
+                          (StatKind.AD, ad_statistic, rep.p_ad)):
+        observed = stat(lambda t: cdf(PARAMS, t), x)
+        exceed = sum(stat(lambda t, r=row: r, row) >= observed
+                     for row in rows)
+        assert p == (1.0 + exceed) / 4.0, kind
+    assert rep.p_value_mode == "bootstrap(3)"
 
 
 def test_empty_data_rejected():
@@ -136,50 +149,17 @@ def test_empty_data_rejected():
         ks_statistic(_uniform_cdf, [])
 
 
-def test_report_bootstrap_refits_each_replicate_once():
-    x = sample(PARAMS, 40, seed=21)
-    calls = {"sampler": 0, "refitter": 0}
-
-    def sampler(n, seed):
-        calls["sampler"] += 1
-        return sample(PARAMS, n, seed)
-
-    def refitter(boot):
-        # a cheap real refit: the exponential rate 1/mean
-        calls["refitter"] += 1
-        fitted = exponential(1.0 / float(np.mean(boot)))
-        return lambda t: cdf(fitted, t)
-
-    fitted = exponential(1.0 / float(np.mean(x)))
-    b = 7
-    kwargs = dict(mode=PValueMode.BOOTSTRAP, bootstrap_sampler=sampler,
-                  bootstrap_refitter=refitter, b=b, seed=3)
-    rep = gof_report(lambda t: cdf(fitted, t), x, minus2loglik=1.0, r=1,
-                     **kwargs)
-    assert calls == {"sampler": b, "refitter": b}
-    separate = [p_value(stat, kind, len(x), **kwargs) for stat, kind in
-                ((rep.ks, StatKind.KS), (rep.cvm, StatKind.CVM),
-                 (rep.ad, StatKind.AD))]
-    assert [rep.p_ks, rep.p_cvm, rep.p_ad] == separate
-    assert rep.p_value_mode == f"bootstrap({b})"
-
-
 def test_report_evaluates_cdf_once_per_sample():
     x = sample(PARAMS, 40, seed=22)
     calls = [0]
 
-    def counted(params):
-        def cdf_evaluator(t):
-            calls[0] += 1
-            return cdf(params, t)
-        return cdf_evaluator
+    def counted(t):
+        calls[0] += 1
+        return cdf(PARAMS, t)
 
-    gof_report(counted(PARAMS), x, minus2loglik=1.0, r=4)
+    gof_report(counted, x, minus2loglik=1.0, r=4)
     assert calls[0] == 1
     calls[0] = 0
-    b = 5
-    gof_report(counted(PARAMS), x, minus2loglik=1.0, r=4,
-               mode=PValueMode.BOOTSTRAP,
-               bootstrap_sampler=lambda n, seed: sample(PARAMS, n, seed),
-               bootstrap_refitter=lambda boot: counted(PARAMS), b=b, seed=1)
-    assert calls[0] == 1 + b
+    gof_report(counted, x, minus2loglik=1.0, r=4,
+               bootstrap_f=_known_params_f(5, 40, 1))
+    assert calls[0] == 1

@@ -158,6 +158,19 @@ def test_renyi_entropy_exponential_and_infinite_integral():
                                                        rel=1e-9)
 
 
+def test_renyi_entropy_near_the_infinite_edge():
+    # the integrand ~ t^c at 0 on the record scale, c = -0.9, -0.33, -0.999
+    # and -0.893 (30-digit mpmath quadratures over x); pyproject.toml makes
+    # a quadrature warning an error
+    for params, rho, expected in (
+            ((1.0, 0.0, 0.5, 0.5), 1.9, -0.406446614422433102),
+            ((1.0, 0.5, 0.3, 1.0), 2.0, 1.25226644670707913),
+            ((1.0, 0.0, 0.5, 0.5), 1.999, -4.83451478550702909),
+            ((1.0, 0.0, 0.05, 0.5), 1.047, -30.0850290998788852)):
+        assert abs(renyi_entropy(RtgleParams(*params), rho) - expected) \
+            < 1e-12 * max(1.0, abs(expected)), (params, rho)
+
+
 def test_renyi_entropy_oracle():
     assert renyi_entropy(ROW1, 2.0) == pytest.approx(ROW1_RENYI_2, rel=1e-8)
     # exponential(1): Renyi entropy at rho is log(rho)/(rho-1)
