@@ -249,8 +249,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_sample(args) -> int:
     params = _parse_params(args.params)
-    if args.n < 1:
-        raise DataError("--n must be >= 1")
     values = sample(params, args.n, seed=args.seed)
     with _open_out(args) as out:
         if args.format == "json":
@@ -337,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw random variates")
     common(p, params=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--curves", action="store_true",
                    help="also emit a CSV grid of (x, pdf, cdf)")
     p.set_defaults(func=_cmd_sample)

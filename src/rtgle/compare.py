@@ -25,8 +25,6 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
-# looked up here by the benchmark's per-layer tracing (bench/tracing.py)
-from scipy.optimize import minimize  # noqa: F401
 
 from . import estimate
 from .distribution import (_checked, _libm, _log, _log_pdf_kernel,
@@ -34,6 +32,8 @@ from .distribution import (_checked, _libm, _log, _log_pdf_kernel,
 from .estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
                        OptimizerConfig, _check_data, _delta_method_se,
                        _from_free, _lockstep_fits, _Model)
+# looked up here by the benchmark's per-layer tracing (bench/tracing.py)
+from .estimate import minimize  # noqa: F401
 from .gof import GofReport, gof_report
 
 

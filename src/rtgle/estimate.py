@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 # log_pdf, cdf and sf are looked up here by the benchmark's per-layer
 # tracing (bench/tracing.py)
@@ -476,9 +475,18 @@ def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
     return x, fun, nit, nit < maxiter
 
 
+@dataclass
+class _Optimum:
+    """The best optimum of one fit's search, in free coordinates."""
+    x: np.ndarray
+    fun: float
+    nit: int
+    success: bool
+
+
 @np.errstate(**_IGNORE)
 def _search(objective, centers: np.ndarray, scale,
-            config: OptimizerConfig) -> list[OptimizeResult | None]:
+            config: OptimizerConfig) -> list[_Optimum | None]:
     """Multi-start Nelder-Mead for many fits at once, all in one lockstep
     search (_nelder_mead).
 
@@ -487,8 +495,8 @@ def _search(objective, centers: np.ndarray, scale,
     normal perturbations of it with standard deviation scale (Philox keyed
     by config.seed, the same for every fit); a start with a non-finite
     objective is dropped.  Runs with floating-point warnings off (_IGNORE).
-    Returns for each fit the optimum of its best start as an OptimizeResult
-    (x, fun, nit, success), or None where no start ended finite.
+    Returns for each fit the optimum of its best start as an _Optimum, or
+    None where no start ended finite.
     """
     n_fits, k = centers.shape
     n = config.n_starts
@@ -509,13 +517,21 @@ def _search(objective, centers: np.ndarray, scale,
     # each fit keeps the first of its best finite optima
     fun[~np.isfinite(fun)] = np.inf
     best = np.argmin(fun.reshape(n_fits, n), axis=1) + np.arange(n_fits) * n
-    return [OptimizeResult(x=x[r], fun=fun[r], nit=int(nit[r]),
-                           success=bool(success[r]))
+    return [_Optimum(x=x[r], fun=fun[r], nit=int(nit[r]),
+                     success=bool(success[r]))
             if np.isfinite(fun[r]) else None for r in best.tolist()]
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported by the first call so that importing
+    rtgle does not load scipy.optimize.  _polish calls it by this module
+    name, which the benchmark's per-layer tracing wraps."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 @np.errstate(**_IGNORE)
-def _polish(objective, best: OptimizeResult, x: np.ndarray) -> None:
+def _polish(objective, best: _Optimum, x: np.ndarray) -> None:
     """Replace the optimum best of the one-fit MLE objective on checked
     data x by a BFGS polish from it on the analytic gradient, unless that
     raises the objective."""
@@ -630,7 +646,7 @@ def _model_objective(model: _Model, methods, data: np.ndarray):
 def _lockstep_fits(samples, methods, config: OptimizerConfig,
                    model: _Model = _RTGLE):
     """The one fit routine: its objective, the checked samples it fits and,
-    for sample s and method j, the best optimum (an OptimizeResult in free
+    for sample s and method j, the best optimum (an _Optimum in free
     coordinates) of model or the typed error of that fit.
 
     A fit starts at model.start(x), or for RTGLE at config.start, whose
@@ -668,7 +684,7 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     return objective, data, found
 
 
-def _fit_result(opt: OptimizeResult, method: EstimationMethod,
+def _fit_result(opt: _Optimum, method: EstimationMethod,
                 config: OptimizerConfig) -> FitResult:
     return FitResult(params=untransform(opt.x), objective=float(opt.fun),
                      converged=bool(opt.success), iterations=int(opt.nit),

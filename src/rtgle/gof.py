@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, kv
 
 
 class StatKind(enum.Enum):
@@ -116,6 +114,7 @@ def _ks_p_asymptotic(d: float, n: int) -> float:
 
 
 def _cvm_cdf_asymptotic(x: float) -> float:
+    from scipy.special import gammaln, kv
     if x <= 0.0:
         return 0.0
     total = 0.0
@@ -134,6 +133,8 @@ def _cvm_cdf_asymptotic(x: float) -> float:
 
 
 def _ad_cdf_asymptotic(z: float) -> float:
+    from scipy.integrate import quad
+    from scipy.special import gammaln
     if z <= 0.0:
         return 0.0
     if z > 32.0:

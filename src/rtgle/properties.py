@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .distribution import (RtgleParams, _log_gle_inverse, _log_sf_kernel,
                            _on_support, cdf, hazard, log_pdf, pdf,
@@ -53,6 +52,7 @@ class QuantileMeasures:
 
 
 def _quad(fn, a: float = 0.0, b: float = math.inf) -> float:
+    from scipy.integrate import quad
     val, err = quad(fn, a, b, epsabs=0.0, epsrel=1e-11, limit=400)
     if not math.isfinite(val):
         raise QuadratureError("integral is not finite")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import lambertw
 
 MAX_ITER = 50
 
@@ -37,6 +36,7 @@ class NonConvergenceError(ArithmeticError):
 
 def lambert_w0(v: float) -> float:
     """Principal branch W0(v) for v >= -1/e."""
+    from scipy.special import lambertw
     if math.isnan(v):
         raise SpecialDomainError("lambert_w0: NaN argument")
     if v < -_INV_E - _BRANCH_SLACK:

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,7 +238,8 @@ def test_gof_bootstrap_refits_in_one_search(capsys, monkeypatch):
     ("gof", "--data", "embedded", "--params", "0.1561,0.0411,0.6199,0.4068",
      "--bootstrap", "-3"),
     ("fit", "--data", "embedded", "--n-starts", "0"),
-    ("compare", "--data", "embedded", "--n-starts", "0")], ids=lambda a: a[0])
+    ("compare", "--data", "embedded", "--n-starts", "0"),
+    ("sample", "--params", "1,0,1,0", "--n", "0")], ids=lambda a: a[0])
 def test_count_option_below_minimum_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -260,3 +264,34 @@ def test_gof_bootstrap_raises_first_failed_refit(capsys, monkeypatch):
                            "0.1561,0.0411,0.6199,0.4068", "--bootstrap", "3")
     assert code == 3
     assert "replicate 1" in err
+
+
+_IMPORT_GRAPH = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import rtgle
+from rtgle import cli
+for argv in (["sample", "--params", "1,0,1,0", "--n", "100"],
+             ["fit", "--data", "embedded", "--method", "lse",
+              "--n-starts", "2"],
+             ["table", "--kind", "quantiles", "--params", "0.5,0.5,1.2,0.2"],
+             ["gof", "--data", "embedded",
+              "--params", "0.1561,0.0411,0.6199,0.4068", "--bootstrap", "2"]):
+    out = os.path.join(sys.argv[2], argv[0] + ".txt")
+    assert cli.main(argv + ["--out", out]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_scipy_free_commands_load_no_scipy(tmp_path):
+    # pytest's own set-up loads scipy, so the import graph is read in a
+    # fresh interpreter
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH, src,
+                           str(tmp_path)], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert json.loads(done.stdout) == []
+    assert {p.name for p in tmp_path.iterdir()} \
+        == {"sample.txt", "fit.txt", "table.txt", "gof.txt"}
