@@ -41,10 +41,6 @@ class DataError(Exception):
     pass
 
 
-class NumericError(Exception):
-    pass
-
-
 def _parse_params(text: str) -> RtgleParams:
     parts = text.split(",")
     if len(parts) != 4:
@@ -108,10 +104,7 @@ def _cmd_fit(args) -> int:
     x = _load(args.data)
     method = EstimationMethod(args.method)
     config = OptimizerConfig(n_starts=args.n_starts, seed=args.seed)
-    try:
-        result = fit(x, method, config)
-    except (AllStartsFailed, NonPositiveData) as exc:
-        raise NumericError(str(exc)) from None
+    result = fit(x, method, config)
     a, b, g, p = result.params.as_tuple()
     row = {"method": method.value, "alpha": a, "beta": b, "gamma": g, "p": p,
            "objective": result.objective, "converged": result.converged,
@@ -354,7 +347,7 @@ def main(argv=None) -> int:
             NonPositiveValue) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, AllStartsFailed, ArithmeticError) as exc:
+    except (AllStartsFailed, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -132,6 +132,8 @@ def make_competitor(kind: str, *params: float) -> CompetitorModel:
     if len(params) != len(spec.kinds):
         raise ValueError(f"{kind} takes {len(spec.kinds)} parameters")
     for v, k in zip(params, spec.kinds):
+        if not math.isfinite(v):
+            raise ValueError(f"{kind}: parameter must be finite, got {v!r}")
         if k == "pos" and not v > 0.0:
             raise ValueError(f"{kind}: parameter must be > 0, got {v!r}")
         if k == "sym" and not -1.0 <= v <= 1.0:
@@ -185,8 +187,8 @@ def fit_competitor(kind: str, data,
     NonPositiveData, DegenerateData or AllStartsFailed."""
     config = config or OptimizerConfig()
     model = _SPECS[kind]
-    objective, _, ((opt,),) = _lockstep_fits([data], (EstimationMethod.MLE,),
-                                             config, model)
+    objective, ((opt,),) = _lockstep_fits([data], (EstimationMethod.MLE,),
+                                          config, model)
     if isinstance(opt, Exception):
         raise opt
     values = _from_free(opt.x, model.kinds)

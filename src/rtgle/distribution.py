@@ -65,11 +65,12 @@ class RtgleParams:
 def _checked(alpha: float, beta: float, gamma: float,
              p: float) -> tuple[float, float, float, float]:
     """The checks of ``validate`` on plain floats, without building
-    RtgleParams (the estimation objectives call this per evaluation)."""
-    if not (gamma > 0.0) or math.isnan(gamma):
-        raise NonPositiveGamma(f"gamma={gamma!r} must be > 0")
-    if alpha < 0.0 or beta < 0.0 or math.isnan(alpha) or math.isnan(beta):
-        raise NegativeRate(f"alpha={alpha!r}, beta={beta!r} must be >= 0")
+    RtgleParams."""
+    if not 0.0 < gamma < math.inf:
+        raise NonPositiveGamma(f"gamma={gamma!r} must be finite and > 0")
+    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
+        raise NegativeRate(f"alpha={alpha!r}, beta={beta!r} must be finite "
+                           "and >= 0")
     if alpha == 0.0 and beta == 0.0:
         raise BothRatesZero("alpha and beta cannot both be zero")
     if not (0.0 <= p <= 1.0):
@@ -80,7 +81,8 @@ def _checked(alpha: float, beta: float, gamma: float,
 def _valid_rows(alpha, beta, gamma, p) -> np.ndarray:
     """The checks of ``_checked`` on arrays of per-row values: True where
     ``_checked`` would return."""
-    return ((gamma > 0.0) & (alpha >= 0.0) & (beta >= 0.0)
+    return ((0.0 < gamma) & (gamma < np.inf) & (0.0 <= alpha)
+            & (alpha < np.inf) & (0.0 <= beta) & (beta < np.inf)
             & ((alpha != 0.0) | (beta != 0.0)) & (0.0 <= p) & (p <= 1.0))
 
 

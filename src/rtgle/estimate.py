@@ -6,12 +6,12 @@ One private engine fits every model: RTGLE and the competitors in
 ``compare`` are model records (``_Model``) of one fit routine.  It searches
 a smooth unconstrained reparametrization chosen per coordinate kind (log
 for positive values, logit for probabilities, atanh for values in [-1,
-1]) by multi-start Nelder-Mead.  The Nelder-Mead
+1]) by multi-start Nelder-Mead, the one optimizer.  The Nelder-Mead
 runs every start of a fit, or of many fits (``fit_many``), in lockstep on
 row objectives, and takes scipy's adaptive Nelder-Mead steps to the bit.
-``fit`` adds an analytic-gradient BFGS polish to an MLE, and standard
-errors from the inverse observed information (central-difference Hessian
-in transformed coordinates, mapped back by the delta method).
+``fit`` is ``fit_many`` on one sample, plus for an MLE the standard errors
+from the inverse observed information (central-difference Hessian in
+transformed coordinates, mapped back by the delta method).
 """
 
 from __future__ import annotations
@@ -206,8 +206,11 @@ def neg_log_likelihood(params: RtgleParams, data) -> float:
     return _evaluate(EstimationMethod.MLE, params, data)
 
 
-def _nll_gradient(values, x: np.ndarray) -> np.ndarray:
-    a, b, g, p = values
+def nll_gradient(params: RtgleParams, data) -> np.ndarray:
+    """Analytic gradient of the negative log-likelihood w.r.t.
+    (alpha, beta, gamma, p); requires interior parameters."""
+    x = _check_data(data)
+    a, b, g, p = params.as_tuple()
     if a <= 0.0 or b <= 0.0 or not (0.0 < p < 1.0):
         raise ValueError("gradient requires interior parameters "
                          "(alpha>0, beta>0, 0<p<1)")
@@ -233,12 +236,6 @@ def _nll_gradient(values, x: np.ndarray) -> np.ndarray:
              - np.sum(z * logm))
     dl_dp = np.sum((z - 1.0) / mix)
     return -np.array([dl_da, dl_db, dl_dg, dl_dp])
-
-
-def nll_gradient(params: RtgleParams, data) -> np.ndarray:
-    """Analytic gradient of the negative log-likelihood w.r.t.
-    (alpha, beta, gamma, p); requires interior parameters."""
-    return _nll_gradient(params.as_tuple(), _check_data(data))
 
 
 def ls_objective(params: RtgleParams, data) -> float:
@@ -276,9 +273,6 @@ _OBJECTIVES = {
 # (> 0), "unit" (a probability) or "sym" (in [-1, 1]).
 
 _LOGIT_CLAMP = 40.0
-# largest free-coordinate gradient, relative to 1 + |objective|, at which a
-# BFGS polish that stopped on precision loss still counts as converged
-_STATIONARY_GTOL = 1e-6
 
 
 def _interior(v: float, kind: str) -> bool:
@@ -475,7 +469,7 @@ def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
     return x, fun, nit, nit < maxiter
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Optimum:
     """The best optimum of one fit's search, in free coordinates."""
     x: np.ndarray
@@ -523,40 +517,9 @@ def _search(objective, centers: np.ndarray, scale,
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported by the first call so that importing
-    rtgle does not load scipy.optimize.  _polish calls it by this module
-    name, which the benchmark's per-layer tracing wraps."""
+    """scipy's minimize: unused here, kept for bench/tracing.py (ROADMAP 1)."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
-
-
-@np.errstate(**_IGNORE)
-def _polish(objective, best: _Optimum, x: np.ndarray) -> None:
-    """Replace the optimum best of the one-fit MLE objective on checked
-    data x by a BFGS polish from it on the analytic gradient, unless that
-    raises the objective."""
-    first = np.zeros(1, dtype=int)
-
-    def scalar(theta):
-        return float(objective(theta[None], first)[0])
-
-    def gradient(theta):
-        values = untransform(theta).as_tuple()
-        return _nll_gradient(values, x) * _jacobian(values, _RTGLE.kinds)
-
-    try:
-        polished = minimize(scalar, best.x, jac=gradient, method="BFGS",
-                            options={"maxiter": 200, "gtol": 1e-8})
-        if np.isfinite(polished.fun) and polished.fun <= best.fun:
-            best.x, best.fun = polished.x, polished.fun
-            best.nit += polished.nit
-            # a stop on precision loss at a stationary point converged
-            best.success = polished.success or (
-                polished.status == 2
-                and np.max(np.abs(polished.jac))
-                <= _STATIONARY_GTOL * (1.0 + abs(polished.fun)))
-    except ValueError:
-        pass
 
 
 class HessianNotPD(ArithmeticError):
@@ -645,9 +608,9 @@ def _model_objective(model: _Model, methods, data: np.ndarray):
 
 def _lockstep_fits(samples, methods, config: OptimizerConfig,
                    model: _Model = _RTGLE):
-    """The one fit routine: its objective, the checked samples it fits and,
-    for sample s and method j, the best optimum (an _Optimum in free
-    coordinates) of model or the typed error of that fit.
+    """The one fit routine: its objective and, for sample s and method j,
+    the best optimum (an _Optimum in free coordinates) of model or the
+    typed error of that fit.
 
     A fit starts at model.start(x), or for RTGLE at config.start, whose
     edge coordinates (a rate at 0, p at 0 or 1) take model.start(x)'s."""
@@ -681,7 +644,7 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
                                         f"{model.name}")
                         if opt is None else opt
                         for m, opt in zip(methods, opts[i * n_methods:])]
-    return objective, data, found
+    return objective, found
 
 
 def _fit_result(opt: _Optimum, method: EstimationMethod,
@@ -696,22 +659,17 @@ def fit(data, method: EstimationMethod,
     """Minimize the chosen objective by multi-start Nelder-Mead.
 
     Deterministic given (data, method, config.seed).  This is
-    fit_many([data], (method,), config)[0][0], raised if an error, and for
-    MLE an analytic-gradient BFGS polish from it when it is interior, then
-    the standard errors.
+    fit_many([data], (method,), config)[0][0], raised if an error, plus for
+    MLE the standard errors.
     """
-    config = config or OptimizerConfig()
-    objective, checked, ((opt,),) = _lockstep_fits([data], (method,), config)
-    if isinstance(opt, Exception):
-        raise opt
-    if method is not EstimationMethod.MLE:
-        return _fit_result(opt, method, config)
-    _polish(objective, opt, checked[0])
-    result = _fit_result(opt, method, config)
-    try:
-        result.standard_errors = standard_errors(result.params, checked[0])
-    except HessianNotPD as exc:
-        result.diagnostics = str(exc)
+    result = fit_many([data], (method,), config)[0][0]
+    if isinstance(result, Exception):
+        raise result
+    if method is EstimationMethod.MLE:
+        try:
+            result.standard_errors = standard_errors(result.params, data)
+        except HessianNotPD as exc:
+            result.diagnostics = str(exc)
     return result
 
 
@@ -722,7 +680,7 @@ def fit_many(samples, methods, config: OptimizerConfig | None = None
     typed error (NonPositiveData, DegenerateData, InvalidParams or
     AllStartsFailed).  Any other error propagates."""
     config = config or OptimizerConfig()
-    _, _, found = _lockstep_fits(samples, methods, config)
+    _, found = _lockstep_fits(samples, methods, config)
     return [[opt if isinstance(opt, Exception)
              else _fit_result(opt, m, config) for m, opt in zip(methods, row)]
             for row in found]

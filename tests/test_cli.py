@@ -131,6 +131,26 @@ def test_negative_data_file_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_infinite_data_file_is_data_error(tmp_path, capsys):
+    f = tmp_path / "inf.txt"
+    f.write_text("1.0\n2.5\ninf\n0.7\n3.1\n1.8\n")
+    for argv in (["fit"], ["compare"],
+                 ["gof", "--params", "1,1,1,0.5"]):
+        code, _, err = run_cli(capsys, *argv, "--data", str(f))
+        assert code == 3, argv
+        assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gof", "--data", "embedded", "--params", "1,inf,1,0.5"),
+    ("sample", "--params", "inf,0,1,0", "--n", "3"),
+    ("table", "--kind", "quantiles", "--params", "1,1,inf,0.5")])
+def test_infinite_params_are_data_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == "" and "finite" in err
+
+
 def test_simulate_command(tmp_path, capsys):
     design = {"true_params": [1.2, 0.5, 1.5, 0.8], "sample_sizes": [50],
               "methods": ["mle"], "replicates": 2, "seed": 1}
@@ -271,13 +291,18 @@ import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import rtgle
 from rtgle import cli
-for argv in (["sample", "--params", "1,0,1,0", "--n", "100"],
-             ["fit", "--data", "embedded", "--method", "lse",
-              "--n-starts", "2"],
-             ["table", "--kind", "quantiles", "--params", "0.5,0.5,1.2,0.2"],
-             ["gof", "--data", "embedded",
-              "--params", "0.1561,0.0411,0.6199,0.4068", "--bootstrap", "2"]):
-    out = os.path.join(sys.argv[2], argv[0] + ".txt")
+for name, argv in (
+        ("sample", ["sample", "--params", "1,0,1,0", "--n", "100"]),
+        ("fit-lse", ["fit", "--data", "embedded", "--method", "lse",
+                     "--n-starts", "2"]),
+        ("fit-mle", ["fit", "--data", "embedded", "--method", "mle",
+                     "--n-starts", "2"]),
+        ("table", ["table", "--kind", "quantiles",
+                   "--params", "0.5,0.5,1.2,0.2"]),
+        ("gof", ["gof", "--data", "embedded",
+                 "--params", "0.1561,0.0411,0.6199,0.4068",
+                 "--bootstrap", "2"])):
+    out = os.path.join(sys.argv[2], name + ".txt")
     assert cli.main(argv + ["--out", out]) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules
                         if m == "scipy" or m.startswith("scipy."))))
@@ -294,4 +319,5 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
                           timeout=60, check=True)
     assert json.loads(done.stdout) == []
     assert {p.name for p in tmp_path.iterdir()} \
-        == {"sample.txt", "fit.txt", "table.txt", "gof.txt"}
+        == {"sample.txt", "fit-lse.txt", "fit-mle.txt", "table.txt",
+            "gof.txt"}

@@ -159,6 +159,12 @@ def test_make_competitor_validation():
         make_competitor("TW", 1.0, 1.0, 1.5)   # lambda out of [-1, 1]
     with pytest.raises(ValueError):
         make_competitor("RTW", 1.0, 1.0, 1.5)  # p out of [0, 1]
+    # a non-finite value of any kind
+    for kind, params in (("TL", (math.inf, 0.0)), ("TW", (1.0, math.inf, 0.0)),
+                         ("TW", (1.0, 1.0, math.nan)),
+                         ("RTW", (1.0, 1.0, math.nan))):
+        with pytest.raises(ValueError, match="finite"):
+            make_competitor(kind, *params)
     # nested kinds whose RTGLE image is invalid or not finite
     for kind, params in (("RTW", (1e-5, 0.01, 0.5)),   # alpha underflows
                          ("RTW", (5.0, 0.001, 0.5)),   # alpha overflows

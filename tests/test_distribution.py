@@ -16,7 +16,7 @@ from rtgle.distribution import (BothRatesZero, HazardShapeClass, NegativeRate,
                                 exponential, hazard, linear_exponential,
                                 log_pdf, pdf, quantile, quantile_vec,
                                 rayleigh, sample, sample_via_records, sf,
-                                validate, weibull)
+                                _valid_rows, validate, weibull)
 from rtgle.compare import (competitor_cdf, competitor_log_pdf, competitor_pdf,
                            make_competitor)
 from rtgle.estimate import neg_log_likelihood
@@ -47,6 +47,14 @@ def test_validation_errors():
         validate(1.0, 1.0, 1.0, 1.5)
     with pytest.raises(POutOfRange):
         validate(1.0, 1.0, 1.0, -0.1)
+    # an infinite rate or gamma would give a cdf of 1 everywhere
+    rows = np.array([[1.0, 1.0, 1.0, 0.5]] * 5)
+    rows[np.arange(4), np.arange(4)] = math.inf
+    for values, error in zip(rows.tolist(), (NegativeRate, NegativeRate,
+                                             NonPositiveGamma, POutOfRange)):
+        with pytest.raises(error):
+            validate(*values)
+    assert _valid_rows(*rows.T).tolist() == [False] * 4 + [True]
 
 
 def test_cdf_sf_complement():

@@ -85,8 +85,8 @@ GOLDEN_AT_TRUE = {
     EstimationMethod.CME: 0.11301515850313967,
 }
 
-# fit(X, MLE, OptimizerConfig(n_starts=4)): four Nelder-Mead starts, the
-# BFGS polish and the standard errors
+# fit(X, MLE, OptimizerConfig(n_starts=4)): four Nelder-Mead starts and the
+# standard errors
 GOLDEN_MLE_4 = (1.2166394804086784, 0.08337645700431517, 1.7074216155030653,
                 0.6879226895024636, 52.17763539193459, 758)
 GOLDEN_MLE_4_SE = (0.2987668796202696, 0.6924098009995333,
@@ -154,7 +154,7 @@ def test_sim_fit_matches_golden(method):
         == GOLDEN_SIM[method]
 
 
-def test_multistart_mle_with_polish_and_se_matches_golden():
+def test_multistart_mle_with_se_matches_golden():
     r = fit(X, EstimationMethod.MLE, OptimizerConfig(n_starts=4))
     assert r.params.as_tuple() + (r.objective, r.iterations) == GOLDEN_MLE_4
     assert r.standard_errors == GOLDEN_MLE_4_SE
