@@ -32,7 +32,6 @@ from .gof import gof_report
 from .properties import (QuadratureError, _kurtosis, _raw_moments, _skewness,
                          quantile_measures)
 
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
@@ -201,15 +200,14 @@ def _cmd_simulate(args) -> int:
                           "n_failed_fits": cell.n_failed_fits})
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
             json.dump({"design": spec, "cells": cells}, fh, indent=2)
+        labels = [f"{k}_{s}" for k in ("bias", "mse")
+                  for s in sim_mod.PARAM_LABELS]
+        rows = [{"n": c["n"], "method": c["method"],
+                 **dict(zip(labels, c["bias"] + c["mse"])),
+                 "n_used": c["n_used"], "n_failed_fits": c["n_failed_fits"]}
+                for c in cells]
         with open(args.out + ".csv", "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            labels = sim_mod.PARAM_LABELS
-            w.writerow(["n", "method"] + [f"bias_{s}" for s in labels]
-                       + [f"mse_{s}" for s in labels]
-                       + ["n_used", "n_failed_fits"])
-            for c in cells:
-                w.writerow([c["n"], c["method"]] + c["bias"] + c["mse"]
-                           + [c["n_used"], c["n_failed_fits"]])
+            _emit(rows, "csv", fh, float_fmt="{!r}")
     return 0
 
 
@@ -279,59 +277,57 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rtgle",
         description="RTGLE lifetime distribution toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--format": dict(choices=("text", "json", "csv"), default="text"),
+        "--out": dict(default=None, help="output file path"),
+        "--seed": dict(type=int, default=0),
+        "--data": dict(required=True, help="data file or 'embedded'"),
+        "--params": dict(required=True, help="alpha,beta,gamma,p"),
+    }
 
-    def common(p, data=False, params=False):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--seed", type=int, default=0)
-        if data:
-            p.add_argument("--data", required=True,
-                           help="data file or 'embedded'")
-        if params:
-            p.add_argument("--params", required=True,
-                           help="alpha,beta,gamma,p")
+    def command(name, func, help, reads):
+        """A subcommand registering only the shared options it reads."""
+        p = sub.add_parser(name, help=help)
+        for option in reads:
+            p.add_argument(option, **options[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("fit", help="fit RTGLE parameters to data")
-    common(p, data=True)
+    p = command("fit", _cmd_fit, "fit RTGLE parameters to data",
+                ("--format", "--out", "--seed", "--data"))
     p.add_argument("--method", choices=[m.value for m in EstimationMethod],
                    default="mle")
     p.add_argument("--n-starts", type=_int_at_least(1), default=20)
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("gof", help="goodness-of-fit report at given params")
-    common(p, data=True, params=True)
+    p = command("gof", _cmd_gof, "goodness-of-fit report at given params",
+                ("--format", "--out", "--seed", "--data", "--params"))
     p.add_argument("--bootstrap", type=_int_at_least(0), default=0,
                    metavar="B",
                    help="use parametric bootstrap p-values with B replicates")
     p.add_argument("--flag-outliers", action="store_true",
                    help="report boxplot-rule outlier indices on stderr")
-    p.set_defaults(func=_cmd_gof)
 
-    p = sub.add_parser("compare",
-                       help="fit RTGLE and 7 competitors, rank by AIC")
-    common(p, data=True)
+    p = command("compare", _cmd_compare,
+                "fit RTGLE and 7 competitors, rank by AIC",
+                ("--format", "--out", "--seed", "--data"))
     p.add_argument("--n-starts", type=_int_at_least(1), default=20)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("simulate", help="run a Monte Carlo bias/MSE design")
-    common(p)
+    # the design file carries the seed, and the table is always text
+    p = command("simulate", _cmd_simulate,
+                "run a Monte Carlo bias/MSE design", ("--out",))
     p.add_argument("--design", required=True, help="JSON design file")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("table",
-                       help="quantile-measure or moment table rows")
-    common(p, params=True)
+    p = command("table", _cmd_table,
+                "quantile-measure or moment table rows",
+                ("--format", "--out", "--params"))
     p.add_argument("--kind", choices=("quantiles", "moments"),
                    required=True)
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("sample", help="draw random variates")
-    common(p, params=True)
+    p = command("sample", _cmd_sample, "draw random variates",
+                ("--format", "--out", "--seed", "--params"))
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--curves", action="store_true",
                    help="also emit a CSV grid of (x, pdf, cdf)")
-    p.set_defaults(func=_cmd_sample)
     return parser
 
 

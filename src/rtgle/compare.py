@@ -8,7 +8,8 @@ are RTGLE with some coordinates held fixed and evaluate the RTGLE kernels
 at that image; TW, TL and TLL transmute a Weibull, Lindley or log-logistic
 G into G(1 + lam - lam*G) (Shaw & Buckley, 2009).  Each is a model record
 of ``estimate``'s engine, fitted by maximum likelihood through its one fit
-routine, as RTGLE is.
+routine.  RTGLE is the first entry of the model registry ``_SPECS``, and
+``comparison_table`` fits all eight models by that one routine.
 
 Two printed-source corrections, both forced by normalization (a density
 must integrate to 1):
@@ -21,17 +22,16 @@ must integrate to 1):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import estimate
 from .distribution import (_checked, _libm, _log, _log_pdf_kernel,
-                           _log_sf_kernel, _on_support, cdf)
-from .estimate import (AllStartsFailed, EstimationMethod, HessianNotPD,
-                       OptimizerConfig, _check_data, _delta_method_se,
-                       _from_free, _lockstep_fits, _Model)
+                           _log_sf_kernel, _on_support)
+from .estimate import (_RTGLE, AllStartsFailed, EstimationMethod,
+                       HessianNotPD, OptimizerConfig, _check_data, _from_free,
+                       _lockstep_fits, _Model, _standard_errors)
 # looked up here by the benchmark's per-layer tracing (bench/tracing.py)
 from .estimate import minimize  # noqa: F401
 from .gof import GofReport, gof_report
@@ -39,7 +39,8 @@ from .gof import GofReport, gof_report
 
 @dataclass(frozen=True)
 class CompetitorModel:
-    """A competitor distribution instance: kind tag plus parameter vector."""
+    """A registry model instance (RTGLE or a competitor): kind tag plus
+    parameter vector."""
     kind: str
     params: tuple[float, ...]
 
@@ -99,9 +100,11 @@ def _root(th, g):
 
 _WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0))
 
-# the competitors as model records of the estimation engine; each fit
-# starts at its own start, since config.start is an RTGLE start
+# the model registry: RTGLE, then the competitors, as model records of the
+# estimation engine; a competitor fit starts at its own start, since
+# config.start is an RTGLE start
 _SPECS: dict[str, _Model] = {m.name: m for m in (
+    _RTGLE,
     _Model("RTW", ("theta", "gamma", "p"), ("pos", "pos", "unit"),
            *_nested(lambda th, g, p: (_root(th, g), 0.0, g, p)),
            start=lambda x: (1.0 / np.mean(x), 1.0, 0.5)),
@@ -124,10 +127,12 @@ _SPECS: dict[str, _Model] = {m.name: m for m in (
            start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2)),
 )}
 
-COMPETITOR_KINDS = tuple(_SPECS)
+COMPETITOR_KINDS = tuple(_SPECS)[1:]
 
 
 def make_competitor(kind: str, *params: float) -> CompetitorModel:
+    if kind not in COMPETITOR_KINDS:
+        raise KeyError(f"unknown competitor kind {kind!r}")
     spec = _SPECS[kind]
     if len(params) != len(spec.kinds):
         raise ValueError(f"{kind} takes {len(spec.kinds)} parameters")
@@ -182,18 +187,19 @@ class CompetitorFit:
 
 def fit_competitor(kind: str, data,
                    config: OptimizerConfig | None = None) -> CompetitorFit:
-    """Maximum likelihood fit of one competitor: the engine's one fit
-    routine on one sample, plus the standard errors.  Raises
-    NonPositiveData, DegenerateData or AllStartsFailed."""
+    """Maximum likelihood fit of one registry model (RTGLE or a
+    competitor): the engine's one fit routine on one sample, plus the
+    standard errors, None where the information matrix is not positive
+    definite or the estimate is on an edge.  Raises NonPositiveData,
+    DegenerateData or AllStartsFailed."""
     config = config or OptimizerConfig()
     model = _SPECS[kind]
-    objective, ((opt,),) = _lockstep_fits([data], (EstimationMethod.MLE,),
-                                          config, model)
+    ((opt,),) = _lockstep_fits([data], (EstimationMethod.MLE,), config, model)
     if isinstance(opt, Exception):
         raise opt
     values = _from_free(opt.x, model.kinds)
     try:
-        se = _delta_method_se(objective, opt.x, values, model.kinds)
+        se = _standard_errors(model, values, data)
     except HessianNotPD:
         se = None
     return CompetitorFit(model=CompetitorModel(kind, values),
@@ -213,27 +219,22 @@ class ComparisonRow:
     error: str | None = None
 
 
-def comparison_table(data, config: OptimizerConfig | None = None,
-                     kinds: tuple[str, ...] | None = None
+def comparison_table(data, config: OptimizerConfig | None = None
                      ) -> list[ComparisonRow]:
-    """Fit RTGLE and the competitors, compute GoF for each, sort by AIC.
+    """Fit every model of the registry (RTGLE and the seven competitors)
+    with fit_competitor, compute GoF for each, sort by AIC.
 
     Per-model failures are kept as error rows so partial results survive.
     """
     x = _check_data(data)
     rows: list[ComparisonRow] = []
-    for kind in kinds or ("RTGLE",) + COMPETITOR_KINDS:
+    for kind, spec in _SPECS.items():
         try:
-            if kind == "RTGLE":
-                rf = estimate.fit(x, EstimationMethod.MLE, config)
-                params, se = asdict(rf.params), rf.standard_errors
-                m2ll, model_cdf = 2.0 * rf.objective, partial(cdf, rf.params)
-            else:
-                cf = fit_competitor(kind, x, config)
-                params = dict(zip(_SPECS[kind].param_names, cf.model.params))
-                se, m2ll = cf.standard_errors, cf.minus2loglik
-                model_cdf = partial(competitor_cdf, cf.model)
-            rep = gof_report(model_cdf, x, minus2loglik=m2ll, r=len(params))
+            cf = fit_competitor(kind, x, config)
+            params = dict(zip(spec.param_names, cf.model.params))
+            se = cf.standard_errors
+            rep = gof_report(partial(competitor_cdf, cf.model), x,
+                             minus2loglik=cf.minus2loglik, r=len(params))
             rows.append(ComparisonRow(kind, params,
                                       dict(zip(params, se)) if se else None,
                                       rep))

@@ -11,7 +11,8 @@ runs every start of a fit, or of many fits (``fit_many``), in lockstep on
 row objectives, and takes scipy's adaptive Nelder-Mead steps to the bit.
 ``fit`` is ``fit_many`` on one sample, plus for an MLE the standard errors
 from the inverse observed information (central-difference Hessian in
-transformed coordinates, mapped back by the delta method).
+transformed coordinates, mapped back by the delta method), by the one rule
+every model's MLE takes (``_standard_errors``).
 """
 
 from __future__ import annotations
@@ -526,45 +527,6 @@ class HessianNotPD(ArithmeticError):
     """Observed information matrix is not positive definite at the optimum."""
 
 
-@np.errstate(**_IGNORE)
-def _delta_method_se(objective, theta: np.ndarray, values,
-                     kinds) -> tuple[float, ...]:
-    """standard_errors for the negative log-likelihood of a one-fit
-    objective of the free coordinates (see _free_objective), at free point
-    theta = natural-scale values; its 2k^2 + 1 points in one call."""
-    k = len(theta)
-    h = 1e-4 * (1.0 + np.abs(theta))
-    e = np.diag(h)
-    points = [theta]
-    for i in range(k):
-        up, down = theta + e[i], theta - e[i]
-        points += [up, down] + [p for j in range(i + 1, k)
-                                for p in (up + e[j], up - e[j],
-                                          down + e[j], down - e[j])]
-    values_at = iter(objective(np.array(points),
-                               np.zeros(len(points), dtype=int)).tolist())
-    f0 = next(values_at)
-    hess = np.empty((k, k))
-    for i in range(k):
-        hess[i, i] = (next(values_at) - 2.0 * f0
-                      + next(values_at)) / h[i] ** 2
-        for j in range(i + 1, k):
-            hess[i, j] = hess[j, i] = (
-                next(values_at) - next(values_at) - next(values_at)
-                + next(values_at)) / (4.0 * h[i] * h[j])
-    if not np.all(np.isfinite(hess)):
-        raise HessianNotPD("Hessian evaluation produced non-finite entries")
-    try:
-        cov_t = np.linalg.inv(hess)
-    except np.linalg.LinAlgError as exc:
-        raise HessianNotPD(f"Hessian is singular: {exc}") from exc
-    diag = np.diag(cov_t)
-    if np.any(diag <= 0.0):
-        raise HessianNotPD("inverse information has non-positive diagonal")
-    se = np.sqrt(diag) * np.abs(_jacobian(values, kinds))
-    return tuple(float(v) for v in se)
-
-
 # --- models -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -608,9 +570,8 @@ def _model_objective(model: _Model, methods, data: np.ndarray):
 
 def _lockstep_fits(samples, methods, config: OptimizerConfig,
                    model: _Model = _RTGLE):
-    """The one fit routine: its objective and, for sample s and method j,
-    the best optimum (an _Optimum in free coordinates) of model or the
-    typed error of that fit.
+    """The one fit routine: for sample s and method j, the best optimum (an
+    _Optimum in free coordinates) of model or the typed error of that fit.
 
     A fit starts at model.start(x), or for RTGLE at config.start, whose
     edge coordinates (a rate at 0, p at 0 or 1) take model.start(x)'s."""
@@ -632,7 +593,6 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
         data.append(x)
     if len({len(x) for x in data}) > 1:
         raise ValueError("fit_many: the samples must all have one size")
-    objective = None
     if fitted:
         objective = _model_objective(model, methods, np.array(data))
         opts = _search(objective,
@@ -644,7 +604,7 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
                                         f"{model.name}")
                         if opt is None else opt
                         for m, opt in zip(methods, opts[i * n_methods:])]
-    return objective, found
+    return found
 
 
 def _fit_result(opt: _Optimum, method: EstimationMethod,
@@ -667,7 +627,8 @@ def fit(data, method: EstimationMethod,
         raise result
     if method is EstimationMethod.MLE:
         try:
-            result.standard_errors = standard_errors(result.params, data)
+            result.standard_errors = _standard_errors(
+                _RTGLE, result.params.as_tuple(), data)
         except HessianNotPD as exc:
             result.diagnostics = str(exc)
     return result
@@ -680,28 +641,68 @@ def fit_many(samples, methods, config: OptimizerConfig | None = None
     typed error (NonPositiveData, DegenerateData, InvalidParams or
     AllStartsFailed).  Any other error propagates."""
     config = config or OptimizerConfig()
-    _, found = _lockstep_fits(samples, methods, config)
+    found = _lockstep_fits(samples, methods, config)
     return [[opt if isinstance(opt, Exception)
              else _fit_result(opt, m, config) for m, opt in zip(methods, row)]
             for row in found]
 
 
-def standard_errors(params_at_mle: RtgleParams, data
-                    ) -> tuple[float, float, float, float]:
-    """Delta-method standard errors from the inverse observed information.
+@np.errstate(**_IGNORE)
+def _standard_errors(model: _Model, values, data) -> tuple[float, ...]:
+    """Delta-method standard errors of model's maximum likelihood estimate
+    values (natural scale) on data, from the inverse observed information.
 
     The Hessian of the negative log-likelihood is taken by central
-    differences in transformed coordinates (step 1e-4 * (1 + |theta|)),
-    inverted, and mapped to the natural scale.  An estimate on the edge of
-    the parameter space (a rate at 0, p at 0 or 1) has no transformed
-    coordinates and raises HessianNotPD naming that coordinate.
+    differences at _to_free(values) (step 1e-4 * (1 + |theta|), its 2k^2 + 1
+    points in one call), inverted, and mapped to the natural scale.  An
+    estimate on the edge of the parameter space (a rate at 0, a probability
+    at 0 or 1, lambda at -1 or 1) has no free coordinates and raises
+    HessianNotPD naming that coordinate.
     """
-    for name, v, kind in zip(_RTGLE.param_names, params_at_mle.as_tuple(),
-                             _RTGLE.kinds):
+    for name, v, kind in zip(model.param_names, values, model.kinds):
         if not _interior(v, kind):
             raise HessianNotPD(f"{name}={v!r} is on the boundary of the "
                                "parameter space; no information matrix there")
-    objective = _model_objective(_RTGLE, (EstimationMethod.MLE,),
+    objective = _model_objective(model, (EstimationMethod.MLE,),
                                  _check_data(data)[None])
-    return _delta_method_se(objective, transform(params_at_mle),
-                            params_at_mle.as_tuple(), _RTGLE.kinds)
+    theta = _to_free(values, model.kinds)
+    k = len(theta)
+    h = 1e-4 * (1.0 + np.abs(theta))
+    e = np.diag(h)
+    points = [theta]
+    for i in range(k):
+        up, down = theta + e[i], theta - e[i]
+        points += [up, down] + [p for j in range(i + 1, k)
+                                for p in (up + e[j], up - e[j],
+                                          down + e[j], down - e[j])]
+    values_at = iter(objective(np.array(points),
+                               np.zeros(len(points), dtype=int)).tolist())
+    f0 = next(values_at)
+    hess = np.empty((k, k))
+    for i in range(k):
+        hess[i, i] = (next(values_at) - 2.0 * f0
+                      + next(values_at)) / h[i] ** 2
+        for j in range(i + 1, k):
+            hess[i, j] = hess[j, i] = (
+                next(values_at) - next(values_at) - next(values_at)
+                + next(values_at)) / (4.0 * h[i] * h[j])
+    if not np.all(np.isfinite(hess)):
+        raise HessianNotPD("Hessian evaluation produced non-finite entries")
+    try:
+        cov_t = np.linalg.inv(hess)
+    except np.linalg.LinAlgError as exc:
+        raise HessianNotPD(f"Hessian is singular: {exc}") from exc
+    diag = np.diag(cov_t)
+    if np.any(diag <= 0.0):
+        raise HessianNotPD("inverse information has non-positive diagonal")
+    se = np.sqrt(diag) * np.abs(_jacobian(values, model.kinds))
+    return tuple(float(v) for v in se)
+
+
+def standard_errors(params_at_mle: RtgleParams, data
+                    ) -> tuple[float, float, float, float]:
+    """Delta-method standard errors of an RTGLE maximum likelihood estimate
+    from the inverse observed information: the one rule of every MLE fit
+    (see _standard_errors); HessianNotPD on the edge of the parameter
+    space, naming the coordinate."""
+    return _standard_errors(_RTGLE, params_at_mle.as_tuple(), data)

@@ -267,6 +267,20 @@ def test_count_option_below_minimum_is_usage_error(capsys, argv):
     assert "must be >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--design", "d.json", "--format", "json"),
+    ("simulate", "--design", "d.json", "--seed", "1"),
+    ("table", "--kind", "quantiles", "--params", "1,1,1,0.5", "--seed", "1")],
+    ids=lambda a: f"{a[0]}{a[-2]}")
+def test_option_a_command_ignores_is_usage_error(capsys, argv):
+    # simulate's design file carries the seed and its table is always text;
+    # a table draws nothing at random
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 def test_gof_bootstrap_raises_first_failed_refit(capsys, monkeypatch):
     # as a refit loop would: the first replicate whose refit failed decides
     from rtgle import cli

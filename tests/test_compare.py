@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
                            make_competitor)
 from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, sample
-from rtgle.estimate import OptimizerConfig, neg_log_likelihood
+from rtgle.estimate import (_RTGLE, EstimationMethod, HessianNotPD,
+                            OptimizerConfig, _standard_errors, fit,
+                            neg_log_likelihood, standard_errors)
 
 EXAMPLES = {
     "RTW": (0.4, 0.8, 0.5),
@@ -27,6 +30,11 @@ EXAMPLES = {
 def test_registry_complete():
     assert set(COMPETITOR_KINDS) == set(EXAMPLES)
     assert len(COMPETITOR_KINDS) == 7
+    # one registry: RTGLE first, then the seven competitors
+    assert tuple(_SPECS) == ("RTGLE",) + COMPETITOR_KINDS
+    assert _SPECS["RTGLE"] is _RTGLE
+    with pytest.raises(KeyError):
+        make_competitor("RTGLE", 1.0, 1.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("kind", sorted(EXAMPLES))
@@ -223,3 +231,49 @@ def test_rtgle_wins_on_its_own_data():
                     key=lambda r: r.gof.minus2loglik)
         wins += by_ll.model == "RTGLE"
     assert wins >= 4
+
+
+def test_comparison_rows_come_from_one_fit_routine():
+    # every row is fit_competitor's fit, RTGLE's too, and every MLE's
+    # standard errors are _standard_errors at its reported parameters
+    full = load_dataset("embedded").values
+    trimmed = np.delete(full, flag_outliers_iqr(full))
+    config = OptimizerConfig(n_starts=4, seed=1)
+    rows = {r.model: r for r in comparison_table(trimmed, config)}
+    assert set(rows) == set(_SPECS)
+
+    rf = fit(trimmed, EstimationMethod.MLE, config)
+    row = rows["RTGLE"]
+    assert row.params == asdict(rf.params)
+    assert row.gof.minus2loglik == 2.0 * rf.objective
+    assert rf.standard_errors is not None
+    assert row.standard_errors == dict(zip(row.params, rf.standard_errors))
+    assert rf.standard_errors == standard_errors(rf.params, trimmed) \
+        == _standard_errors(_RTGLE, rf.params.as_tuple(), trimmed)
+
+    for kind in COMPETITOR_KINDS:
+        cf = fit_competitor(kind, trimmed, config)
+        row = rows[kind]
+        assert row.params == dict(zip(_SPECS[kind].param_names,
+                                      cf.model.params))
+        assert row.gof.minus2loglik == cf.minus2loglik
+        se = cf.standard_errors
+        assert row.standard_errors == (dict(zip(row.params, se)) if se
+                                       else None)
+        try:
+            expected = _standard_errors(_SPECS[kind], cf.model.params,
+                                        trimmed)
+        except HessianNotPD:
+            expected = None
+        assert se == expected
+
+
+def test_competitor_on_edge_has_no_standard_errors():
+    # RTLE's likelihood on the embedded data drives beta to 0.0, where no
+    # free coordinates, so no information matrix, exist
+    x = load_dataset("embedded").values
+    cf = fit_competitor("RTLE", x, OptimizerConfig(n_starts=20, seed=0))
+    assert cf.model.params[1] == 0.0
+    with pytest.raises(HessianNotPD, match="beta=0.0"):
+        _standard_errors(_SPECS["RTLE"], cf.model.params, x)
+    assert cf.standard_errors is None
