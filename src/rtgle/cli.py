@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import sys
 
@@ -66,15 +65,20 @@ def _load(path_or_tag: str) -> np.ndarray:
         raise DataError(str(exc)) from None
 
 
-def _emit(rows: list[dict], fmt: str, out, float_fmt: str = "{:.4f}"):
-    """rows: list of dicts with a shared key order."""
+def _emit(rows: dict | list[dict], fmt: str, out,
+          float_fmt: str = "{:.4f}"):
+    """rows: one record (a dict), or a list of dicts with a shared key
+    order.  JSON prints a dict as an object and a list as a list, [] when
+    it is empty; text and csv print an empty list as nothing."""
+    if fmt == "json":
+        out.write(json.dumps(rows, indent=2))
+        out.write("\n")
+        return
+    if isinstance(rows, dict):
+        rows = [rows]
     if not rows:
         return
     keys = list(rows[0])
-    if fmt == "json":
-        out.write(json.dumps(rows if len(rows) > 1 else rows[0], indent=2))
-        out.write("\n")
-        return
     str_rows = []
     for r in rows:
         str_rows.append([float_fmt.format(v) if isinstance(v, float)
@@ -115,7 +119,7 @@ def _cmd_fit(args) -> int:
     if method is EstimationMethod.MLE:
         row["minus2loglik"] = 2.0 * result.objective
     with _open_out(args) as out:
-        _emit([row], args.format, out, float_fmt="{:.6g}")
+        _emit(row, args.format, out, float_fmt="{:.6g}")
     return 0
 
 
@@ -143,9 +147,8 @@ def _cmd_gof(args) -> int:
             boot_f.append(cdf(refit.params, np.sort(boot)))
     rep = gof_report(lambda t: cdf(params, t), x, minus2loglik=m2ll, r=4,
                      bootstrap_f=boot_f)
-    row = dataclasses.asdict(rep)
     with _open_out(args) as out:
-        _emit([row], args.format, out)
+        _emit(dataclasses.asdict(rep), args.format, out)
     return 0
 
 
@@ -192,12 +195,8 @@ def _cmd_simulate(args) -> int:
     report = sim_mod.run_design(design)
     print(sim_mod.report_to_table(report))
     if args.out:
-        cells = []
-        for (n, method), cell in report.cells.items():
-            cells.append({"n": n, "method": method,
-                          "bias": list(cell.bias), "mse": list(cell.mse),
-                          "n_used": cell.n_used,
-                          "n_failed_fits": cell.n_failed_fits})
+        cells = [{"n": n, "method": method, **dataclasses.asdict(cell)}
+                 for (n, method), cell in report.cells.items()]
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
             json.dump({"design": spec, "cells": cells}, fh, indent=2)
         labels = [f"{k}_{s}" for k in ("bias", "mse")
@@ -250,14 +249,11 @@ def _cmd_sample(args) -> int:
         if args.curves:
             lo = quantile(params, 1e-3)
             hi = quantile(params, 1.0 - 1e-3)
-            grid = np.linspace(lo, hi, 200)
-            buf = io.StringIO()
-            w = csv.writer(buf)
-            w.writerow(["x", "pdf", "cdf"])
-            for x in grid:
-                w.writerow([f"{float(x)!r}", f"{float(pdf(params, x))!r}",
-                            f"{float(cdf(params, x))!r}"])
-            out.write("\n" + buf.getvalue())
+            grid = np.linspace(lo, hi, 200).tolist()
+            out.write("\n")
+            _emit([{"x": x, "pdf": float(pdf(params, x)),
+                    "cdf": float(cdf(params, x))} for x in grid],
+                  "csv", out, float_fmt="{!r}")
     return 0
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .distribution import (_checked, _libm, _log, _log_pdf_kernel,
                            _log_sf_kernel, _on_support)
 from .estimate import (_RTGLE, AllStartsFailed, EstimationMethod,
-                       HessianNotPD, OptimizerConfig, _check_data, _from_free,
+                       HessianNotPD, OptimizerConfig, _check_data,
                        _lockstep_fits, _Model, _standard_errors)
 # looked up here by the benchmark's per-layer tracing (bench/tracing.py)
 from .estimate import minimize  # noqa: F401
@@ -183,29 +183,30 @@ class CompetitorFit:
     converged: bool
     n_starts_used: int
     standard_errors: tuple[float, ...] | None = None
+    diagnostics: str = ""
 
 
 def fit_competitor(kind: str, data,
                    config: OptimizerConfig | None = None) -> CompetitorFit:
     """Maximum likelihood fit of one registry model (RTGLE or a
     competitor): the engine's one fit routine on one sample, plus the
-    standard errors, None where the information matrix is not positive
-    definite or the estimate is on an edge.  Raises NonPositiveData,
-    DegenerateData or AllStartsFailed."""
+    standard errors.  Where the information matrix is not positive definite
+    or the estimate is on an edge, they are None and diagnostics says why.
+    Raises NonPositiveData, DegenerateData or AllStartsFailed."""
     config = config or OptimizerConfig()
     model = _SPECS[kind]
     ((opt,),) = _lockstep_fits([data], (EstimationMethod.MLE,), config, model)
     if isinstance(opt, Exception):
         raise opt
-    values = _from_free(opt.x, model.kinds)
+    values, objective, _, converged = opt
+    result = CompetitorFit(model=CompetitorModel(kind, values),
+                           minus2loglik=2.0 * objective, converged=converged,
+                           n_starts_used=config.n_starts)
     try:
-        se = _standard_errors(model, values, data)
-    except HessianNotPD:
-        se = None
-    return CompetitorFit(model=CompetitorModel(kind, values),
-                         minus2loglik=2.0 * float(opt.fun),
-                         converged=bool(opt.success),
-                         n_starts_used=config.n_starts, standard_errors=se)
+        result.standard_errors = _standard_errors(model, values, data)
+    except HessianNotPD as exc:
+        result.diagnostics = str(exc)
+    return result
 
 
 # --- comparison pipeline --------------------------------------------------------

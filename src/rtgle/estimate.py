@@ -3,16 +3,19 @@ minimum-distance methods (least squares, weighted least squares,
 Anderson-Darling, Cramer-von Mises).
 
 One private engine fits every model: RTGLE and the competitors in
-``compare`` are model records (``_Model``) of one fit routine.  It searches
-a smooth unconstrained reparametrization chosen per coordinate kind (log
-for positive values, logit for probabilities, atanh for values in [-1,
-1]) by multi-start Nelder-Mead, the one optimizer.  The Nelder-Mead
-runs every start of a fit, or of many fits (``fit_many``), in lockstep on
-row objectives, and takes scipy's adaptive Nelder-Mead steps to the bit.
-``fit`` is ``fit_many`` on one sample, plus for an MLE the standard errors
-from the inverse observed information (central-difference Hessian in
-transformed coordinates, mapped back by the delta method), by the one rule
-every model's MLE takes (``_standard_errors``).
+``compare`` are model records (``_Model``) of one fit routine,
+``_lockstep_fits``.  It searches a smooth unconstrained reparametrization
+chosen per coordinate kind (log for positive values, logit for
+probabilities, atanh for values in [-1, 1]) by multi-start Nelder-Mead,
+the one optimizer, on the one free-coordinate objective
+(``_model_objective``), and maps each fit's optimum to the natural scale
+through that objective's own map.  The Nelder-Mead runs every start of a
+fit, or of many fits (``fit_many``), in lockstep on row objectives, and
+takes scipy's adaptive Nelder-Mead steps to the bit.  ``fit`` is
+``fit_many`` on one sample, plus for an MLE the standard errors from the
+inverse observed information (central-difference Hessian in free
+coordinates, mapped back by the delta method), by the one rule every
+model's MLE takes (``_standard_errors``).
 """
 
 from __future__ import annotations
@@ -319,66 +322,10 @@ def _inverse(kinds):
     return natural
 
 
-@np.errstate(**_IGNORE)
-def _from_free(theta, kinds) -> tuple[float, ...]:
-    """_inverse at one point; OverflowError, as from math.exp, where a
-    finite "pos" coordinate overflows."""
-    values, ok = _inverse(kinds)(np.asarray(theta, dtype=float)[None])
-    if ok is not None and not ok[0]:
-        raise OverflowError("math range error")
-    return tuple(values[0].tolist())
-
-
 def _jacobian(values, kinds) -> np.ndarray:
     """Derivative of each natural-scale value by its free coordinate."""
     return np.array([v if k == "pos" else v * (1.0 - v) if k == "unit"
                      else 1.0 - v * v for v, k in zip(values, kinds)])
-
-
-def transform(params: RtgleParams) -> np.ndarray:
-    """Map interior params to unconstrained R^4 (log, log, log, logit)."""
-    return _to_free(params.as_tuple(), _RTGLE.kinds)
-
-
-def untransform(theta) -> RtgleParams:
-    """Inverse of transform; the logit coordinate is clamped to |t| <= 40."""
-    return validate(*_from_free(theta, _RTGLE.kinds))
-
-
-def _free_objective(objective, kinds, valid=None):
-    """objective(values, fits) of natural values (R, k) as a function of
-    the free coordinates, theta (R, k) and fits (R,), through _inverse; the
-    value is +inf on the rows where exp of a finite "pos" coordinate
-    overflows or valid(values) is False.
-
-    valid runs only on calls with a value at 0, inf or NaN: while every
-    value is positive and finite, RTGLE and the competitors' RTGLE images
-    pass their checks, or give a non-finite log-likelihood, +inf all the
-    same.
-    """
-    natural = _inverse(kinds)
-
-    def evaluate(values, fits):
-        # one row runs on floats (_columns), whose arithmetic raises where
-        # numpy's gives inf or NaN; the value is +inf either way
-        if len(values) > 1:
-            return objective(values, fits)
-        try:
-            return objective(values, fits)
-        except (ArithmeticError, ValueError):
-            return np.full(1, np.inf)
-
-    def on_free(theta, fits):
-        values, ok = natural(theta)
-        if ok is None:
-            return evaluate(values, fits)
-        if valid is not None:
-            ok &= valid(values)
-        out = np.full(len(ok), np.inf)
-        if ok.any():
-            out[ok] = evaluate(values[ok], fits[ok])
-        return out
-    return on_free
 
 
 def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
@@ -470,53 +417,6 @@ def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
     return x, fun, nit, nit < maxiter
 
 
-@dataclass(frozen=True)
-class _Optimum:
-    """The best optimum of one fit's search, in free coordinates."""
-    x: np.ndarray
-    fun: float
-    nit: int
-    success: bool
-
-
-@np.errstate(**_IGNORE)
-def _search(objective, centers: np.ndarray, scale,
-            config: OptimizerConfig) -> list[_Optimum | None]:
-    """Multi-start Nelder-Mead for many fits at once, all in one lockstep
-    search (_nelder_mead).
-
-    Fit f's objective is objective(., f) of the free coordinates (see
-    _free_objective).  Its starts are centers[f] and config.n_starts - 1
-    normal perturbations of it with standard deviation scale (Philox keyed
-    by config.seed, the same for every fit); a start with a non-finite
-    objective is dropped.  Runs with floating-point warnings off (_IGNORE).
-    Returns for each fit the optimum of its best start as an _Optimum, or
-    None where no start ended finite.
-    """
-    n_fits, k = centers.shape
-    n = config.n_starts
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    starts = np.repeat(centers[:, None, :], n, axis=1)
-    for i in range(1, n):
-        starts[:, i] += rng.normal(scale=scale, size=k)
-    starts = starts.reshape(-1, k)
-    fits = np.repeat(np.arange(n_fits), n)
-    live = np.isfinite(objective(starts, fits))
-    x, fun = starts, np.full(len(starts), np.inf)
-    nit = np.zeros(len(starts), dtype=int)
-    success = np.zeros(len(starts), dtype=bool)
-    if live.any():
-        x[live], fun[live], nit[live], success[live] = _nelder_mead(
-            objective, starts[live], fits[live], config.max_iterations,
-            config.step_tolerance, config.tolerance)
-    # each fit keeps the first of its best finite optima
-    fun[~np.isfinite(fun)] = np.inf
-    best = np.argmin(fun.reshape(n_fits, n), axis=1) + np.arange(n_fits) * n
-    return [_Optimum(x=x[r], fun=fun[r], nit=int(nit[r]),
-                     success=bool(success[r]))
-            if np.isfinite(fun[r]) else None for r in best.tolist()]
-
-
 def minimize(*args, **kwargs):
     """scipy's minimize: unused here, kept for bench/tracing.py (ROADMAP 1)."""
     from scipy.optimize import minimize as scipy_minimize
@@ -560,30 +460,69 @@ _RTGLE = _Model("RTGLE", ("alpha", "beta", "gamma", "p"),
 
 
 def _model_objective(model: _Model, methods, data: np.ndarray):
-    """_row_objective of model on the free coordinates, +inf where they map
-    to no valid RTGLE image."""
-    image = model.image
-    return _free_objective(
-        _row_objective(methods, data, model.log_pdf, model.log_sf),
-        model.kinds, image and (lambda v: _valid_rows(*image(*v.T))))
+    """(objective, natural): _row_objective of model as a function of the
+    free coordinates, objective(theta (R, k), fits (R,)) -> (R,), and the
+    map natural = _inverse(model.kinds) it evaluates through.  The value is
+    +inf on the rows where exp of a finite "pos" coordinate overflows or
+    the natural values have no valid RTGLE image.
+
+    The image is checked only on calls with a value at 0, inf or NaN: while
+    every value is positive and finite, RTGLE and the competitors' RTGLE
+    images pass their checks, or give a non-finite log-likelihood, +inf all
+    the same.
+    """
+    objective = _row_objective(methods, data, model.log_pdf, model.log_sf)
+    natural, image = _inverse(model.kinds), model.image
+
+    def evaluate(values, fits):
+        # one row runs on floats (_columns), whose arithmetic raises where
+        # numpy's gives inf or NaN; the value is +inf either way
+        if len(values) > 1:
+            return objective(values, fits)
+        try:
+            return objective(values, fits)
+        except (ArithmeticError, ValueError):
+            return np.full(1, np.inf)
+
+    def on_free(theta, fits):
+        values, ok = natural(theta)
+        if ok is None:
+            return evaluate(values, fits)
+        if image is not None:
+            ok &= _valid_rows(*image(*values.T))
+        out = np.full(len(ok), np.inf)
+        if ok.any():
+            out[ok] = evaluate(values[ok], fits[ok])
+        return out
+    return on_free, natural
 
 
+@np.errstate(**_IGNORE)
 def _lockstep_fits(samples, methods, config: OptimizerConfig,
                    model: _Model = _RTGLE):
-    """The one fit routine: for sample s and method j, the best optimum (an
-    _Optimum in free coordinates) of model or the typed error of that fit.
+    """The one fit routine: multi-start Nelder-Mead for every method on
+    every sample, all in one lockstep search (_nelder_mead).  For sample s
+    and method j it returns the optimum of the best start, (values,
+    objective, iterations, converged) with values on the natural scale, or
+    the typed error of that fit.
 
     A fit starts at model.start(x), or for RTGLE at config.start, whose
-    edge coordinates (a rate at 0, p at 0 or 1) take model.start(x)'s."""
-    n_methods = len(methods)
+    edge coordinates (a rate at 0, p at 0 or 1) take model.start(x)'s.  Its
+    starts are that center and config.n_starts - 1 normal perturbations of
+    it in free coordinates with standard deviation model.spread (Philox
+    keyed by config.seed, the same for every fit); a start with a
+    non-finite objective is dropped.  Runs with floating-point warnings off
+    (_IGNORE).
+    """
+    n_methods, k, n = len(methods), len(model.kinds), config.n_starts
     found: list = [None] * len(samples)
     fitted, data, centers = [], [], []
     for s, sample in enumerate(samples):
         try:
-            x = _check_fit_data(sample, len(model.kinds))
+            x = _check_fit_data(sample, k)
             center = model.start(x)
             if model is _RTGLE and config.start is not None:
-                center = [v if _interior(v, k) else c for v, c, k in zip(
+                center = [v if _interior(v, kind) else c for v, c, kind in zip(
                     validate(*config.start).as_tuple(), center, model.kinds)]
             centers.append(_to_free(center, model.kinds))
         except (NonPositiveData, DegenerateData, InvalidParams) as exc:
@@ -593,25 +532,38 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
         data.append(x)
     if len({len(x) for x in data}) > 1:
         raise ValueError("fit_many: the samples must all have one size")
-    if fitted:
-        objective = _model_objective(model, methods, np.array(data))
-        opts = _search(objective,
-                       np.repeat(np.array(centers), n_methods, axis=0),
-                       model.spread, config)
-        for i, s in enumerate(fitted):
-            found[s] = [AllStartsFailed(f"no start produced a finite "
-                                        f"{m.value} objective for "
-                                        f"{model.name}")
-                        if opt is None else opt
-                        for m, opt in zip(methods, opts[i * n_methods:])]
+    if not fitted:
+        return found
+    objective, natural = _model_objective(model, methods, np.array(data))
+    n_fits = len(fitted) * n_methods
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    centers = np.repeat(np.array(centers), n_methods, axis=0)
+    starts = np.repeat(centers[:, None, :], n, axis=1)
+    for i in range(1, n):
+        starts[:, i] += rng.normal(scale=model.spread, size=k)
+    starts = starts.reshape(-1, k)
+    fits = np.repeat(np.arange(n_fits), n)
+    live = np.isfinite(objective(starts, fits))
+    x, fun = starts, np.full(len(starts), np.inf)
+    nit = np.zeros(len(starts), dtype=int)
+    success = np.zeros(len(starts), dtype=bool)
+    if live.any():
+        x[live], fun[live], nit[live], success[live] = _nelder_mead(
+            objective, starts[live], fits[live], config.max_iterations,
+            config.step_tolerance, config.tolerance)
+    # each fit keeps the first of its best finite optima
+    fun[~np.isfinite(fun)] = np.inf
+    best = np.argmin(fun.reshape(n_fits, n), axis=1) + np.arange(n_fits) * n
+    values = natural(x[best])[0].tolist()
+    optima = [(tuple(values[f]), float(fun[r]), int(nit[r]), bool(success[r]))
+              if np.isfinite(fun[r]) else None
+              for f, r in enumerate(best.tolist())]
+    for i, s in enumerate(fitted):
+        found[s] = [AllStartsFailed(f"no start produced a finite {m.value} "
+                                    f"objective for {model.name}")
+                    if opt is None else opt
+                    for m, opt in zip(methods, optima[i * n_methods:])]
     return found
-
-
-def _fit_result(opt: _Optimum, method: EstimationMethod,
-                config: OptimizerConfig) -> FitResult:
-    return FitResult(params=untransform(opt.x), objective=float(opt.fun),
-                     converged=bool(opt.success), iterations=int(opt.nit),
-                     n_starts_used=config.n_starts, method=method)
 
 
 def fit(data, method: EstimationMethod,
@@ -641,10 +593,11 @@ def fit_many(samples, methods, config: OptimizerConfig | None = None
     typed error (NonPositiveData, DegenerateData, InvalidParams or
     AllStartsFailed).  Any other error propagates."""
     config = config or OptimizerConfig()
-    found = _lockstep_fits(samples, methods, config)
-    return [[opt if isinstance(opt, Exception)
-             else _fit_result(opt, m, config) for m, opt in zip(methods, row)]
-            for row in found]
+    return [[opt if isinstance(opt, Exception) else FitResult(
+        params=validate(*opt[0]), objective=opt[1], converged=opt[3],
+        iterations=opt[2], n_starts_used=config.n_starts, method=m)
+        for m, opt in zip(methods, row)]
+        for row in _lockstep_fits(samples, methods, config)]
 
 
 @np.errstate(**_IGNORE)
@@ -663,8 +616,8 @@ def _standard_errors(model: _Model, values, data) -> tuple[float, ...]:
         if not _interior(v, kind):
             raise HessianNotPD(f"{name}={v!r} is on the boundary of the "
                                "parameter space; no information matrix there")
-    objective = _model_objective(model, (EstimationMethod.MLE,),
-                                 _check_data(data)[None])
+    objective, _ = _model_objective(model, (EstimationMethod.MLE,),
+                                    _check_data(data)[None])
     theta = _to_free(values, model.kinds)
     k = len(theta)
     h = 1e-4 * (1.0 + np.abs(theta))

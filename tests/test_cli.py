@@ -57,6 +57,25 @@ def test_table_multiple_rows_csv(capsys):
     assert rows[0][:4] == ["alpha", "beta", "gamma", "p"]
 
 
+def test_table_json_is_a_list_for_one_row(capsys):
+    # table prints a list whatever its row count; one row is a one-row list
+    code, out, _ = run_cli(capsys, "table", "--kind", "quantiles",
+                           "--params", "0.5,0.5,1.2,0.2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert isinstance(doc, list) and len(doc) == 1
+    assert doc[0]["alpha"] == 0.5
+
+
+def test_table_json_with_no_row_left_is_empty_list(capsys):
+    # the only row overflows, so it is dropped with a note on stderr
+    code, out, err = run_cli(capsys, "table", "--kind", "moments",
+                             "--params", "1,0,0.01,0.5", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == []
+    assert err.startswith("row (1.0, 0.0, 0.01, 0.5)")
+
+
 def test_sample_deterministic(capsys):
     args = ("sample", "--params", "1,0,1,0", "--n", "3", "--seed", "7")
     code1, out1, _ = run_cli(capsys, *args)

@@ -270,10 +270,21 @@ def test_comparison_rows_come_from_one_fit_routine():
 
 def test_competitor_on_edge_has_no_standard_errors():
     # RTLE's likelihood on the embedded data drives beta to 0.0, where no
-    # free coordinates, so no information matrix, exist
+    # free coordinates, so no information matrix, exist; the fit says why
     x = load_dataset("embedded").values
     cf = fit_competitor("RTLE", x, OptimizerConfig(n_starts=20, seed=0))
     assert cf.model.params[1] == 0.0
     with pytest.raises(HessianNotPD, match="beta=0.0"):
         _standard_errors(_SPECS["RTLE"], cf.model.params, x)
     assert cf.standard_errors is None
+    assert "beta=0.0" in cf.diagnostics
+    # TLL on the trimmed data ends at lambda = 1 - 5.8e-15: interior by the
+    # edge rule, but its Hessian is singular
+    trimmed = np.delete(x, flag_outliers_iqr(x))
+    cf = fit_competitor("TLL", trimmed, OptimizerConfig(n_starts=4, seed=1))
+    assert 0.0 < 1.0 - cf.model.params[2] < 1e-14
+    assert cf.standard_errors is None
+    assert "Hessian is singular" in cf.diagnostics
+    # a fit with standard errors has no diagnostics
+    cf = fit_competitor("W", trimmed, OptimizerConfig(n_starts=4, seed=1))
+    assert cf.standard_errors is not None and cf.diagnostics == ""
