@@ -239,21 +239,26 @@ def _cmd_table(args) -> int:
 
 def _cmd_sample(args) -> int:
     params = _parse_params(args.params)
-    values = sample(params, args.n, seed=args.seed)
+    draws = [float(v) for v in sample(params, args.n, seed=args.seed)]
+    curves = []
+    if args.curves:
+        lo = quantile(params, 1e-3)
+        hi = quantile(params, 1.0 - 1e-3)
+        curves = [{"x": x, "pdf": float(pdf(params, x)),
+                   "cdf": float(cdf(params, x))}
+                  for x in np.linspace(lo, hi, 200).tolist()]
     with _open_out(args) as out:
+        if args.format == "json" and curves:
+            _emit({"draws": draws, "curves": curves}, "json", out)
+            return 0
         if args.format == "json":
-            out.write(json.dumps([float(v) for v in values]) + "\n")
+            out.write(json.dumps(draws) + "\n")
         else:
-            for v in values:
-                out.write(f"{float(v)!r}\n")
-        if args.curves:
-            lo = quantile(params, 1e-3)
-            hi = quantile(params, 1.0 - 1e-3)
-            grid = np.linspace(lo, hi, 200).tolist()
+            for v in draws:
+                out.write(f"{v!r}\n")
+        if curves:
             out.write("\n")
-            _emit([{"x": x, "pdf": float(pdf(params, x)),
-                    "cdf": float(cdf(params, x))} for x in grid],
-                  "csv", out, float_fmt="{!r}")
+            _emit(curves, "csv", out, float_fmt="{!r}")
     return 0
 
 

@@ -218,6 +218,7 @@ class ComparisonRow:
     standard_errors: dict[str, float] | None
     gof: GofReport | None
     error: str | None = None
+    diagnostics: str = ""        # why standard_errors is None, if it is
 
 
 def comparison_table(data, config: OptimizerConfig | None = None
@@ -238,7 +239,7 @@ def comparison_table(data, config: OptimizerConfig | None = None
                              minus2loglik=cf.minus2loglik, r=len(params))
             rows.append(ComparisonRow(kind, params,
                                       dict(zip(params, se)) if se else None,
-                                      rep))
+                                      rep, diagnostics=cf.diagnostics))
         except (AllStartsFailed, ValueError) as exc:
             rows.append(ComparisonRow(kind, {}, None, None, str(exc)))
 

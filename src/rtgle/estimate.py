@@ -109,10 +109,15 @@ def _check_fit_data(data, k: int) -> np.ndarray:
 # _row_objective takes checked samples, sorts them and tabulates every
 # data-only array once, and returns the objectives of many fits as one
 # function of natural values, one row per evaluation, on the interior
-# kernels of ``distribution`` or of a competitor in ``compare``.  A row's
-# value does not depend on the other rows, to the bit; the public objectives
-# are its value on one row.  Callers evaluate it under _IGNORE: far from the
-# optimum the kernels overflow.
+# kernels of ``distribution`` or of a competitor in ``compare``.  A call
+# makes one log_pdf call for its MLE rows, on the samples in input order,
+# and one log_sf call for all its distance rows (LSE, WLSE, ADE, CME), on
+# the sorted samples; each method's formula then takes its own rows.  So
+# _nelder_mead's one call per step (four trial points of every live search,
+# every method) costs two kernel calls.  A row's value does not depend on
+# the other rows, to the bit; the public objectives are its value on one
+# row.  Callers evaluate it under _IGNORE: far from the optimum the kernels
+# overflow.
 
 _IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
@@ -149,19 +154,16 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         broadcast instead of copied."""
         return table[0] if len(table) == 1 else table[index]
 
-    def mle(v, s, j):
+    def mle(v, s):
         total = log_pdf(rows(data, s), rows(x2, s), *_columns(v)).reshape(
             len(v), -1).sum(axis=1)
         # a non-finite total is a zero, infinite or undefined likelihood
         return np.where(np.isfinite(total), -total, np.inf)
 
-    def ade(v, s, j):
-        log_s = log_sf(rows(xs, s), rows(xs2, s), *_columns(v)).reshape(
-            len(v), -1)
-        f, sv = -np.expm1(log_s), np.exp(log_s)
+    def ade(f, log_s):
         # a fit on its own takes np.log(s[::-1]) of a 1-d s: a
         # negative-stride view, so the C library's log
-        terms = np.log(f) + _libm(np.log, sv)[:, ::-1]
+        terms = np.log(f) + _libm(np.log, np.exp(log_s))[:, ::-1]
         # every term is <= 0, so F = 0 or S = 0 makes the value +inf; it is
         # NaN where z overflowed, where S = 0
         out = -n - (coef * terms).sum(axis=1) / n
@@ -172,27 +174,42 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         return rows(c0, j) + (rows(w, j) * (f - rows(target, j)) ** 2
                               ).sum(axis=1)
 
-    def squares(v, s, j):
-        f = -np.expm1(log_sf(rows(xs, s), rows(xs2, s), *_columns(v)
-                             ).reshape(len(v), -1))
+    def squares(f, j):
         out = distance(f, j)
         bad = np.isnan(out)
         if bad.any():  # F is NaN where z overflowed; cdf's limit there is 1
             out[bad] = distance(np.fmin(f[bad], 1.0), j[bad])
         return out
 
-    formulas = (mle, ade, squares)
+    def distances(v, s, j, ad):
+        """Every distance row from one survival-kernel call on the sorted
+        samples: ADE where ad (a mask, or one numpy bool for all rows), a
+        squares formula elsewhere."""
+        log_s = log_sf(rows(xs, s), rows(xs2, s), *_columns(v)).reshape(
+            len(v), -1)
+        f = -np.expm1(log_s)
+        if ad.all():
+            return ade(f, log_s)
+        if not ad.any():
+            return squares(f, j)
+        out = np.empty(len(v))
+        out[ad] = ade(f[ad], log_s[ad])
+        out[~ad] = squares(f[~ad], j[~ad])
+        return out
 
     def objective(v, fits):
         if n_methods == 1:  # s = fits, and every per-method table has one row
-            return formulas[formula[0]](v, fits, fits)
+            return (mle(v, fits) if formula[0] == 0
+                    else distances(v, fits, fits, formula[0] == 1))
         s, j = np.divmod(fits, n_methods)
         kind = formula[j]
         out = np.empty(len(v))
-        for k, evaluate in enumerate(formulas):
-            sel = kind == k
-            if sel.any():
-                out[sel] = evaluate(v[sel], s[sel], j[sel])
+        sel = kind == 0
+        if sel.any():
+            out[sel] = mle(v[sel], s[sel])
+        sel = ~sel
+        if sel.any():
+            out[sel] = distances(v[sel], s[sel], j[sel], kind[sel] == 1)
         return out
     return objective
 
@@ -335,10 +352,13 @@ def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
     s minimizes objective(., fits[s]) of the rows (R, N) -> (R,).
 
     The searches advance in lockstep on (S, N+1, N) simplices and leave as
-    they stop.  Each step evaluates the reflections in one call, the
-    expansion or contraction points in a second and the shrunk simplices in
-    a third.  Every row takes scipy's steps in scipy's arithmetic, so the
-    returned x (S, N), fun, nit and success (S,) are scipy's to the bit.
+    they stop.  Each step evaluates all four trial points of every live
+    search (reflection, expansion, outside and inside contraction) in one
+    call, makes scipy's choice from their values, and evaluates the shrunk
+    simplices, if any, in a second.  A row's value does not depend on the
+    rows beside it, so every row takes scipy's steps in scipy's arithmetic,
+    and the returned x (S, N), fun, nit and success (S,) are scipy's to the
+    bit; the trial points scipy would not have evaluated only cost rows.
     """
     n_rows, N = x0.shape
     chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
@@ -382,26 +402,24 @@ def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
         xbar = np.add.reduce(sim[:, :-1], 1) / N
         last = sim[:, -1]
         trials = k1 * xbar - k2 * last
-        new_x = trials[0]
-        new_f = objective(new_x, fits)
+        f_trials = objective(trials.reshape(-1, N),
+                             np.tile(fits, 4)).reshape(4, -1)
+        new_x, new_f = trials[0], f_trials[0]
         # scipy's choice: 0 take the reflection, 1 try an expansion,
         # 2 an outside and 3 an inside contraction
         case = np.where(new_f < fsim[:, 0], 1, np.where(
             new_f < fsim[:, -2], 0, 3 - (new_f < fsim[:, -1])))
-        second = case.nonzero()[0]
-        shrink = second[:0]
-        if second.size:
-            c = case[second]
-            trial = trials[c, second]
-            f_trial = objective(trial, fits[second])
-            f_ref = np.where(c == 3, fsim[second, -1], new_f[second])
-            # an outside contraction is taken on a tie, the others are not
-            take = (f_trial < f_ref) | ((f_trial == f_ref) & (c == 2))
-            taken = second[take]
-            new_x[taken], new_f[taken] = trial[take], f_trial[take]
-            shrink = second[(c > 1) & ~take]
-            if shrink.size:
-                new_x[shrink], new_f[shrink] = last[shrink], fsim[shrink, -1]
+        live = rows[:, 0]
+        f_trial = f_trials[case, live]
+        f_ref = np.where(case == 3, fsim[:, -1], new_f)
+        # an outside contraction is taken on a tie, the others are not; a
+        # reflection (case 0) is its own f_ref and stays as it is
+        take = (f_trial < f_ref) | ((f_trial == f_ref) & (case == 2))
+        shrink = ((case > 1) & ~take).nonzero()[0]
+        take = take.nonzero()[0]
+        new_x[take], new_f[take] = trials[case[take], take], f_trial[take]
+        if shrink.size:
+            new_x[shrink], new_f[shrink] = last[shrink], fsim[shrink, -1]
         sim[:, -1], fsim[:, -1] = new_x, new_f
         if shrink.size:
             best = sim[shrink, :1]

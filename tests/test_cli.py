@@ -92,6 +92,21 @@ def test_sample_curves_csv(capsys):
     assert "x,pdf,cdf" in out
 
 
+def test_sample_curves_json_is_one_object(capsys):
+    args = ("sample", "--params", "0.5,0.5,1.2,0.2", "--n", "5", "--seed",
+            "1", "--format", "json")
+    code, out, _ = run_cli(capsys, *args, "--curves")
+    assert code == 0
+    doc = json.loads(out)   # the whole of stdout
+    assert set(doc) == {"draws", "curves"}
+    code, draws, _ = run_cli(capsys, *args)
+    assert code == 0 and doc["draws"] == json.loads(draws)
+    assert len(doc["curves"]) == 200
+    assert all(set(point) == {"x", "pdf", "cdf"} for point in doc["curves"])
+    assert [p["x"] for p in doc["curves"]] == sorted(
+        p["x"] for p in doc["curves"])
+
+
 def test_fit_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "fit", "--data", "embedded", "--method",
                            "mle", "--n-starts", "4", "--format", "json")

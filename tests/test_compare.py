@@ -260,6 +260,7 @@ def test_comparison_rows_come_from_one_fit_routine():
         se = cf.standard_errors
         assert row.standard_errors == (dict(zip(row.params, se)) if se
                                        else None)
+        assert row.diagnostics == cf.diagnostics
         try:
             expected = _standard_errors(_SPECS[kind], cf.model.params,
                                         trimmed)
@@ -288,3 +289,16 @@ def test_competitor_on_edge_has_no_standard_errors():
     # a fit with standard errors has no diagnostics
     cf = fit_competitor("W", trimmed, OptimizerConfig(n_starts=4, seed=1))
     assert cf.standard_errors is not None and cf.diagnostics == ""
+
+
+def test_comparison_rows_say_why_they_have_no_standard_errors():
+    # a row carries its fit's diagnostics: RTLE on the embedded data ends at
+    # beta = 0.0, where no information matrix exists, and W has standard
+    # errors and no diagnostics
+    x = load_dataset("embedded").values
+    rows = {r.model: r for r in comparison_table(
+        x, OptimizerConfig(n_starts=20, seed=0))}
+    assert rows["RTLE"].standard_errors is None
+    assert "beta=0.0" in rows["RTLE"].diagnostics
+    assert rows["W"].standard_errors is not None
+    assert rows["W"].diagnostics == ""

@@ -9,13 +9,14 @@ from scipy.optimize import minimize
 from rtgle import DegenerateData
 from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
                            comparison_table, fit_competitor)
-from rtgle.distribution import RtgleParams, sample, validate
+from rtgle.distribution import (RtgleParams, _log_pdf_kernel, _log_sf_kernel,
+                                sample, validate)
 from rtgle.estimate import (_IGNORE, _OBJECTIVES, _RTGLE, AllStartsFailed,
                             EstimationMethod, HessianNotPD, NonPositiveData,
                             OptimizerConfig, _inverse, _model_objective,
-                            _nelder_mead, _to_free, ad_objective,
-                            cvm_objective, fit, fit_many, ls_objective,
-                            neg_log_likelihood, nll_gradient,
+                            _nelder_mead, _row_objective, _to_free,
+                            ad_objective, cvm_objective, fit, fit_many,
+                            ls_objective, neg_log_likelihood, nll_gradient,
                             standard_errors, wls_objective)
 
 TRUE = RtgleParams(1.2, 0.5, 1.5, 0.8)
@@ -361,6 +362,70 @@ def test_lockstep_matches_scipy_nelder_mead(model):
             first = objective(_initial_simplex(starts[-1]),
                               np.zeros(k + 1, dtype=int))
             assert np.isfinite(first[0]) and np.sum(np.isinf(first)) == 2
+
+
+@pytest.mark.parametrize("kind", ["TLL", "LE"])
+def test_lockstep_makes_one_trial_call_per_iteration(kind):
+    # each iteration evaluates the four trial points of every live search in
+    # one call of 4 x live rows, then the shrunk simplices, if any search
+    # shrinks, in at most one more; with k != 4 coordinates the two cannot be
+    # confused, as a shrink call repeats each search's label k times
+    spec = _SPECS[kind]
+    x = LOCKSTEP_X
+    objective, _ = _model_objective(spec, (EstimationMethod.MLE,), x[None])
+    center = _to_free(spec.start(x), spec.kinds)
+    k = len(center)
+    starts = np.array([center] + list(
+        center + np.random.default_rng(1).normal(size=(4, k))))
+    # with one sample and one method, fits only label the searches
+    labels = np.arange(len(starts))
+    calls = []
+
+    def counted(theta, fits):
+        calls.append(fits.tolist())
+        return objective(theta, fits)
+    with np.errstate(**_IGNORE):
+        _, _, nit, _ = _nelder_mead(counted, starts, labels, 2000, 1e-8, 1e-10)
+    assert calls[0] == np.repeat(labels, k + 1).tolist()
+    i = shrinks = 0
+    for step in range(1, nit.max()):   # a search with nit > step is live
+        i += 1
+        live = labels[nit > step]
+        assert calls[i] == np.tile(live, 4).tolist(), step
+        if i + 1 < len(calls) \
+                and calls[i + 1] != np.tile(labels[nit > step + 1], 4).tolist():
+            i += 1
+            shrunk = calls[i][::k]
+            assert calls[i] == np.repeat(shrunk, k).tolist(), step
+            assert set(shrunk) <= set(live.tolist())
+            shrinks += 1
+    assert i + 1 == len(calls) and shrinks > 0
+
+
+def test_row_objective_makes_one_call_per_kernel():
+    # a call's MLE rows take one log_pdf call, and its LSE, WLSE, ADE and
+    # CME rows together one log_sf call; each row is its public objective
+    kernels = []
+
+    def counted(kernel):
+        def call(*args):
+            kernels.append(kernel)
+            return kernel(*args)
+        return call
+    methods = tuple(EstimationMethod)
+    samples = [sample(TRUE, 30, seed=s) for s in (2, 3)]
+    objective = _row_objective(methods, np.array(samples),
+                               counted(_log_pdf_kernel),
+                               counted(_log_sf_kernel))
+    v = np.array(TRUE.as_tuple()) * np.random.default_rng(4).uniform(
+        0.8, 1.2, size=(10, 4))
+    with np.errstate(**_IGNORE):
+        out = objective(v, np.arange(10))
+    assert sorted(kernel.__name__ for kernel in kernels) == [
+        "_log_pdf_kernel", "_log_sf_kernel"]
+    for f, value in enumerate(out.tolist()):
+        assert value == _OBJECTIVES[methods[f % 5]](
+            RtgleParams(*v[f]), samples[f // 5]), f
 
 
 def test_fit_many_returns_typed_errors_per_fit():
