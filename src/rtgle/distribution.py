@@ -142,7 +142,7 @@ def _libm(ufunc, *args) -> np.ndarray:
     round some results differently from the C library's scalar routines
     (about 1 in 20 for exp); on a 1-d negative-stride view numpy uses the
     C library, so a batched fit sees the bits of a fit on its own."""
-    return ufunc(*(a.ravel()[::-1] for a in args))[::-1].reshape(
+    return ufunc(*[a.ravel()[::-1] for a in args])[::-1].reshape(
         args[0].shape)
 
 
@@ -198,7 +198,7 @@ def _log_pdf_kernel(x, x2, a, b, g, p):
     z = np.power(m, g)
     mix = (1.0 - p) + p * z
     log_mix = np.where(mix > 0.0, np.log(np.maximum(mix, 1e-320)), -np.inf)
-    if not (m.min() if m.ndim else m) > 0.0:
+    if not (np.minimum.reduce(m, axis=None) if m.ndim else m) > 0.0:
         # m underflowed: log m = log x + log(a + b*x/2), as in hazard, and
         # z with it, so at p = 1 the mixing term is log z = g * log m
         under = m == 0.0

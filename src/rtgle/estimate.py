@@ -112,12 +112,13 @@ def _check_fit_data(data, k: int) -> np.ndarray:
 # kernels of ``distribution`` or of a competitor in ``compare``.  A call
 # makes one log_pdf call for its MLE rows, on the samples in input order,
 # and one log_sf call for all its distance rows (LSE, WLSE, ADE, CME), on
-# the sorted samples; each method's formula then takes its own rows.  So
-# _nelder_mead's one call per step (four trial points of every live search,
-# every method) costs two kernel calls.  A row's value does not depend on
-# the other rows, to the bit; the public objectives are its value on one
-# row.  Callers evaluate it under _IGNORE: far from the optimum the kernels
-# overflow.
+# the sorted samples, each on one gather of its paired tables.  Rows of
+# several formulas are taken grouped by formula (one stable sort), so each
+# formula runs on a contiguous block.  On the small calls of a lockstep
+# search, a few rows of tens of points, the number of numpy calls sets the
+# cost, not the rows.  A row's value does not depend on the other rows, to
+# the bit; the public objectives are its value on one row.  Callers
+# evaluate it under _IGNORE: far from the optimum the kernels overflow.
 
 _IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
@@ -148,15 +149,18 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
     formula = np.array([0 if m is EstimationMethod.MLE
                         else 1 if m is EstimationMethod.ADE else 2
                         for m in methods])
+    # the pairs a row takes together, one gather for both
+    by_sample, by_sample_sorted = np.stack((data, x2)), np.stack((xs, xs2))
+    by_method = np.stack((w, target))
 
-    def rows(table, index):
-        """The rows of a per-sample or per-method table; one row is
-        broadcast instead of copied."""
-        return table[0] if len(table) == 1 else table[index]
+    def rows(pair, index):
+        """The two (R, n) tables of a per-sample or per-method pair (2, S,
+        n); one row is broadcast instead of copied."""
+        return pair[:, 0] if pair.shape[1] == 1 else pair[:, index]
 
     def mle(v, s):
-        total = log_pdf(rows(data, s), rows(x2, s), *_columns(v)).reshape(
-            len(v), -1).sum(axis=1)
+        total = np.add.reduce(log_pdf(*rows(by_sample, s), *_columns(v)
+                                      ).reshape(len(v), -1), axis=1)
         # a non-finite total is a zero, infinite or undefined likelihood
         return np.where(np.isfinite(total), -total, np.inf)
 
@@ -166,50 +170,57 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         terms = np.log(f) + _libm(np.log, np.exp(log_s))[:, ::-1]
         # every term is <= 0, so F = 0 or S = 0 makes the value +inf; it is
         # NaN where z overflowed, where S = 0
-        out = -n - (coef * terms).sum(axis=1) / n
+        out = -n - np.add.reduce(coef * terms, axis=1) / n
         out[np.isnan(out)] = np.inf
         return out
 
     def distance(f, j):
-        return rows(c0, j) + (rows(w, j) * (f - rows(target, j)) ** 2
-                              ).sum(axis=1)
+        weight, position = rows(by_method, j)
+        return (c0[0] if len(c0) == 1 else c0[j]) + np.add.reduce(
+            weight * (f - position) ** 2, axis=1)
 
     def squares(f, j):
         out = distance(f, j)
-        bad = np.isnan(out)
-        if bad.any():  # F is NaN where z overflowed; cdf's limit there is 1
+        bad = np.isnan(out).nonzero()[0]
+        if bad.size:  # F is NaN where z overflowed; cdf's limit there is 1
             out[bad] = distance(np.fmin(f[bad], 1.0), j[bad])
         return out
 
-    def distances(v, s, j, ad):
+    def distances(v, s, j, n_ade):
         """Every distance row from one survival-kernel call on the sorted
-        samples: ADE where ad (a mask, or one numpy bool for all rows), a
-        squares formula elsewhere."""
-        log_s = log_sf(rows(xs, s), rows(xs2, s), *_columns(v)).reshape(
+        samples: ADE on the first n_ade rows, a squares formula on the
+        rest."""
+        log_s = log_sf(*rows(by_sample_sorted, s), *_columns(v)).reshape(
             len(v), -1)
         f = -np.expm1(log_s)
-        if ad.all():
+        if n_ade == len(v):
             return ade(f, log_s)
-        if not ad.any():
+        if not n_ade:
             return squares(f, j)
-        out = np.empty(len(v))
-        out[ad] = ade(f[ad], log_s[ad])
-        out[~ad] = squares(f[~ad], j[~ad])
-        return out
+        return np.concatenate((ade(f[:n_ade], log_s[:n_ade]),
+                               squares(f[n_ade:], j[n_ade:])))
 
     def objective(v, fits):
         if n_methods == 1:  # s = fits, and every per-method table has one row
-            return (mle(v, fits) if formula[0] == 0
-                    else distances(v, fits, fits, formula[0] == 1))
+            return (mle(v, fits) if formula[0] == 0 else distances(
+                v, fits, fits, len(v) if formula[0] == 1 else 0))
         s, j = np.divmod(fits, n_methods)
         kind = formula[j]
-        out = np.empty(len(v))
-        sel = kind == 0
-        if sel.any():
-            out[sel] = mle(v[sel], s[sel])
-        sel = ~sel
-        if sel.any():
-            out[sel] = distances(v[sel], s[sel], j[sel], kind[sel] == 1)
+        counts = np.bincount(kind, minlength=3).tolist()
+        n_mle, n_ade = counts[:2]
+        if n_mle == len(v):
+            return mle(v, s)
+        order = None
+        if len(v) not in counts:  # take the rows grouped by formula
+            order = kind.argsort(kind="stable")
+            v, s, j = v[order], s[order], j[order]
+        out = distances(v[n_mle:], s[n_mle:], j[n_mle:], n_ade)
+        if n_mle:
+            out = np.concatenate((mle(v[:n_mle], s[:n_mle]), out))
+        if order is None:
+            return out
+        grouped, out = out, np.empty(len(v))
+        out[order] = grouped
         return out
     return objective
 
@@ -352,13 +363,12 @@ def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
     s minimizes objective(., fits[s]) of the rows (R, N) -> (R,).
 
     The searches advance in lockstep on (S, N+1, N) simplices and leave as
-    they stop.  Each step evaluates all four trial points of every live
-    search (reflection, expansion, outside and inside contraction) in one
-    call, makes scipy's choice from their values, and evaluates the shrunk
-    simplices, if any, in a second.  A row's value does not depend on the
-    rows beside it, so every row takes scipy's steps in scipy's arithmetic,
-    and the returned x (S, N), fun, nit and success (S,) are scipy's to the
-    bit; the trial points scipy would not have evaluated only cost rows.
+    they stop.  Each step evaluates the reflections in one call, the
+    expansion or contraction points in at most one more and the shrunk
+    simplices in at most a third.  A call holds only points scipy
+    evaluates, so a search costs scipy's rows.  Every row takes scipy's
+    steps in scipy's arithmetic, so the returned x (S, N), fun, nit and
+    success (S,) are scipy's to the bit.
     """
     n_rows, N = x0.shape
     chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
@@ -375,7 +385,7 @@ def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
                      np.repeat(fits, N + 1)).reshape(n_rows, N + 1)
     rows = np.arange(n_rows)[:, None]
     for _ in range(2):  # scipy sorts the first simplex twice; ties can move
-        order = np.argsort(fsim, axis=1)
+        order = fsim.argsort(axis=1)
         sim, fsim = sim[rows, order], fsim[rows, order]
 
     x, fun = np.empty((n_rows, N)), np.empty(n_rows)
@@ -402,24 +412,26 @@ def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
         xbar = np.add.reduce(sim[:, :-1], 1) / N
         last = sim[:, -1]
         trials = k1 * xbar - k2 * last
-        f_trials = objective(trials.reshape(-1, N),
-                             np.tile(fits, 4)).reshape(4, -1)
-        new_x, new_f = trials[0], f_trials[0]
+        new_x = trials[0]
+        new_f = objective(new_x, fits)
         # scipy's choice: 0 take the reflection, 1 try an expansion,
         # 2 an outside and 3 an inside contraction
         case = np.where(new_f < fsim[:, 0], 1, np.where(
             new_f < fsim[:, -2], 0, 3 - (new_f < fsim[:, -1])))
-        live = rows[:, 0]
-        f_trial = f_trials[case, live]
-        f_ref = np.where(case == 3, fsim[:, -1], new_f)
-        # an outside contraction is taken on a tie, the others are not; a
-        # reflection (case 0) is its own f_ref and stays as it is
-        take = (f_trial < f_ref) | ((f_trial == f_ref) & (case == 2))
-        shrink = ((case > 1) & ~take).nonzero()[0]
-        take = take.nonzero()[0]
-        new_x[take], new_f[take] = trials[case[take], take], f_trial[take]
-        if shrink.size:
-            new_x[shrink], new_f[shrink] = last[shrink], fsim[shrink, -1]
+        second = case.nonzero()[0]
+        shrink = second[:0]
+        if second.size:
+            c = case[second]
+            trial = trials[c, second]
+            f_trial = objective(trial, fits[second])
+            f_ref = np.where(c == 3, fsim[second, -1], new_f[second])
+            # an outside contraction is taken on a tie, the others are not
+            take = (f_trial < f_ref) | ((f_trial == f_ref) & (c == 2))
+            taken = second[take]
+            new_x[taken], new_f[taken] = trial[take], f_trial[take]
+            shrink = second[(c > 1) & ~take]
+            if shrink.size:
+                new_x[shrink], new_f[shrink] = last[shrink], fsim[shrink, -1]
         sim[:, -1], fsim[:, -1] = new_x, new_f
         if shrink.size:
             best = sim[shrink, :1]
@@ -429,7 +441,7 @@ def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
                 shrunk.reshape(-1, N), np.repeat(fits[shrink], N)
             ).reshape(-1, N)
         iterations += 1
-        order = np.argsort(fsim, axis=1)
+        order = fsim.argsort(axis=1)
         sim, fsim = sim[rows, order], fsim[rows, order]
     x[ids], fun[ids], nit[ids] = sim[:, 0], fsim.min(axis=1), iterations
     return x, fun, nit, nit < maxiter

@@ -365,11 +365,11 @@ def test_lockstep_matches_scipy_nelder_mead(model):
 
 
 @pytest.mark.parametrize("kind", ["TLL", "LE"])
-def test_lockstep_makes_one_trial_call_per_iteration(kind):
-    # each iteration evaluates the four trial points of every live search in
-    # one call of 4 x live rows, then the shrunk simplices, if any search
-    # shrinks, in at most one more; with k != 4 coordinates the two cannot be
-    # confused, as a shrink call repeats each search's label k times
+def test_lockstep_evaluates_only_scipys_points(kind):
+    # every search evaluates the points scipy evaluates, in scipy's order,
+    # and no others: a call holds one point of each search in it (its
+    # reflection, or its expansion or contraction point), or the k shrunk
+    # vertices of each; with k != 4 coordinates the two cannot be confused
     spec = _SPECS[kind]
     x = LOCKSTEP_X
     objective, _ = _model_objective(spec, (EstimationMethod.MLE,), x[None])
@@ -382,34 +382,37 @@ def test_lockstep_makes_one_trial_call_per_iteration(kind):
     calls = []
 
     def counted(theta, fits):
-        calls.append(fits.tolist())
+        calls.append((fits.tolist(), theta.copy()))
         return objective(theta, fits)
     with np.errstate(**_IGNORE):
-        _, _, nit, _ = _nelder_mead(counted, starts, labels, 2000, 1e-8, 1e-10)
-    assert calls[0] == np.repeat(labels, k + 1).tolist()
-    i = shrinks = 0
-    for step in range(1, nit.max()):   # a search with nit > step is live
-        i += 1
-        live = labels[nit > step]
-        assert calls[i] == np.tile(live, 4).tolist(), step
-        if i + 1 < len(calls) \
-                and calls[i + 1] != np.tile(labels[nit > step + 1], 4).tolist():
-            i += 1
-            shrunk = calls[i][::k]
-            assert calls[i] == np.repeat(shrunk, k).tolist(), step
-            assert set(shrunk) <= set(live.tolist())
+        _nelder_mead(counted, starts, labels, 2000, 1e-8, 1e-10)
+        for label, x0 in enumerate(starts):
+            points = []
+            _scipy_nelder_mead(lambda th, fits: points.append(th[0].copy())
+                               or objective(th, fits), x0, 2000)
+            mine = [theta[r] for fits, theta in calls
+                    for r, f in enumerate(fits) if f == label]
+            assert np.array(mine).tolist() == np.array(points).tolist(), label
+    assert calls[0][0] == np.repeat(labels, k + 1).tolist()
+    shrinks = 0
+    for fits, _ in calls[1:]:
+        searches = fits[::k] if fits[:k] == fits[:1] * k else fits
+        assert sorted(set(searches)) == searches
+        if searches is not fits:
+            assert fits == np.repeat(searches, k).tolist()
             shrinks += 1
-    assert i + 1 == len(calls) and shrinks > 0
+    assert shrinks > 0
 
 
 def test_row_objective_makes_one_call_per_kernel():
     # a call's MLE rows take one log_pdf call, and its LSE, WLSE, ADE and
-    # CME rows together one log_sf call; each row is its public objective
+    # CME rows together one log_sf call, whatever fits it holds and in any
+    # order; each row is its public objective
     kernels = []
 
     def counted(kernel):
         def call(*args):
-            kernels.append(kernel)
+            kernels.append(kernel.__name__)
             return kernel(*args)
         return call
     methods = tuple(EstimationMethod)
@@ -417,15 +420,22 @@ def test_row_objective_makes_one_call_per_kernel():
     objective = _row_objective(methods, np.array(samples),
                                counted(_log_pdf_kernel),
                                counted(_log_sf_kernel))
-    v = np.array(TRUE.as_tuple()) * np.random.default_rng(4).uniform(
-        0.8, 1.2, size=(10, 4))
-    with np.errstate(**_IGNORE):
-        out = objective(v, np.arange(10))
-    assert sorted(kernel.__name__ for kernel in kernels) == [
-        "_log_pdf_kernel", "_log_sf_kernel"]
-    for f, value in enumerate(out.tolist()):
-        assert value == _OBJECTIVES[methods[f % 5]](
-            RtgleParams(*v[f]), samples[f // 5]), f
+    rng = np.random.default_rng(4)
+    v = np.array(TRUE.as_tuple()) * rng.uniform(0.8, 1.2, size=(10, 4))
+    expected = [_OBJECTIVES[methods[f % 5]](RtgleParams(*v[f]),
+                                            samples[f // 5])
+                for f in range(10)]
+    # every fit in order; MLE and ADE only; ADE and squares only; one
+    # squares formula; all ten reversed and shuffled
+    for fits in (list(range(10)), [3, 0, 8, 5], [1, 3, 4, 8], [6, 2, 7],
+                 list(range(9, -1, -1)), rng.permutation(10).tolist()):
+        kernels.clear()
+        with np.errstate(**_IGNORE):
+            out = objective(v[fits], np.array(fits))
+        assert out.tolist() == [expected[f] for f in fits], fits
+        assert sorted(kernels) == sorted(
+            {"_log_pdf_kernel" if f % 5 == 0 else "_log_sf_kernel"
+             for f in fits}), fits
 
 
 def test_fit_many_returns_typed_errors_per_fit():
