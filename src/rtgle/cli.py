@@ -193,7 +193,16 @@ def _cmd_simulate(args) -> int:
     except (KeyError, ValueError, TypeError, InvalidParams) as exc:
         raise DataError(f"bad design: {exc}") from None
     report = sim_mod.run_design(design)
-    print(sim_mod.report_to_table(report))
+    table = []
+    for n in design.sample_sizes:
+        for m in design.methods:
+            c = report.cell(n, m)
+            table.append({"n": n, "method": m.value.upper(), **{
+                f"{k}({s})": f"{v:.4f}" if np.isfinite(v) else "—"
+                for k, values in (("bias", c.bias), ("mse", c.mse))
+                for s, v in zip(sim_mod.PARAM_LABELS, values)},
+                "failed": c.n_failed_fits})
+    _emit(table, "text", sys.stdout)
     if args.out:
         cells = [{"n": n, "method": method, **dataclasses.asdict(cell)}
                  for (n, method), cell in report.cells.items()]
@@ -337,11 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NonPositiveData, DegenerateData, ParseError,
-            NonPositiveValue) as exc:
+    except (DataError, NonPositiveData, DegenerateData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (AllStartsFailed, ArithmeticError) as exc:

@@ -2,7 +2,7 @@
 
 Every competitor is a log density ``log_pdf(x, x2, *params)`` and a log
 survival ``log_sf(x, x2, *params)``, with x > 0 and x2 = x*x tabulated once
-per fit; the parameters are floats, or (R, 1) columns of the R parameter
+per fit; the parameters are scalars, or (R, 1) columns of the R parameter
 vectors one step of the estimation engine evaluates.  W, RTW, LE and RTLE
 are RTGLE with some coordinates held fixed and evaluate the RTGLE kernels
 at that image; TW, TL and TLL transmute a Weibull, Lindley or log-logistic
@@ -92,10 +92,8 @@ def _loglogistic_log_sf(x, x2, a, b):
 
 
 def _root(th, g):
-    """th ** (1/g); through _libm on per-row arrays."""
-    if isinstance(th, np.ndarray):
-        return _libm(np.power, th, 1.0 / g)
-    return th ** (1.0 / g)
+    """th ** (1/g), elementwise through _libm."""
+    return _libm(np.power, th, 1.0 / g)
 
 
 _WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0))
@@ -145,12 +143,14 @@ def make_competitor(kind: str, *params: float) -> CompetitorModel:
             raise ValueError(f"{kind}: lambda must lie in [-1, 1], got {v!r}")
         if k == "unit" and not 0.0 <= v <= 1.0:
             raise ValueError(f"{kind}: p must lie in [0, 1], got {v!r}")
-    try:  # a nested kind is evaluated as RTGLE at its image
-        image = _checked(*spec.image(*params)) if spec.image else ()
-    except (OverflowError, ValueError):
-        image = (math.nan,)
-    if not all(map(math.isfinite, image)):
-        raise ValueError(f"{kind}: {params!r} has no valid finite RTGLE image")
+    if spec.image:  # a nested kind is evaluated as RTGLE at its image
+        with np.errstate(over="ignore"):
+            image = spec.image(*params)
+        try:
+            _checked(*image)
+        except ValueError:
+            raise ValueError(f"{kind}: {params!r} has no valid finite RTGLE "
+                             "image") from None
     return CompetitorModel(kind, tuple(float(v) for v in params))
 
 

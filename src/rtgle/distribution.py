@@ -130,32 +130,34 @@ def rt_linear_exponential(alpha: float, beta: float, p: float) -> RtgleParams:
 
 
 # --- evaluation -------------------------------------------------------------
-# The kernels take an array x > 0, x2 = x**2 and the floats (alpha, beta,
+# The kernels take an array x > 0, x2 = x**2 and the scalars (alpha, beta,
 # gamma, p), the signature of every competitor model in ``compare``, and hold
 # the only copy of each formula; _on_support adds the rest.  The estimation
 # engine also passes the parameters of many fits at once as (R, 1) columns
 # against (R, n) or (1, n) data.
 
 def _libm(ufunc, *args) -> np.ndarray:
-    """ufunc elementwise on arrays of per-row values, rounded as ``math``
-    and ``**`` round each float.  numpy's SIMD exp, log and power loops
-    round some results differently from the C library's scalar routines
-    (about 1 in 20 for exp); on a 1-d negative-stride view numpy uses the
-    C library, so a batched fit sees the bits of a fit on its own."""
-    return ufunc(*[a.ravel()[::-1] for a in args])[::-1].reshape(
-        args[0].shape)
+    """ufunc elementwise on scalars or arrays of per-row values, rounded as
+    ``math`` and ``**`` round each float.  numpy's SIMD exp, log and power
+    loops round some results differently from the C library's scalar
+    routines (about 1 in 20 for exp); on a 1-d negative-stride view numpy
+    uses the C library, so every row sees the same bits, batched or not."""
+    return ufunc(*[np.asarray(a).ravel()[::-1] for a in args])[::-1].reshape(
+        np.shape(args[0]))
 
 
 def _columns(values: np.ndarray):
     """The parameters of each row of values (R, k) as kernel arguments:
-    (R, 1) columns, or the floats of a single row, on which numpy's loops
-    are cheaper; the kernel's values come out as (R, n) or (n,)."""
-    return values[0].tolist() if len(values) == 1 else values.T[:, :, None]
+    (R, 1) columns, or the numpy scalars of a single row, on which numpy's
+    loops are cheaper; the kernel's values come out as (R, n) or (n,).
+    Either way the arithmetic is numpy's, which gives inf or NaN where
+    Python's float arithmetic would raise."""
+    return values[0] if len(values) == 1 else values.T[:, :, None]
 
 
 def _log(v):
-    """math.log of a float, elementwise on an array through ``_libm``."""
-    return _libm(np.log, v) if isinstance(v, np.ndarray) else math.log(v)
+    """math.log elementwise on a scalar or an array, through ``_libm``."""
+    return _libm(np.log, v)
 
 
 def _on_support(kernel, x, outside, tail):

@@ -494,7 +494,10 @@ def _model_objective(model: _Model, methods, data: np.ndarray):
     free coordinates, objective(theta (R, k), fits (R,)) -> (R,), and the
     map natural = _inverse(model.kinds) it evaluates through.  The value is
     +inf on the rows where exp of a finite "pos" coordinate overflows or
-    the natural values have no valid RTGLE image.
+    the natural values have no valid RTGLE image.  A call of one row takes
+    numpy's arithmetic like a call of many (_columns): a kernel that
+    overflows or divides by zero gives inf or NaN, never an exception, and
+    a row has the same value alone as inside a larger call.
 
     The image is checked only on calls with a value at 0, inf or NaN: while
     every value is positive and finite, RTGLE and the competitors' RTGLE
@@ -504,25 +507,15 @@ def _model_objective(model: _Model, methods, data: np.ndarray):
     objective = _row_objective(methods, data, model.log_pdf, model.log_sf)
     natural, image = _inverse(model.kinds), model.image
 
-    def evaluate(values, fits):
-        # one row runs on floats (_columns), whose arithmetic raises where
-        # numpy's gives inf or NaN; the value is +inf either way
-        if len(values) > 1:
-            return objective(values, fits)
-        try:
-            return objective(values, fits)
-        except (ArithmeticError, ValueError):
-            return np.full(1, np.inf)
-
     def on_free(theta, fits):
         values, ok = natural(theta)
         if ok is None:
-            return evaluate(values, fits)
+            return objective(values, fits)
         if image is not None:
             ok &= _valid_rows(*image(*values.T))
         out = np.full(len(ok), np.inf)
         if ok.any():
-            out[ok] = evaluate(values[ok], fits[ok])
+            out[ok] = objective(values[ok], fits[ok])
         return out
     return on_free, natural
 
@@ -569,8 +562,7 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     centers = np.repeat(np.array(centers), n_methods, axis=0)
     starts = np.repeat(centers[:, None, :], n, axis=1)
-    for i in range(1, n):
-        starts[:, i] += rng.normal(scale=model.spread, size=k)
+    starts[:, 1:] += rng.normal(scale=model.spread, size=(n - 1, k))
     starts = starts.reshape(-1, k)
     fits = np.repeat(np.arange(n_fits), n)
     live = np.isfinite(objective(starts, fits))
@@ -636,11 +628,13 @@ def _standard_errors(model: _Model, values, data) -> tuple[float, ...]:
     values (natural scale) on data, from the inverse observed information.
 
     The Hessian of the negative log-likelihood is taken by central
-    differences at _to_free(values) (step 1e-4 * (1 + |theta|), its 2k^2 + 1
-    points in one call), inverted, and mapped to the natural scale.  An
-    estimate on the edge of the parameter space (a rate at 0, a probability
-    at 0 or 1, lambda at -1 or 1) has no free coordinates and raises
-    HessianNotPD naming that coordinate.
+    differences at _to_free(values) (step 1e-4 * (1 + |theta|)), inverted,
+    and mapped to the natural scale.  Its 2k^2 + 1 points are evaluated in
+    one call, as named blocks: theta, theta +- e_i and theta +- e_i +- e_j
+    for the index pairs i < j of np.triu_indices.  An estimate on the edge
+    of the parameter space (a rate at 0, a probability at 0 or 1, lambda at
+    -1 or 1) has no free coordinates and raises HessianNotPD naming that
+    coordinate.
     """
     for name, v, kind in zip(model.param_names, values, model.kinds):
         if not _interior(v, kind):
@@ -652,23 +646,16 @@ def _standard_errors(model: _Model, values, data) -> tuple[float, ...]:
     k = len(theta)
     h = 1e-4 * (1.0 + np.abs(theta))
     e = np.diag(h)
-    points = [theta]
-    for i in range(k):
-        up, down = theta + e[i], theta - e[i]
-        points += [up, down] + [p for j in range(i + 1, k)
-                                for p in (up + e[j], up - e[j],
-                                          down + e[j], down - e[j])]
-    values_at = iter(objective(np.array(points),
-                               np.zeros(len(points), dtype=int)).tolist())
-    f0 = next(values_at)
-    hess = np.empty((k, k))
-    for i in range(k):
-        hess[i, i] = (next(values_at) - 2.0 * f0
-                      + next(values_at)) / h[i] ** 2
-        for j in range(i + 1, k):
-            hess[i, j] = hess[j, i] = (
-                next(values_at) - next(values_at) - next(values_at)
-                + next(values_at)) / (4.0 * h[i] * h[j])
+    up, down = theta + e, theta - e      # row i: theta +- e_i
+    i, j = np.triu_indices(k, 1)
+    blocks = (theta[None], up, down,
+              up[i] + e[j], up[i] - e[j], down[i] + e[j], down[i] - e[j])
+    points = np.concatenate(blocks)
+    f = objective(points, np.zeros(len(points), dtype=int))
+    f0, f_up, f_down, f_pp, f_pm, f_mp, f_mm = np.split(
+        f, np.cumsum([len(b) for b in blocks[:-1]]))
+    hess = np.diag((f_up - 2.0 * f0 + f_down) / h ** 2)
+    hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[i] * h[j])
     if not np.all(np.isfinite(hess)):
         raise HessianNotPD("Hessian evaluation produced non-finite entries")
     try:

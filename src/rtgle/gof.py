@@ -7,8 +7,8 @@ them: the caller refits each bootstrap sample and hands gof_report the
 refitted distribution functions at the sorted samples.
 
 Asymptotic formulas used:
-  KS  -- Kolmogorov series 2*sum (-1)^(k-1) exp(-2 k^2 lam^2) with the
-         Stephens small-sample factor lam = (sqrt(n)+0.12+0.11/sqrt(n))*D.
+  KS  -- Kolmogorov limiting survival function (scipy.special.kolmogorov)
+         at the Stephens small-sample lam = (sqrt(n)+0.12+0.11/sqrt(n))*D.
   CvM -- limiting distribution of the Cramer-von Mises statistic,
          Csorgo & Faraway (1996) series with Bessel K(1/4).
   AD  -- Anderson & Darling (1954) limiting series; the inner integral is
@@ -101,16 +101,9 @@ def ad_statistic(cdf_evaluator, data) -> float:
 # --- asymptotic null distributions ---------------------------------------------
 
 def _ks_p_asymptotic(d: float, n: int) -> float:
-    if d <= 0.0:
-        return 1.0
+    from scipy.special import kolmogorov
     lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
-    total = 0.0
-    for k in range(1, 101):
-        term = (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-        total += term
-        if abs(term) < 1e-12:
-            break
-    return min(max(2.0 * total, 0.0), 1.0)
+    return float(kolmogorov(lam))
 
 
 def _cvm_cdf_asymptotic(x: float) -> float:

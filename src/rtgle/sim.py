@@ -7,6 +7,7 @@ bit-identical regardless of execution schedule, then fits every requested
 method to the same sample.  Replicates whose fit fails with a typed error
 (no start succeeded, degenerate or nonpositive data, invalid parameters)
 are excluded from the averages and counted; any other error propagates.
+The report holds numbers only; ``rtgle simulate`` prints it as a table.
 """
 
 from __future__ import annotations
@@ -113,31 +114,3 @@ def run_design(design: SimDesign) -> SimReport:
                 mse=tuple(float(v) for v in mse),
                 n_used=k, n_failed_fits=failed[m])
     return report
-
-
-def report_to_table(report: SimReport) -> str:
-    """Render the report as a fixed-layout text grid: one row per
-    (n, method), column groups Bias(alpha..p) then MSE(alpha..p),
-    4-decimal cells, an em dash for cells with no successful fits."""
-    header = (["n", "method"]
-              + [f"bias({s})" for s in PARAM_LABELS]
-              + [f"mse({s})" for s in PARAM_LABELS]
-              + ["failed"])
-    rows = [header]
-    for n in report.design.sample_sizes:
-        for m in report.design.methods:
-            cell = report.cells.get((n, m.value))
-            if cell is None:
-                rows.append([str(n), m.value.upper()] + ["—"] * 9)
-                continue
-            def fmt(v):
-                return "—" if not np.isfinite(v) else f"{v:.4f}"
-            rows.append([str(n), m.value.upper()]
-                        + [fmt(v) for v in cell.bias]
-                        + [fmt(v) for v in cell.mse]
-                        + [str(cell.n_failed_fits)])
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    lines = []
-    for r in rows:
-        lines.append("  ".join(s.rjust(w) for s, w in zip(r, widths)))
-    return "\n".join(lines)

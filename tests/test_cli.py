@@ -202,6 +202,48 @@ def test_simulate_command(tmp_path, capsys):
     assert len(rows) == 2
 
 
+def _simulate_table(tmp_path, capsys, **design):
+    """The stdout lines of rtgle simulate on design."""
+    dfile = tmp_path / "design.json"
+    dfile.write_text(json.dumps(design))
+    code, out, _ = run_cli(capsys, "simulate", "--design", str(dfile))
+    assert code == 0
+    return out.splitlines()
+
+
+def test_simulate_table_layout(tmp_path, capsys):
+    lines = _simulate_table(
+        tmp_path, capsys, true_params=[1.2, 0.5, 1.5, 0.8],
+        sample_sizes=[50, 20], methods=["mle", "cme"], replicates=2, seed=1)
+    labels = ("alpha", "beta", "gamma", "p")
+    assert lines[0].split() == (["n", "method"]
+                                + [f"bias({s})" for s in labels]
+                                + [f"mse({s})" for s in labels]
+                                + ["failed"])
+    rows = [line.split() for line in lines[1:]]
+    assert [r[:2] for r in rows] == [["50", "MLE"], ["50", "CME"],
+                                     ["20", "MLE"], ["20", "CME"]]
+    # right-aligned columns, 4-decimal cells, and the failed count
+    assert len({len(line) for line in lines}) == 1
+    assert all(len(c.split(".")[1]) == 4 for r in rows for c in r[2:10])
+    assert all(r[10].isdigit() for r in rows)
+
+
+def test_simulate_table_em_dash_when_every_fit_fails(tmp_path, capsys,
+                                                     monkeypatch):
+    import rtgle.sim as sim_mod
+    from rtgle.estimate import AllStartsFailed
+
+    def failing_fit_many(samples, methods, config=None):
+        return [[AllStartsFailed("no start") for _ in methods]
+                for _ in samples]
+    monkeypatch.setattr(sim_mod, "fit_many", failing_fit_many)
+    lines = _simulate_table(
+        tmp_path, capsys, true_params=[1.2, 0.5, 1.5, 0.8],
+        sample_sizes=[20], methods=["mle"], replicates=3, seed=1)
+    assert lines[1].split() == ["20", "MLE"] + ["—"] * 8 + ["3"]
+
+
 def test_simulate_bad_design(tmp_path, capsys):
     dfile = tmp_path / "design.json"
     dfile.write_text("{\"true_params\": [1, 1]}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -12,8 +13,9 @@ from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
                            make_competitor)
 from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, sample
-from rtgle.estimate import (_RTGLE, EstimationMethod, HessianNotPD,
-                            OptimizerConfig, _standard_errors, fit,
+from rtgle.estimate import (_IGNORE, _RTGLE, EstimationMethod, HessianNotPD,
+                            OptimizerConfig, _model_objective,
+                            _standard_errors, _to_free, fit,
                             neg_log_likelihood, standard_errors)
 
 EXAMPLES = {
@@ -179,6 +181,46 @@ def test_make_competitor_validation():
                          ("W", (2.0, 1e-310))):        # alpha = 1/sigma = inf
         with pytest.raises(ValueError, match=kind):
             make_competitor(kind, *params)
+
+
+# free-coordinate rows at an edge of each model's arithmetic: TL theta =
+# e^-800 = 0, TLL alpha = e^+-800, RTW theta^(1/gamma) = e^1484 overflowing,
+# W sigma = e^800 and RTGLE gamma = e^-800
+EDGE_ROWS = {
+    "RTGLE": [(0.0, 0.0, -800.0, 0.0)],
+    "RTW": [(10.0, -5.0, 0.0)],
+    "W": [(0.0, 800.0)],
+    "TL": [(-800.0, 0.0)],
+    "TLL": [(800.0, 0.0, 0.0), (-800.0, 0.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("kind", list(_SPECS))
+def test_one_row_call_is_its_row_of_a_batch(kind):
+    # a row's value does not depend on the rows evaluated with it: a call
+    # of one row, on numpy scalars, gives the bits of that row inside a
+    # call of two, on (R, 1) columns; and an edge row gives +inf with no
+    # exception and no warning
+    spec = _SPECS[kind]
+    x = load_dataset("embedded").values
+    methods = (EstimationMethod.MLE, EstimationMethod.ADE,
+               EstimationMethod.LSE)
+    objective, _ = _model_objective(spec, methods, x[None])
+    inner = _to_free(spec.start(x), spec.kinds)
+    thetas = [inner] + [np.array(t) for t in EDGE_ROWS.get(kind, ())]
+    with warnings.catch_warnings(), np.errstate(**_IGNORE):
+        warnings.simplefilter("error")
+        for j, method in enumerate(methods):
+            fits = np.array([j, j])
+            alone = objective(inner[None], fits[:1])
+            assert np.isfinite(alone).all(), (kind, method)
+            for edge, theta in enumerate(thetas):
+                one = objective(theta[None], fits[:1])
+                two = objective(np.stack((theta, inner)), fits)
+                assert two.tolist() == [*one.tolist(), *alone.tolist()], (
+                    kind, method, theta)
+                if edge and method is EstimationMethod.MLE:
+                    assert one.tolist() == [math.inf], (kind, theta)
 
 
 def test_weibull_reduction_of_tw():

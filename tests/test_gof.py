@@ -57,6 +57,30 @@ def test_ks_p_value_limits():
     assert 0.3 < p_value(0.12, StatKind.KS, 50) < 0.9
 
 
+def _kolmogorov_series(lam):
+    """The truncated alternating series the KS p-value used to sum."""
+    total = 0.0
+    for k in range(1, 101):
+        term = (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
+        total += term
+        if abs(term) < 1e-12:
+            break
+    return min(max(2.0 * total, 0.0), 1.0)
+
+
+def test_ks_p_value_at_small_lambda():
+    # lam = 0.007 and 0.020: 100 terms of the series are far from its sum
+    # there, and read 0.629 and 0.99970
+    for d in (7e-5, 2e-4):
+        assert p_value(d, StatKind.KS, 10_000) == 1.0
+    # where the series converges it is the same function
+    n = 50
+    scale = math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)   # Stephens
+    for d in (np.linspace(0.3, 3.0, 28) / scale).tolist():
+        assert p_value(d, StatKind.KS, n) == pytest.approx(
+            _kolmogorov_series(scale * d), abs=1e-14)
+
+
 def test_p_values_monotone_in_statistic():
     for kind in StatKind:
         ps = [p_value(s, kind, 50) for s in (0.05, 0.1, 0.2, 0.4, 0.8)]

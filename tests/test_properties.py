@@ -183,6 +183,27 @@ def test_renyi_series_matches_quadrature_for_integer_rho():
     assert val == pytest.approx(renyi_entropy(ROW1, 2.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_renyi_series_at_the_mixing_edges(p):
+    # the binomial expansion in p keeps one term at p = 0 and at p = 1
+    params = RtgleParams(0.5, 0.5, 1.2, p)
+    val, _ = renyi_entropy_series(params, 3.0)
+    assert val == pytest.approx(renyi_entropy(params, 3.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_moments_where_the_quadratic_term_dominates(r):
+    # alpha = 1e-300 puts k*c = 2*beta*c/alpha^2 above e^700 at every node,
+    # so G^-1 takes its large-k*c form; alpha -> 0 gives
+    # E[X^r] = sqrt(2/beta)^r [(1-p) Gamma(1+r/(2g)) + p Gamma(2+r/(2g))]
+    b, g, p = 1.0, 0.8, 0.5
+    exact = math.sqrt(2.0 / b) ** r * (
+        (1.0 - p) * math.gamma(1.0 + r / (2.0 * g))
+        + p * math.gamma(2.0 + r / (2.0 * g)))
+    assert moment_quadrature(RtgleParams(1e-300, b, g, p), r) \
+        == pytest.approx(exact, rel=1e-12)
+
+
 def test_renyi_series_detects_divergence():
     # non-integer rho with p > 1/2: the mixing-factor expansion is formal
     with pytest.raises(SeriesDiverged):

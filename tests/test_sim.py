@@ -6,8 +6,7 @@ import pytest
 from rtgle import cli
 from rtgle.distribution import RtgleParams, sample
 from rtgle.estimate import EstimationMethod, fit_many
-from rtgle.sim import (SimCell, SimDesign, SimReport, default_sim_optimizer,
-                       report_to_table, run_design)
+from rtgle.sim import SimDesign, default_sim_optimizer, run_design
 
 TRUE = RtgleParams(1.2, 0.5, 1.5, 0.8)
 
@@ -112,26 +111,6 @@ def test_cli_simulates_boundary_truth(tmp_path, capsys):
                                 "replicates": 2, "seed": 1}))
     assert cli.main(["simulate", "--design", str(path)]) == 0
     assert "MLE" in capsys.readouterr().out
-
-
-def test_report_table_layout():
-    design = _design(replicates=2, seed=1)
-    text = report_to_table(run_design(design))
-    lines = text.splitlines()
-    assert len(lines) == 2
-    header = lines[0].split()
-    assert header[:2] == ["n", "method"]
-    assert len(header) == 11
-    assert "MLE" in lines[1]
-
-
-def test_report_table_em_dash_for_empty():
-    report = SimReport(design=_design(replicates=1))
-    report.cells[(50, "mle")] = SimCell(
-        bias=(float("nan"),) * 4, mse=(float("nan"),) * 4,
-        n_used=0, n_failed_fits=1)
-    text = report_to_table(report)
-    assert "—" in text
 
 
 def test_failed_fits_counted_not_fatal():
