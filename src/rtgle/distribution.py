@@ -355,27 +355,22 @@ def _gle_inverse(params: RtgleParams, t):
     return 2.0 * c / (a + (a * a + 2.0 * b * c) ** 0.5)
 
 
-def _log_gle_inverse(params: RtgleParams):
-    """log_t -> log G^-1(t) in closed form, finite wherever log t is: with
-    c = t^(1/gamma) and k = 2*beta/alpha^2, log x = log(2c/alpha) -
-    log1p(sqrt(1 + k*c)), whose last term rounds to 0.5*log(k*c) once k*c
-    passes e^700."""
+def _log_gle_inverse(params: RtgleParams, log_t):
+    """log G^-1(t) from log t in closed form, for a float or an array, and
+    finite wherever log t is: with c = t^(1/gamma) and k = 2*beta/alpha^2,
+    log x = log(2c/alpha) - log(1 + sqrt(1 + k*c)), whose last term is
+    log(k*c)/2 to the last bit once k*c passes e^700, so k*c is capped
+    there and the rest is added in log space."""
     a, b, g, _ = params.as_tuple()
     if a == 0.0:
-        log_scale = 0.5 * math.log(2.0 / b)
-        return lambda log_t: log_scale + 0.5 * log_t / g
-    log_a = math.log(a)
+        return 0.5 * math.log(2.0 / b) + 0.5 * log_t / g
+    log_a, log_c = math.log(a), log_t / g
     if b == 0.0:
-        return lambda log_t: log_t / g - log_a
-    log_k, log_2a = math.log(2.0 * b) - 2.0 * log_a, math.log(2.0) - log_a
-
-    def log_x(log_t):
-        log_c = log_t / g
-        if log_c + log_k < 700.0:
-            return log_2a + log_c - math.log1p(
-                math.sqrt(1.0 + math.exp(log_c + log_k)))
-        return log_2a + 0.5 * (log_c - log_k)
-    return log_x
+        return log_c - log_a
+    log_kc = log_c + (math.log(2.0 * b) - 2.0 * log_a)
+    capped = np.minimum(log_kc, 700.0)
+    return (math.log(2.0) - log_a + log_c - 0.5 * (log_kc - capped)
+            - np.log(1.0 + np.sqrt(1.0 + np.exp(capped))))
 
 
 def sample_via_records(params: RtgleParams, n: int, seed: int) -> np.ndarray:

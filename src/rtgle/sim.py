@@ -56,6 +56,11 @@ class SimDesign:
             raise ValueError("sample sizes must be >= 10")
         if not self.sample_sizes or not self.methods:
             raise ValueError("sample_sizes and methods must be nonempty")
+        # a repeated entry would only repeat its cells
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise ValueError("sample_sizes must not repeat")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError("methods must not repeat")
 
 
 @dataclass

@@ -31,21 +31,25 @@ def test_table_moments_reference_row(capsys):
     assert "1.2058" in out and "0.5243" in out and "3.0496" in out
 
 
-def test_table_moments_row_runs_four_quadratures(capsys, monkeypatch):
-    # E(X^1..4) once; V(X), skewness and kurtosis come from those moments
+def test_table_moments_row_runs_one_expectation(capsys, monkeypatch):
+    # E(X^1..4) on one node set; V(X), skewness and kurtosis come from those
+    # moments, and no adaptive quadrature runs
     from rtgle import properties
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return quad(*args, **kwargs)
+    def counted(params, fns):
+        calls.append(len(fns))
+        return expect(params, fns)
 
-    quad = properties._quad
-    monkeypatch.setattr(properties, "_quad", counted)
+    def refuse(*args, **kwargs):
+        raise AssertionError("_quad called")
+    expect = properties._expect
+    monkeypatch.setattr(properties, "_expect", counted)
+    monkeypatch.setattr(properties, "_quad", refuse)
     code, out, _ = run_cli(capsys, "table", "--kind", "moments",
-                           "--params", "0.5,0.5,1.2,0.2")
+                           "--params", "0.5,0.5,1.2,0.2;1,0.5,1.2,0.2")
     assert code == 0 and "3.0496" in out
-    assert len(calls) == 4
+    assert calls == [4, 4]
 
 
 def test_table_multiple_rows_csv(capsys):
@@ -251,6 +255,19 @@ def test_simulate_bad_design(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("sizes,methods", [([20, 20], ["mle"]),
+                                           ([20], ["mle", "mle"])])
+def test_simulate_repeated_design_entry_is_bad_design(tmp_path, capsys, sizes,
+                                                      methods):
+    dfile = tmp_path / "design.json"
+    dfile.write_text(json.dumps({"true_params": [1.2, 0.5, 1.5, 0.8],
+                                 "sample_sizes": sizes, "methods": methods,
+                                 "replicates": 2}))
+    code, out, err = run_cli(capsys, "simulate", "--design", str(dfile))
+    assert code == 3
+    assert out == "" and "bad design" in err and "repeat" in err
+
+
 def test_compare_command(capsys):
     code, out, err = run_cli(capsys, "compare", "--data", "embedded",
                              "--n-starts", "4", "--format", "csv")
@@ -389,6 +406,8 @@ for name, argv in (
                      "--n-starts", "2"]),
         ("table", ["table", "--kind", "quantiles",
                    "--params", "0.5,0.5,1.2,0.2"]),
+        ("moments", ["table", "--kind", "moments",
+                     "--params", "0.5,0.5,1.2,0.2"]),
         ("gof", ["gof", "--data", "embedded",
                  "--params", "0.1561,0.0411,0.6199,0.4068",
                  "--bootstrap", "2"])):
@@ -410,4 +429,34 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
     assert json.loads(done.stdout) == []
     assert {p.name for p in tmp_path.iterdir()} \
         == {"sample.txt", "fit-lse.txt", "fit-mle.txt", "table.txt",
-            "gof.txt"}
+            "moments.txt", "gof.txt"}
+
+
+_INTEGRATE_GRAPH = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from rtgle import cli
+for name, argv in (
+        ("compare", ["compare", "--data", "embedded", "--n-starts", "2"]),
+        ("gof", ["gof", "--data", "embedded",
+                 "--params", "0.1561,0.0411,0.6199,0.4068"])):
+    out = os.path.join(sys.argv[2], name + ".json")
+    assert cli.main(argv + ["--format", "json", "--out", out]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("scipy.integrate"))))
+"""
+
+
+def test_asymptotic_p_values_load_no_scipy_integrate(tmp_path):
+    # the Anderson-Darling limiting cdf runs on the moments' trapezoid rule
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", _INTEGRATE_GRAPH, src,
+                           str(tmp_path)], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert json.loads(done.stdout) == []
+    report = json.loads((tmp_path / "gof.json").read_text())
+    assert report["p_value_mode"] == "asymptotic"
+    assert 0.0 < report["p_ad"] < 1.0
+    rows = json.loads((tmp_path / "compare.json").read_text())
+    assert len(rows) == 8 and all(0.0 <= r["p(AD)"] <= 1.0 for r in rows)

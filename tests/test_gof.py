@@ -50,6 +50,20 @@ def test_asymptotic_null_quantiles():
     assert _ad_cdf_asymptotic(3.8781) == pytest.approx(0.99, abs=1e-5)
 
 
+@pytest.mark.parametrize("z,expected", [
+    # the Anderson-Darling (1954) series with 30-digit mpmath quadratures of
+    # its inner integrals, summed until the terms vanish; at z = 1e-300 the
+    # cdf is far below the float range
+    (1e-300, 0.0),
+    (0.05, 1.7314922680160161067e-10),
+    (0.5, 0.25318562646965551557),
+    (2.492, 0.94997781364039213384),
+    (10.0, 0.99998618496458931414),
+    (32.0, 0.99999999999999782461)])
+def test_ad_limiting_cdf_against_mpmath(z, expected):
+    assert abs(_ad_cdf_asymptotic(z) - expected) < 1e-14
+
+
 def test_ks_p_value_limits():
     assert p_value(0.0, StatKind.KS, 50) == 1.0
     assert p_value(0.9, StatKind.KS, 50) < 1e-6

@@ -38,6 +38,58 @@ def test_reference_row_moments():
     assert kurtosis(ROW1) == pytest.approx(3.0496, abs=5e-4)
 
 
+# 40-digit mpmath quadratures over the record scale at the table row where
+# adaptive quadrature was weakest: its kurtosis was 1.7e-11 off
+WEAK_ROW = RtgleParams(0.5, 0.5, 3.5, 0.2)
+WEAK_ROW_MOMENTS = (1.1742722230510136191, 1.4561007573956920717,
+                    1.8833069306312819915, 2.5208111177883389334)
+
+
+def test_moments_against_oracle_at_the_weakest_row():
+    for r, expected in enumerate(WEAK_ROW_MOMENTS, start=1):
+        assert moment_quadrature(WEAK_ROW, r) == pytest.approx(expected,
+                                                               rel=1e-14)
+    assert variance(WEAK_ROW) == pytest.approx(0.077185503566522590893,
+                                               rel=1e-13)
+    assert skewness(WEAK_ROW) == pytest.approx(-0.3649210896417045472,
+                                               rel=1e-12)
+    assert kurtosis(WEAK_ROW) == pytest.approx(2.9485847841524550655,
+                                               rel=1e-12)
+    assert l_moment(WEAK_ROW, 4) == pytest.approx(0.018025239285756284059,
+                                                  rel=1e-12)
+
+
+def test_raw_moments_share_one_node_set(monkeypatch):
+    from rtgle import properties
+    rows = []
+
+    def traced(log_integrand):
+        def recorded(u):
+            out = log_integrand(u)
+            rows.append(out.shape[0])
+            return out
+        rows.append("rule")
+        return rule(recorded)
+    rule = properties._log_trapezoid
+    monkeypatch.setattr(properties, "_log_trapezoid", traced)
+    moments = properties._raw_moments(ROW1, (1, 2, 3, 4))
+    assert rows[0] == "rule" and "rule" not in rows[1:]
+    assert len(rows) >= 3 and set(rows[1:]) == {4}
+    assert moments[0] == pytest.approx(ROW1_MEAN, rel=1e-12)
+
+
+def test_overflow_is_an_arithmetic_error():
+    # E[X^2] at gamma = 0.01 is about Gamma(201), beyond the float range
+    with pytest.raises(ArithmeticError):
+        moment_quadrature(RtgleParams(1.0, 0.0, 0.01, 0.5), 2)
+    # finite by mgf's rule, but e^(500 X) overflows at a node, and here the
+    # log integrand peaks near 3e9
+    with pytest.raises(MgfDiverged):
+        mgf(ROW1, 500.0)
+    with pytest.raises(MgfDiverged):
+        mgf(RtgleParams(5.238, 0.0642, 0.5358, 0.0), 1.0)
+
+
 def test_moment_series_matches_quadrature():
     for params in (ROW1, RtgleParams(1.5, 2.5, 2.0, 0.8),
                    RtgleParams(2.0, 0.5, 1.0, 0.5)):

@@ -27,6 +27,16 @@ def test_design_validation():
         _design(sample_sizes=())
 
 
+@pytest.mark.parametrize("kw", [
+    {"sample_sizes": (20, 50, 20)},
+    {"methods": (EstimationMethod.MLE, EstimationMethod.LSE,
+                 EstimationMethod.MLE)}])
+def test_design_rejects_repeated_entries(kw):
+    # a repeat would print the same cells again
+    with pytest.raises(ValueError, match="repeat"):
+        _design(**kw)
+
+
 def test_single_replicate_equals_single_fit():
     design = _design(replicates=1, seed=3)
     report = run_design(design)
