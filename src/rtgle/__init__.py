@@ -5,13 +5,13 @@ harness."""
 
 from .distribution import (BothRatesZero, HazardShapeClass, InvalidParams,
                            NegativeRate, NonPositiveGamma, PdfShapeClass,
-                           POutOfRange, RtgleParams, baseline_hazard, cdf,
-                           classify_hazard_shape, classify_pdf_shape,
-                           exponential, gle, hazard, linear_exponential,
-                           log_pdf, pdf, quantile, quantile_vec, rayleigh,
-                           rt_exponential, rt_linear_exponential, rt_rayleigh,
-                           rt_weibull, sample, sample_via_records, sf,
-                           validate, weibull)
+                           POutOfRange, QuantileUnderflow, RtgleParams,
+                           baseline_hazard, cdf, classify_hazard_shape,
+                           classify_pdf_shape, exponential, gle, hazard,
+                           linear_exponential, log_pdf, pdf, quantile,
+                           quantile_vec, rayleigh, rt_exponential,
+                           rt_linear_exponential, rt_rayleigh, rt_weibull,
+                           sample, sample_via_records, sf, validate, weibull)
 from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
                        FitResult, HessianNotPD, NonPositiveData,
                        OptimizerConfig, fit, fit_many, neg_log_likelihood,

@@ -29,6 +29,11 @@ class InvalidParams(ValueError):
     """Parameter vector violates a domain constraint."""
 
 
+class QuantileUnderflow(ArithmeticError):
+    """A quantile lies below the smallest positive float, so it would read
+    0, outside the support."""
+
+
 class NonPositiveGamma(InvalidParams):
     pass
 
@@ -279,9 +284,22 @@ def _log1pmx(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _newton_step(p: float, q: float, z: np.ndarray, T: np.ndarray):
+    """Slope, step and new z >= 0 of one Newton step on
+    log1p(p*z) - z + T = 0; the step is not finite where the slope is 0."""
+    pz = p * z
+    slope = -(q + pz) / (1.0 + pz)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (_log1pmx(pz) - q * z + T) / slope
+    return slope, step, np.maximum(z - step, 0.0)
+
+
 def _z_of_u_array(p: float, u: np.ndarray) -> np.ndarray:
-    """The root z >= 0 of z - log1p(p*z) = -log1p(-u) on a 1-d array of u;
-    each Newton step is taken only by the elements still moving."""
+    """The root z >= 0 of z - log1p(p*z) = -log1p(-u) on a 1-d array of u.
+
+    From the larger of a small-z lower bound and the Lambert closed form,
+    one Newton step is taken on the whole array; only the elements whose
+    step exceeded 1e-10*z take further steps, on the gathered remainder."""
     T = -np.log1p(-u)
     if p == 0.0:
         return T
@@ -298,16 +316,15 @@ def _z_of_u_array(p: float, u: np.ndarray) -> np.ndarray:
     # log1p(p*z) - z + T is concave and decreasing in z, so Newton converges
     # from any start, and a step of relative size s leaves a relative error
     # of about s^2/2: stopping at s <= 1e-10 leaves only rounding error.
+    # T > 0 makes the start positive, so the first slope is nonzero.
+    _, step, z = _newton_step(p, q, z, T)
     # act indexes z; za and T hold only the elements still moving
-    act, za = np.arange(z.size), z
-    for _ in range(50):
+    act = np.flatnonzero(np.abs(step) > 1e-10 * z)
+    za, T = z[act], T[act]
+    for _ in range(49):
         if not act.size:
             break
-        pz = p * za
-        slope = -(q + pz) / (1.0 + pz)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (_log1pmx(pz) - q * za + T) / slope
-        z_new = np.maximum(za - step, 0.0)
+        slope, step, z_new = _newton_step(p, q, za, T)
         moved = (slope != 0.0) & (z_new != za)
         z[act[moved]] = z_new[moved]
         moved &= np.abs(step) > 1e-10 * z_new
@@ -316,24 +333,34 @@ def _z_of_u_array(p: float, u: np.ndarray) -> np.ndarray:
 
 
 def quantile(params: RtgleParams, u: float) -> float:
-    """Exact quantile Q(u) for u in (0,1); cdf(quantile(u)) = u."""
+    """Exact quantile Q(u) for u in (0,1); cdf(quantile(u)) = u.  Raises
+    ``QuantileUnderflow`` where Q(u) is below the smallest positive float."""
     return float(quantile_vec(params, u))
 
 
 def quantile_vec(params: RtgleParams, u) -> np.ndarray:
-    """The quantile Q(u) elementwise over an array of any shape, in one pass
-    of array arithmetic; within 1e-13 relative of a 40-digit root."""
+    """The quantile Q(u) elementwise over an array of any shape: the closed
+    form through ``_lambert_wm1_exp_array`` and a Newton polish, in a few
+    passes of array arithmetic; within 1e-13 relative of a 40-digit root
+    wherever that root is a normal float.  Raises ``QuantileUnderflow`` if
+    some Q(u) rounds to 0."""
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     bad = ~((flat > 0.0) & (flat < 1.0))
     if bad.any():
         raise ValueError(f"quantile: u={float(flat[bad][0])!r} must lie in "
                          "(0, 1)")
-    return _gle_inverse(params, _z_of_u_array(params.p, flat)).reshape(u.shape)
+    x = _gle_inverse(params, _z_of_u_array(params.p, flat))
+    if x.size and x.min() == 0.0:
+        u0 = float(flat[np.flatnonzero(x == 0.0)[0]])
+        raise QuantileUnderflow(f"quantile: Q(u) at u={u0!r} is below the "
+                                "smallest positive float")
+    return x.reshape(u.shape)
 
 
 def sample(params: RtgleParams, n: int, seed: int) -> np.ndarray:
-    """n inverse-transform draws; identical output for identical inputs."""
+    """n inverse-transform draws; identical output for identical inputs.
+    Raises ``QuantileUnderflow`` if a draw's quantile rounds to 0."""
     if n < 1:
         raise ValueError("sample: n must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))

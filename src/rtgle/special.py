@@ -4,9 +4,11 @@ Lambert W solves w * exp(w) = v.  The principal branch ``lambert_w0`` covers
 v >= -1/e with values in [-1, inf) and comes from ``scipy.special.lambertw``.
 The negative branch ``lambert_wm1`` covers -1/e <= v < 0 with values in
 (-inf, -1]; it goes through ``lambert_wm1_exp``, which takes L = log(-v) and
-runs Halley's iteration in log space on w + log(-w) = L, so it stays
+runs Fritsch's iteration in log space on w + log(-w) = L, so it stays
 well-conditioned where v underflows.  The iteration itself is
-``_lambert_wm1_exp_array``, which the quantile runs on whole arrays.
+``_lambert_wm1_exp_array``, which the quantile runs on whole arrays: two
+steps on every element, then further steps only on the few whose residual
+still exceeds 1e-15*|L|.
 
 Gamma and log-gamma come from the standard library (``math.gamma``,
 ``math.lgamma``), restricted to the positive reals.
@@ -70,40 +72,59 @@ def lambert_wm1_exp(logmv: float) -> float:
     return float(_lambert_wm1_exp_array(np.array([logmv]))[0])
 
 
-# W-1(-exp(L)) solves phi(w) = w + log(-w) - L = 0 for w <= -1, with
-# phi' = 1 + 1/w and phi'' = -1/w^2.  The start for L > -2.5 is the series
-# about the branch point in s = -sqrt(2(e*v + 1)) = -sqrt(-2 expm1(L + 1)),
-# otherwise the asymptotic L - log(-L) + log(-L)/L.
+# W-1(-exp(L)) solves w + log(-w) = L for w <= -1.  The start for L > -2.5
+# is the series about the branch point in s = -sqrt(2(e*v + 1)) =
+# -sqrt(-2 expm1(L + 1)), otherwise the asymptotic L - log(-L) + log(-L)/L.
+# Fritsch's step (Fritsch, Shafer & Crowley, CACM 16, 1973), in the log form
+# z = L - log(-w) - w, multiplies w by 1 + eps with
+# eps = t (a - t) / (a - 2t), t = z/(1 + w), a = 2(1 + w) + 4z/3 (the usual
+# q = 2(1 + w)(1 + w + 2z/3) divided by 1 + w, which overflows for large |L|);
+# two steps from these starts meet the stop rule everywhere but on rounding.
+
+def _fritsch_step(w: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """One Fritsch step; the start w = -1 at L = -1 is exact, and there
+    1 + w = 0 makes the step 0/0, so those elements keep w."""
+    z = L - np.log(-w) - w
+    d = 1.0 + w
+    a = 2.0 * d + (4.0 / 3.0) * z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = z / d
+        step = w * t * (a - t) / (a - 2.0 * t)
+    return np.where(d == 0.0, w, w + step)
+
+
+def _misses(w: np.ndarray, L: np.ndarray, tol: float) -> np.ndarray:
+    """Where |w + log(-w) - L| > tol*|L|; a NaN residual counts as a miss."""
+    return ~(np.abs(w + np.log(-w) - L) <= tol * np.abs(L))
+
 
 def _lambert_wm1_exp_array(logmv: np.ndarray) -> np.ndarray:
     """W-1(-exp(logmv)) elementwise for a 1-d array with logmv <= -1.
 
-    Halley's iteration on w + log(-w) = logmv stops when the residual is
-    at most 1e-15*|logmv|, each step working only on the elements that have
-    not stopped yet; one still above 1e-10*|logmv| after MAX_ITER steps
-    raises ``NonConvergenceError``.
+    Two Fritsch steps on the whole array from the starts above; then every
+    residual of w + log(-w) = logmv is checked against 1e-15*|logmv|, and
+    only the misses take further steps, on the gathered remainder, until
+    they meet it.  One still above 1e-10*|logmv| after MAX_ITER steps raises
+    ``NonConvergenceError``.
     """
-    w = np.empty(logmv.shape)
-    near = logmv > -2.5
-    s = -np.sqrt(-2.0 * np.expm1(logmv[near] + 1.0))
-    s2 = s * s
-    w[near] = -1.0 + s - s2 / 3.0 + 11.0 * s2 * s / 72.0 - 43.0 * s2 * s2 / 540.0
-    far = logmv[~near]
-    lnl = np.log(-far)
-    w[~near] = far - lnl + lnl / far
-    # act indexes w; wa and L hold only the elements still iterating; both
-    # comparisons are written so that a NaN residual never counts as met
-    act, wa, L = np.arange(w.size), w, logmv
-    for _ in range(MAX_ITER):
-        f = wa + np.log(-wa) - L
-        go = ~(np.abs(f) <= 1e-15 * np.abs(L))
-        if not go.any():
+    s = -np.sqrt(-2.0 * np.expm1(logmv + 1.0))
+    near = -1.0 + s * (1.0 + s * (-1.0 / 3.0 + s * (11.0 / 72.0
+                                                    - s * 43.0 / 540.0)))
+    lnl = np.log(-logmv)
+    w = np.where(logmv > -2.5, near, logmv - lnl + lnl / logmv)
+    for _ in range(2):
+        w = _fritsch_step(w, logmv)
+    # act indexes w; wa and L hold only the elements still iterating
+    act = np.flatnonzero(_misses(w, logmv, 1e-15))
+    wa, L = w[act], logmv[act]
+    for _ in range(2, MAX_ITER):
+        if not act.size:
             return w
-        act, wa, L, f = act[go], wa[go], L[go], f[go]
-        d1 = 1.0 + 1.0 / wa
-        wa = wa - f / (d1 + f / (2.0 * wa * wa * d1))
+        wa = _fritsch_step(wa, L)
         w[act] = wa
-    if not np.all(np.abs(wa + np.log(-wa) - L) <= 1e-10 * np.abs(L)):
+        go = _misses(wa, L, 1e-15)
+        act, wa, L = act[go], wa[go], L[go]
+    if _misses(wa, L, 1e-10).any():
         raise NonConvergenceError("lambert_wm1_exp: stalled")
     return w
 

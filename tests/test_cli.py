@@ -156,6 +156,14 @@ def test_data_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_quantile_underflow_is_numeric_failure(capsys):
+    # at gamma = 0.01 some of 10,000 draws have quantiles below the floats
+    code, out, err = run_cli(capsys, "sample", "--params", "1,1,0.01,0.5",
+                             "--n", "10000", "--seed", "1")
+    assert code == 4
+    assert out == "" and "smallest positive float" in err
+
+
 def test_bad_params_exit_code(capsys):
     code, _, err = run_cli(capsys, "gof", "--data", "embedded", "--params",
                            "1,2,3")

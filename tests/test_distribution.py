@@ -11,7 +11,8 @@ from scipy.stats import ks_2samp
 
 from rtgle.distribution import (BothRatesZero, HazardShapeClass, NegativeRate,
                                 NonPositiveGamma, PdfShapeClass, POutOfRange,
-                                RtgleParams, baseline_hazard, cdf,
+                                QuantileUnderflow, RtgleParams,
+                                baseline_hazard, cdf,
                                 classify_hazard_shape, classify_pdf_shape,
                                 exponential, hazard, linear_exponential,
                                 log_pdf, pdf, quantile, quantile_vec,
@@ -245,9 +246,10 @@ def mp_quantile(params, u):
 
 
 # GRID plus the other criterion-6 sets (the kernels benchmark draws from
-# them), a small-p, small-gamma set and the p = 1 exponential: together
-# they reach beta = 0, alpha = 0, p = 0, p = 1 and the 0 < p < 1e-6 start
-# of the quantile
+# them), a small-p, small-gamma set, the p = 1 exponential and p = 2e-6:
+# together they reach beta = 0, alpha = 0, p = 0, p = 1, the 0 < p < 1e-6
+# start of the quantile, and, just above that cut, a Lambert start whose
+# -1/p - W-1 loses about 6 digits to cancellation for the polish to restore
 ARRAY_SETS = GRID + [
     RtgleParams(1.0, 0.0, 1.0, 0.5),
     RtgleParams(0.0, 1.0, 0.8, 0.9),
@@ -255,6 +257,7 @@ ARRAY_SETS = GRID + [
     RtgleParams(0.7, 1.5, 0.6, 1.0),
     RtgleParams(1.0, 1.0, 0.05, 1e-7),
     RtgleParams(1.0, 0.0, 1.0, 1.0),
+    RtgleParams(1.0, 0.0, 1.0, 2e-6),
 ]
 DEEP_TAIL_U = 10.0 ** -np.arange(10, 301)
 
@@ -265,14 +268,33 @@ def test_quantile_vec_matches_scalar_on_draws(params):
     # the array solver against an independent scalar reference, the
     # mpmath root of each u, on the first 4,000 sample-style uniforms and
     # on u = 1e-10 ... 1e-300; where the true quantile is subnormal or
-    # underflows (gamma = 0.05 far in the tail) no relative bound can hold
+    # underflows (gamma = 0.05 far in the tail) no relative bound can hold,
+    # and each such u gives a positive float or raises QuantileUnderflow
     rng = np.random.Generator(np.random.Philox(key=17))
     u = np.concatenate([np.nextafter(rng.random(4_000), 1.0), DEEP_TAIL_U])
-    q = quantile_vec(params, u)
     ref = np.array([mp_quantile(params, ui) for ui in u])
     normal = ref >= np.finfo(float).tiny
     assert normal[:4_000].all()
-    assert np.all(np.abs(q - ref)[normal] <= 1e-13 * ref[normal])
+    q = quantile_vec(params, u[normal])
+    assert np.all(np.abs(q - ref[normal]) <= 1e-13 * ref[normal])
+    for ui in u[~normal]:
+        try:
+            assert quantile(params, ui) > 0.0
+        except QuantileUnderflow:
+            pass
+
+
+def test_quantile_underflow_is_a_typed_error():
+    # the true Q(1e-300) is about 1e-6000; 0.0 would lie outside the support
+    params = RtgleParams(1.0, 1.0, 0.05, 1e-7)
+    with pytest.raises(QuantileUnderflow, match="u=1e-300"):
+        quantile(params, 1e-300)
+    with pytest.raises(QuantileUnderflow, match="u=1e-300"):
+        quantile_vec(params, [0.5, 1e-300, 1e-301])
+    assert issubclass(QuantileUnderflow, ArithmeticError)
+    # at gamma = 0.01, Q(u) underflows below u of about 6e-4
+    with pytest.raises(QuantileUnderflow):
+        sample(RtgleParams(1.0, 1.0, 0.01, 0.5), 10_000, seed=1)
 
 
 def test_quantile_deep_lower_tail():

@@ -79,9 +79,10 @@ def test_wm1_log_argument_variant():
         assert abs(w + math.log(-w) - logmv) <= 1e-10 * max(1.0, abs(logmv))
 
 
-# log(-v) from 1e-14 below the branch point out to the far tail
+# log(-v) from 1e-14 below the branch point out to the far tail, where the
+# quantile's W-1 argument lies at p near 1e-6 (about -1e6) or u near 1
 LOGMV_GRID = np.concatenate([-1.0 - np.logspace(-14, math.log10(1.5), 200),
-                             -np.logspace(math.log10(2.5), 4, 100)])
+                             -np.logspace(math.log10(2.5), 300, 200)])
 
 
 def test_wm1_exp_against_mpmath():
