@@ -79,7 +79,8 @@ def lambert_wm1_exp(logmv: float) -> float:
 # z = L - log(-w) - w, multiplies w by 1 + eps with
 # eps = t (a - t) / (a - 2t), t = z/(1 + w), a = 2(1 + w) + 4z/3 (the usual
 # q = 2(1 + w)(1 + w + 2z/3) divided by 1 + w, which overflows for large |L|);
-# two steps from these starts meet the stop rule everywhere but on rounding.
+# from these starts two steps meet the stop rule on every L tried, from
+# -1 - 1e-16 to -1e300, and the residual check catches any that do not.
 
 def _fritsch_step(w: np.ndarray, L: np.ndarray) -> np.ndarray:
     """One Fritsch step; the start w = -1 at L = -1 is exact, and there
