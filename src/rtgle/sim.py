@@ -5,8 +5,10 @@ and a master seed.  Each replicate draws a fresh sample with a seed derived
 from (master seed, sample-size index, replicate index), so results are
 bit-identical regardless of execution schedule, then fits every requested
 method to the same sample.  Replicates whose fit fails with a typed error
-(no start succeeded, degenerate or nonpositive data, invalid parameters)
-are excluded from the averages and counted; any other error propagates.
+(no start succeeded, degenerate or nonpositive data, invalid parameters),
+or whose sample cannot be drawn because a quantile underflows, are
+excluded from the averages and counted as failed fits of every method; any
+other error propagates.
 The report holds numbers only; ``rtgle simulate`` prints it as a table.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import RtgleParams, sample, validate
+from .distribution import QuantileUnderflow, RtgleParams, sample, validate
 # fit is looked up here by the benchmark's per-layer tracing (bench/tracing.py)
 from .estimate import (EstimationMethod, OptimizerConfig, fit,  # noqa: F401
                        fit_many)
@@ -96,9 +98,15 @@ def run_design(design: SimDesign) -> SimReport:
         err2_sum = {m: np.zeros(4) for m in design.methods}
         used = {m: 0 for m in design.methods}
         failed = {m: 0 for m in design.methods}
-        samples = [sample(design.true_params, n,
-                          seed=_replicate_seed(design.seed, si, rep))
-                   for rep in range(design.replicates)]
+        samples = []
+        for rep in range(design.replicates):
+            try:
+                samples.append(sample(design.true_params, n, seed=(
+                    _replicate_seed(design.seed, si, rep))))
+            except QuantileUnderflow:
+                # a draw below the smallest float leaves nothing to fit
+                for m in design.methods:
+                    failed[m] += 1
         for row in fit_many(samples, design.methods, config):
             for m, result in zip(design.methods, row):
                 # fit_many returns typed errors only, and raises the rest

@@ -77,8 +77,9 @@ def lambert_wm1_exp(logmv: float) -> float:
 # -sqrt(-2 expm1(L + 1)), otherwise the asymptotic L - log(-L) + log(-L)/L.
 # Fritsch's step (Fritsch, Shafer & Crowley, CACM 16, 1973), in the log form
 # z = L - log(-w) - w, multiplies w by 1 + eps with
-# eps = t (a - t) / (a - 2t), t = z/(1 + w), a = 2(1 + w) + 4z/3 (the usual
-# q = 2(1 + w)(1 + w + 2z/3) divided by 1 + w, which overflows for large |L|);
+# eps = t (b - t/2) / (b - t), t = z/(1 + w), b = 1 + w + 2z/3 (the usual
+# q = 2(1 + w)(1 + w + 2z/3) divided by 2(1 + w), which overflows for large
+# |L|, as 2(1 + w) itself does near -MAX_FLOAT);
 # from these starts two steps meet the stop rule on every L tried, from
 # -1 - 1e-16 to -1e300, and the residual check catches any that do not.
 
@@ -87,10 +88,10 @@ def _fritsch_step(w: np.ndarray, L: np.ndarray) -> np.ndarray:
     1 + w = 0 makes the step 0/0, so those elements keep w."""
     z = L - np.log(-w) - w
     d = 1.0 + w
-    a = 2.0 * d + (4.0 / 3.0) * z
+    b = d + (2.0 / 3.0) * z
     with np.errstate(divide="ignore", invalid="ignore"):
         t = z / d
-        step = w * t * (a - t) / (a - 2.0 * t)
+        step = w * t * (b - 0.5 * t) / (b - t)
     return np.where(d == 0.0, w, w + step)
 
 

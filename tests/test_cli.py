@@ -164,6 +164,14 @@ def test_quantile_underflow_is_numeric_failure(capsys):
     assert out == "" and "smallest positive float" in err
 
 
+def test_gof_bootstrap_quantile_underflow_is_numeric_failure(capsys):
+    # a bootstrap replicate drawn from a gamma = 0.003 fit cannot be drawn
+    code, out, err = run_cli(capsys, "gof", "--data", "embedded", "--params",
+                             "1,1,0.003,0.5", "--bootstrap", "2")
+    assert code == 4
+    assert out == "" and "smallest positive float" in err
+
+
 def test_bad_params_exit_code(capsys):
     code, _, err = run_cli(capsys, "gof", "--data", "embedded", "--params",
                            "1,2,3")

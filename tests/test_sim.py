@@ -129,6 +129,17 @@ def test_failed_fits_counted_not_fatal():
     assert cell.n_used + cell.n_failed_fits == 2
 
 
+def test_underflowing_sample_counted_not_fatal():
+    # at gamma = 0.003 replicates 0 and 2 of seed 3 draw a quantile below the
+    # smallest float; they count as failed fits and the study finishes
+    design = SimDesign(true_params=RtgleParams(1.0, 1.0, 0.003, 0.5),
+                       sample_sizes=(20,), methods=(EstimationMethod.MLE,),
+                       replicates=4, seed=3)
+    cell = run_design(design).cell(20, EstimationMethod.MLE)
+    assert cell.n_failed_fits >= 2
+    assert cell.n_used + cell.n_failed_fits == 4
+
+
 def test_only_typed_fit_errors_count_as_failed(monkeypatch):
     import rtgle.sim as sim_mod
     from rtgle.estimate import DegenerateData

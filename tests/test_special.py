@@ -80,9 +80,12 @@ def test_wm1_log_argument_variant():
 
 
 # log(-v) from 1e-14 below the branch point out to the far tail, where the
-# quantile's W-1 argument lies at p near 1e-6 (about -1e6) or u near 1
+# quantile's W-1 argument lies at p near 1e-6 (about -1e6) or u near 1, and
+# on to the most negative float
 LOGMV_GRID = np.concatenate([-1.0 - np.logspace(-14, math.log10(1.5), 200),
-                             -np.logspace(math.log10(2.5), 300, 200)])
+                             -np.logspace(math.log10(2.5), 4, 100),
+                             -np.logspace(4, 300, 100)[1:],
+                             [-1e308, -np.finfo(float).max]])
 
 
 def test_wm1_exp_against_mpmath():
