@@ -5,7 +5,8 @@ harness."""
 
 from .distribution import (BothRatesZero, HazardShapeClass, InvalidParams,
                            NegativeRate, NonPositiveGamma, PdfShapeClass,
-                           POutOfRange, QuantileUnderflow, RtgleParams,
+                           POutOfRange, QuantileOverflow,
+                           QuantileUnderflow, RtgleParams,
                            baseline_hazard, cdf, classify_hazard_shape,
                            classify_pdf_shape, exponential, gle, hazard,
                            linear_exponential, log_pdf, pdf, quantile,

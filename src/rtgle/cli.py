@@ -118,6 +118,9 @@ def _cmd_fit(args) -> int:
             row[f"se_{name}"] = se
     if method is EstimationMethod.MLE:
         row["minus2loglik"] = 2.0 * result.objective
+    if args.format == "json":  # per coordinate, true on a closed edge
+        row["at_boundary"] = dict(zip(("alpha", "beta", "gamma", "p"),
+                                      result.at_boundary))
     with _open_out(args) as out:
         _emit(row, args.format, out, float_fmt="{:.6g}")
     return 0
@@ -307,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 ("--format", "--out", "--seed", "--data"))
     p.add_argument("--method", choices=[m.value for m in EstimationMethod],
                    default="mle")
-    p.add_argument("--n-starts", type=_int_at_least(1), default=20)
+    p.add_argument("--n-starts", type=_int_at_least(1), default=100)
 
     p = command("gof", _cmd_gof, "goodness-of-fit report at given params",
                 ("--format", "--out", "--seed", "--data", "--params"))
@@ -320,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("compare", _cmd_compare,
                 "fit RTGLE and 7 competitors, rank by AIC",
                 ("--format", "--out", "--seed", "--data"))
-    p.add_argument("--n-starts", type=_int_at_least(1), default=20)
+    p.add_argument("--n-starts", type=_int_at_least(1), default=100)
 
     # the design file carries the seed, and the table is always text
     p = command("simulate", _cmd_simulate,

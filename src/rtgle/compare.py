@@ -27,8 +27,9 @@ from functools import partial
 
 import numpy as np
 
-from .distribution import (_checked, _libm, _log, _log_pdf_kernel,
-                           _log_sf_kernel, _on_support)
+from .distribution import (_checked, _d_log_pdf_kernel, _d_log_sf_kernel,
+                           _libm, _log, _log_pdf_kernel, _log_sf_kernel,
+                           _on_support)
 from .estimate import (_RTGLE, AllStartsFailed, EstimationMethod,
                        HessianNotPD, OptimizerConfig, _check_data,
                        _lockstep_fits, _Model, _standard_errors)
@@ -49,17 +50,29 @@ class CompetitorModel:
         return len(_SPECS[self.kind].kinds)
 
 
-def _nested(image):
-    """log_pdf, log_sf and image of the competitor that is RTGLE at
-    image(*params)."""
+def _nested(image, jacobian):
+    """log_pdf, log_sf, their derivative kernels and the image of the
+    competitor that is RTGLE at image(*params).  jacobian(*params) gives,
+    per coordinate, the (RTGLE index, derivative of that image coordinate)
+    pairs of its nonzero entries, for the chain rule."""
+    def chain(d_kernel):
+        def d(x, x2, *v):
+            value, grad = d_kernel(x, x2, *image(*v))
+            return value, tuple(sum(c * grad[i] for i, c in column)
+                                for column in jacobian(*v))
+        return d
     return (lambda x, x2, *v: _log_pdf_kernel(x, x2, *image(*v)),
-            lambda x, x2, *v: _log_sf_kernel(x, x2, *image(*v)), image)
+            lambda x, x2, *v: _log_sf_kernel(x, x2, *image(*v)),
+            chain(_d_log_pdf_kernel), chain(_d_log_sf_kernel), image)
 
 
-def _transmuted(base_log_pdf, base_log_sf):
-    """log_pdf and log_sf of G(1 + lam - lam*G) for a baseline G whose
-    parameters come before lam: S = S_G (1 - lam*G), f = g (1 + lam -
-    2*lam*G); no RTGLE image."""
+def _transmuted(base_log_pdf, base_log_sf, base_d_log_pdf, base_d_log_sf):
+    """log_pdf, log_sf and their derivative kernels of G(1 + lam - lam*G)
+    for a baseline G whose parameters come before lam: S = S_G (1 -
+    lam*G), f = g (1 + lam - 2*lam*G); no RTGLE image.  With dG = -S_G d
+    log S_G, d log f = d log g - 2 lam dG / (1 + lam - 2 lam G) and d log S
+    = d log S_G - lam dG / (1 - lam G) by the baseline's parameters, and
+    (1 - 2G) / (1 + lam - 2 lam G) and -G / (1 - lam G) by lam."""
     def log_pdf(x, x2, *v):
         *base, lam = v
         g = -np.expm1(base_log_sf(x, x2, *base))
@@ -69,7 +82,27 @@ def _transmuted(base_log_pdf, base_log_sf):
         *base, lam = v
         log_s = base_log_sf(x, x2, *base)
         return log_s + np.log1p(lam * np.expm1(log_s))
-    return log_pdf, log_sf, None
+
+    def d_log_pdf(x, x2, *v):
+        *base, lam = v
+        log_s, d_log_s = base_d_log_sf(x, x2, *base)
+        log_g, d_log_g = base_d_log_pdf(x, x2, *base)
+        g = -np.expm1(log_s)
+        mix = 1.0 + lam - 2.0 * lam * g
+        c = 2.0 * lam * np.exp(log_s) / mix
+        return log_g + np.log(mix), tuple(
+            [a + c * b for a, b in zip(d_log_g, d_log_s)]
+            + [(1.0 - 2.0 * g) / mix])
+
+    def d_log_sf(x, x2, *v):
+        *base, lam = v
+        log_s, d_log_s = base_d_log_sf(x, x2, *base)
+        minus_g = np.expm1(log_s)
+        mix = 1.0 + lam * minus_g
+        c = 1.0 + lam * np.exp(log_s) / mix
+        return log_s + np.log1p(lam * minus_g), tuple(
+            [c * b for b in d_log_s] + [minus_g / mix])
+    return log_pdf, log_sf, d_log_pdf, d_log_sf, None
 
 
 def _lindley_log_pdf(x, x2, theta):
@@ -81,14 +114,44 @@ def _lindley_log_sf(x, x2, theta):
     return np.log1p(theta * x / (theta + 1.0)) - theta * x
 
 
+def _lindley_d_log_pdf(x, x2, theta):
+    """d log f = 2/theta - 1/(theta+1) - x."""
+    return (_lindley_log_pdf(x, x2, theta),
+            (2.0 / theta - 1.0 / (theta + 1.0) - x,))
+
+
+def _lindley_d_log_sf(x, x2, theta):
+    """d log S = x / ((theta+1)(theta+1+theta x)) - x."""
+    t1 = theta + 1.0
+    return (_lindley_log_sf(x, x2, theta),
+            (x / (t1 * (t1 + theta * x)) - x,))
+
+
 def _loglogistic_log_pdf(x, x2, a, b):
-    t = x / a
-    return (_log(b / a) + (b - 1.0) * np.log(t)
-            - 2.0 * np.log1p(np.power(t, b)))
+    return _loglogistic_d_log_pdf(x, x2, a, b)[0]
 
 
 def _loglogistic_log_sf(x, x2, a, b):
-    return -np.log1p(np.power(x / a, b))
+    return _loglogistic_d_log_sf(x, x2, a, b)[0]
+
+
+def _loglogistic_d_log_pdf(x, x2, a, b):
+    """With u = (x/a)^b: d log f = (b/a)(u-1)/(u+1) by a and 1/b + log(x/a)
+    (1-u)/(1+u) by b."""
+    t = x / a
+    log_t = np.log(t)
+    u = np.power(t, b)
+    q = (u - 1.0) / (u + 1.0)
+    return (_log(b / a) + (b - 1.0) * log_t - 2.0 * np.log1p(u),
+            (b / a * q, 1.0 / b - log_t * q))
+
+
+def _loglogistic_d_log_sf(x, x2, a, b):
+    """d log S = (b/a) u/(1+u) by a and -log(x/a) u/(1+u) by b."""
+    t = x / a
+    u = np.power(t, b)
+    q = u / (1.0 + u)
+    return -np.log1p(u), (b / a * q, -np.log(t) * q)
 
 
 def _root(th, g):
@@ -96,7 +159,16 @@ def _root(th, g):
     return _libm(np.power, th, 1.0 / g)
 
 
-_WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0))
+def _rtw_jacobian(th, g, p):
+    """alpha = th^(1/g): d alpha = alpha/(g th) by th and -alpha log(th)/g^2
+    by g."""
+    a = _root(th, g)
+    return (((0, a / (g * th)),), ((0, -a * np.log(th) / (g * g)), (2, 1.0)),
+            ((3, 1.0),))
+
+
+_WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0),
+                   lambda mu, s: (((2, 1.0),), ((0, -1.0 / (s * s)),)))
 
 # the model registry: RTGLE, then the competitors, as model records of the
 # estimation engine; a competitor fit starts at its own start, since
@@ -104,24 +176,29 @@ _WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0))
 _SPECS: dict[str, _Model] = {m.name: m for m in (
     _RTGLE,
     _Model("RTW", ("theta", "gamma", "p"), ("pos", "pos", "unit"),
-           *_nested(lambda th, g, p: (_root(th, g), 0.0, g, p)),
+           *_nested(lambda th, g, p: (_root(th, g), 0.0, g, p),
+                    _rtw_jacobian),
            start=lambda x: (1.0 / np.mean(x), 1.0, 0.5)),
     _Model("W", ("mu", "sigma"), ("pos", "pos"), *_WEIBULL,
            start=lambda x: (1.0, np.mean(x))),
     _Model("TW", ("mu", "sigma", "lambda"), ("pos", "pos", "sym"),
-           *_transmuted(*_WEIBULL[:2]),
+           *_transmuted(*_WEIBULL[:4]),
            start=lambda x: (1.0, np.mean(x), 0.0)),
     _Model("TL", ("theta", "lambda"), ("pos", "sym"),
-           *_transmuted(_lindley_log_pdf, _lindley_log_sf),
+           *_transmuted(_lindley_log_pdf, _lindley_log_sf,
+                        _lindley_d_log_pdf, _lindley_d_log_sf),
            start=lambda x: (1.0 / np.mean(x), 0.0)),
     _Model("TLL", ("alpha", "beta", "lambda"), ("pos", "pos", "sym"),
-           *_transmuted(_loglogistic_log_pdf, _loglogistic_log_sf),
+           *_transmuted(_loglogistic_log_pdf, _loglogistic_log_sf,
+                        _loglogistic_d_log_pdf, _loglogistic_d_log_sf),
            start=lambda x: (np.median(x), 1.0, 0.0)),
-    _Model("RTLE", ("alpha", "beta", "p"), ("pos", "pos", "unit"),
-           *_nested(lambda a, b, p: (a, b, 1.0, p)),
+    _Model("RTLE", ("alpha", "beta", "p"), ("rate", "rate", "unit"),
+           *_nested(lambda a, b, p: (a, b, 1.0, p),
+                    lambda a, b, p: (((0, 1.0),), ((1, 1.0),), ((3, 1.0),))),
            start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2, 0.5)),
-    _Model("LE", ("alpha", "beta"), ("pos", "pos"),
-           *_nested(lambda a, b: (a, b, 1.0, 0.0)),
+    _Model("LE", ("alpha", "beta"), ("rate", "rate"),
+           *_nested(lambda a, b: (a, b, 1.0, 0.0),
+                    lambda a, b: (((0, 1.0),), ((1, 1.0),))),
            start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2)),
 )}
 
@@ -139,6 +216,8 @@ def make_competitor(kind: str, *params: float) -> CompetitorModel:
             raise ValueError(f"{kind}: parameter must be finite, got {v!r}")
         if k == "pos" and not v > 0.0:
             raise ValueError(f"{kind}: parameter must be > 0, got {v!r}")
+        if k == "rate" and not v >= 0.0:
+            raise ValueError(f"{kind}: parameter must be >= 0, got {v!r}")
         if k == "sym" and not -1.0 <= v <= 1.0:
             raise ValueError(f"{kind}: lambda must lie in [-1, 1], got {v!r}")
         if k == "unit" and not 0.0 <= v <= 1.0:
@@ -184,6 +263,9 @@ class CompetitorFit:
     n_starts_used: int
     standard_errors: tuple[float, ...] | None = None
     diagnostics: str = ""
+    # per coordinate: on a closed edge of the parameter space (a rate at
+    # 0, p at 0 or 1, lambda at -1 or 1) at the optimum
+    at_boundary: tuple[bool, ...] = ()
 
 
 def fit_competitor(kind: str, data,
@@ -198,10 +280,11 @@ def fit_competitor(kind: str, data,
     ((opt,),) = _lockstep_fits([data], (EstimationMethod.MLE,), config, model)
     if isinstance(opt, Exception):
         raise opt
-    values, objective, _, converged = opt
+    values, objective, _, converged, at_boundary = opt
     result = CompetitorFit(model=CompetitorModel(kind, values),
                            minus2loglik=2.0 * objective, converged=converged,
-                           n_starts_used=config.n_starts)
+                           n_starts_used=config.n_starts,
+                           at_boundary=at_boundary)
     try:
         result.standard_errors = _standard_errors(model, values, data)
     except HessianNotPD as exc:

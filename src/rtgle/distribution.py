@@ -34,6 +34,10 @@ class QuantileUnderflow(ArithmeticError):
     0, outside the support."""
 
 
+class QuantileOverflow(ArithmeticError):
+    """A quantile lies above the largest float, so it would read inf."""
+
+
 class NonPositiveGamma(InvalidParams):
     pass
 
@@ -198,8 +202,23 @@ def _log_sf_kernel(x, x2, a, b, g, p):
     return np.log1p(p * z) - z
 
 
-def _log_pdf_kernel(x, x2, a, b, g, p):
-    """log f(x) = log g + log(a + b*x) + (g-1) log m + log(1-p+p*z) - z."""
+def _d_log_sf_kernel(x, x2, a, b, g, p):
+    """(log S, its derivatives by (a, b, g, p)): _log_sf_kernel's value to
+    the bit, and with c = d log S / d log z = p*z/(1+p*z) - z, d log S =
+    c * g * d log m for a and b, c * log m for g and z/(1+p*z) for p."""
+    m = _m(a, b, x, x2)
+    z = np.power(m, g)
+    pz = p * z
+    value = np.log1p(pz) - z
+    opz = 1.0 + pz
+    c = pz / opz - z
+    gc_m = g * c * x / m      # c * g * d log m / da, d log m / da = x/m
+    return value, (gc_m, 0.5 * x * gc_m, c * np.log(m), z / opz)
+
+
+def _log_pdf_parts(x, x2, a, b, g, p):
+    """log f(x) = log g + log(a + b*x) + (g-1) log m + log(1-p+p*z) - z,
+    with the m, log m, z and 1-p+p*z it was computed from."""
     m = _m(a, b, x, x2)
     log_m = np.log(m)
     z = np.power(m, g)
@@ -211,7 +230,27 @@ def _log_pdf_kernel(x, x2, a, b, g, p):
         under = m == 0.0
         log_m = np.where(under, np.log(x) + np.log(a + 0.5 * b * x), log_m)
         log_mix = np.where(under & (p == 1.0), g * log_m, log_mix)
-    return _log(g) + np.log(a + b * x) + (g - 1.0) * log_m + log_mix - z
+    value = _log(g) + np.log(a + b * x) + (g - 1.0) * log_m + log_mix - z
+    return value, m, log_m, z, mix
+
+
+def _log_pdf_kernel(x, x2, a, b, g, p):
+    """log f(x) = log g + log(a + b*x) + (g-1) log m + log(1-p+p*z) - z."""
+    return _log_pdf_parts(x, x2, a, b, g, p)[0]
+
+
+def _d_log_pdf_kernel(x, x2, a, b, g, p):
+    """(log f, its derivatives by (a, b, g, p)): _log_pdf_kernel's value
+    to the bit, and with r = p*z/(1-p+p*z) and e = (g-1) + g*(r - z), the
+    derivative of log f by log m at fixed g, d log f = 1/(a+b*x) + e*x/m
+    for a, x/(a+b*x) + e*x^2/(2m) for b, 1/g + (1 + r - z) log m for g and
+    (z - 1)/(1-p+p*z) for p."""
+    value, m, log_m, z, mix = _log_pdf_parts(x, x2, a, b, g, p)
+    r_z = p * z / mix - z
+    w = 1.0 / (a + b * x)
+    e_m = ((g - 1.0) + g * r_z) * x / m
+    return value, (w + e_m, x * (w + 0.5 * e_m), 1.0 / g + log_m * (1.0 + r_z),
+                   (z - 1.0) / mix)
 
 
 def sf(params: RtgleParams, x):
@@ -277,6 +316,8 @@ def _log1pmx(y: np.ndarray) -> np.ndarray:
     out = np.log1p(y) - y
     small = y < 0.01
     ys = y[small]
+    if not ys.size:
+        return out
     acc = np.zeros_like(ys)
     for k in range(9, 1, -1):
         acc = 1.0 / k - ys * acc
@@ -334,7 +375,8 @@ def _z_of_u_array(p: float, u: np.ndarray) -> np.ndarray:
 
 def quantile(params: RtgleParams, u: float) -> float:
     """Exact quantile Q(u) for u in (0,1); cdf(quantile(u)) = u.  Raises
-    ``QuantileUnderflow`` where Q(u) is below the smallest positive float."""
+    ``QuantileUnderflow`` where Q(u) is below the smallest positive float,
+    and ``QuantileOverflow`` where it is above the largest."""
     return float(quantile_vec(params, u))
 
 
@@ -343,24 +385,38 @@ def quantile_vec(params: RtgleParams, u) -> np.ndarray:
     form through ``_lambert_wm1_exp_array`` and a Newton polish, in a few
     passes of array arithmetic; within 1e-13 relative of a 40-digit root
     wherever that root is a normal float.  Raises ``QuantileUnderflow`` if
-    some Q(u) rounds to 0."""
+    some Q(u) rounds to 0, and ``QuantileOverflow`` if some Q(u) overflows
+    (in the upper tail at small gamma, where t^(1/gamma) does)."""
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     bad = ~((flat > 0.0) & (flat < 1.0))
     if bad.any():
         raise ValueError(f"quantile: u={float(flat[bad][0])!r} must lie in "
                          "(0, 1)")
-    x = _gle_inverse(params, _z_of_u_array(params.p, flat))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _gle_inverse(params, _z_of_u_array(params.p, flat))
     if x.size and x.min() == 0.0:
         u0 = float(flat[np.flatnonzero(x == 0.0)[0]])
         raise QuantileUnderflow(f"quantile: Q(u) at u={u0!r} is below the "
                                 "smallest positive float")
+    if x.size and not x.max() < math.inf:
+        # inf, or inf/inf = NaN where 2c or 2bc overflowed: the log form
+        # is finite, and its exp is inf only above the largest float
+        over = np.flatnonzero(~(x < math.inf))
+        z = _z_of_u_array(params.p, flat[over])
+        with np.errstate(over="ignore"):
+            x[over] = np.exp(_log_gle_inverse(params, np.log(z)))
+        if not x.max() < math.inf:
+            u0 = float(flat[over[np.flatnonzero(x[over] == math.inf)[0]]])
+            raise QuantileOverflow(f"quantile: Q(u) at u={u0!r} is above "
+                                   "the largest float")
     return x.reshape(u.shape)
 
 
 def sample(params: RtgleParams, n: int, seed: int) -> np.ndarray:
     """n inverse-transform draws; identical output for identical inputs.
-    Raises ``QuantileUnderflow`` if a draw's quantile rounds to 0."""
+    Raises ``QuantileUnderflow`` if a draw's quantile rounds to 0, and
+    ``QuantileOverflow`` if one overflows."""
     if n < 1:
         raise ValueError("sample: n must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))

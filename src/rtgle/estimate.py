@@ -4,18 +4,29 @@ Anderson-Darling, Cramer-von Mises).
 
 One private engine fits every model: RTGLE and the competitors in
 ``compare`` are model records (``_Model``) of one fit routine,
-``_lockstep_fits``.  It searches a smooth unconstrained reparametrization
-chosen per coordinate kind (log for positive values, logit for
-probabilities, atanh for values in [-1, 1]) by multi-start Nelder-Mead,
-the one optimizer, on the one free-coordinate objective
-(``_model_objective``), and maps each fit's optimum to the natural scale
-through that objective's own map.  The Nelder-Mead runs every start of a
-fit, or of many fits (``fit_many``), in lockstep on row objectives, and
-takes scipy's adaptive Nelder-Mead steps to the bit.  ``fit`` is
-``fit_many`` on one sample, plus for an MLE the standard errors from the
-inverse observed information (central-difference Hessian in free
-coordinates, mapped back by the delta method), by the one rule every
-model's MLE takes (``_standard_errors``).
+``_lockstep_fits``.  A record carries its log density and log survival
+and their analytic first derivatives by the natural parameters.  The
+engine searches the natural parameters inside their box (rates >= 0, p in
+[0, 1], lambda in [-1, 1], shapes and scales > 0) by a multi-start
+projected Levenberg-Marquardt search (``_search``), the one optimizer:
+every start of a fit, or of many fits (``fit_many``), advances in
+lockstep, with one value-and-derivative call of the row objective per
+step.  Its curvature is the Gauss-Newton matrix 2 J^T W J for LSE, WLSE
+and CME, and for MLE and ADE the Hessian by differences of the analytic
+gradient (``_natural_objective``).  Starts are placed in unconstrained
+coordinates (log for positive values, logit for probabilities, atanh for
+values in [-1, 1]) and mapped to the natural scale.
+
+``OptimizerConfig.tolerance`` is the relative decrease of the objective the
+search's model may still predict at a converged fit, its first-order
+certificate: ``converged`` is true only with it.  ``step_tolerance`` is the
+relative step below which a search that cannot lower its objective stops,
+and ``max_iterations`` caps the steps.  A fit reports the coordinates that
+end on a closed edge (``at_boundary``).  ``fit`` is ``fit_many`` on one
+sample, plus for an MLE the standard errors from the inverse observed
+information (central-difference Hessian in free coordinates, mapped back
+by the delta method), by the one rule every model's MLE takes
+(``_standard_errors``).
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ import numpy as np
 # log_pdf, cdf and sf are looked up here by the benchmark's per-layer
 # tracing (bench/tracing.py)
 from .distribution import (InvalidParams, RtgleParams,  # noqa: F401
-                           _columns, _libm, _log_pdf_kernel, _log_sf_kernel,
+                           _columns, _d_log_pdf_kernel, _d_log_sf_kernel,
+                           _libm, _log_pdf_kernel, _log_sf_kernel,
                            _valid_rows, cdf, log_pdf, sf, validate)
 from .gof import _cvm_positions
 
@@ -60,7 +72,7 @@ class AllStartsFailed(RuntimeError):
 class OptimizerConfig:
     max_iterations: int = 2000
     tolerance: float = 1e-10
-    n_starts: int = 20
+    n_starts: int = 100
     seed: int = 0
     step_tolerance: float = 1e-8
     start: tuple[float, float, float, float] | None = None
@@ -82,6 +94,9 @@ class FitResult:
     method: EstimationMethod
     standard_errors: tuple[float, float, float, float] | None = None
     diagnostics: str = ""
+    # per coordinate: on a closed edge of the parameter space (a rate at 0,
+    # p at 0 or 1) at the optimum
+    at_boundary: tuple[bool, bool, bool, bool] = (False,) * 4
 
 
 def _check_data(data) -> np.ndarray:
@@ -117,18 +132,29 @@ def _check_fit_data(data, k: int) -> np.ndarray:
 # formula runs on a contiguous block.  On the small calls of a lockstep
 # search, a few rows of tens of points, the number of numpy calls sets the
 # cost, not the rows.  A row's value does not depend on the other rows, to
-# the bit; the public objectives are its value on one row.  Callers
-# evaluate it under _IGNORE: far from the optimum the kernels overflow.
+# the bit; the public objectives are its value on one row.  Called with
+# derivatives=True it also returns each row's gradient and Gauss-Newton
+# matrix, from the derivative kernels d_log_pdf and d_log_sf, whose values
+# are log_pdf's and log_sf's to the bit.  Callers evaluate it under
+# _IGNORE: far from the optimum the kernels overflow.
 
 _IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
-                   log_sf=_log_sf_kernel):
-    """objective(v, fits) -> (R,) for natural values v (R, k) and fit
-    numbers fits (R,): fit f is method methods[f % M] on sample
-    data[f // M] of the checked samples data (S, n), for the model with log
-    density log_pdf(x, x2, *v) and log survival log_sf(x, x2, *v)."""
+                   log_sf=_log_sf_kernel, d_log_pdf=_d_log_pdf_kernel,
+                   d_log_sf=_d_log_sf_kernel):
+    """objective(v, fits, derivatives=False) -> (R,) for natural values v
+    (R, k) and fit numbers fits (R,): fit f is method methods[f % M] on
+    sample data[f // M] of the checked samples data (S, n), for the model
+    with log density log_pdf(x, x2, *v) and log survival log_sf(x, x2, *v).
+
+    With derivatives=True it returns (value, gradient (R, k), matrix (R, k,
+    k)), from the derivative kernels d_log_pdf and d_log_sf, which return
+    (the value of log_pdf or log_sf to the bit, its k derivatives).  The
+    matrix is the Gauss-Newton matrix 2 J^T W J of LSE, WLSE and CME, with
+    J the derivatives dF = -S d log S of their residuals, and NaN for MLE
+    and ADE, which are not sums of squares."""
     n_methods, n = len(methods), data.shape[1]
     x2 = np.square(data)
     xs = np.sort(data, axis=1)
@@ -158,70 +184,112 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         n); one row is broadcast instead of copied."""
         return pair[:, 0] if pair.shape[1] == 1 else pair[:, index]
 
-    def mle(v, s):
-        total = np.add.reduce(log_pdf(*rows(by_sample, s), *_columns(v)
-                                      ).reshape(len(v), -1), axis=1)
-        # a non-finite total is a zero, infinite or undefined likelihood
-        return np.where(np.isfinite(total), -total, np.inf)
+    def no_matrix(r, k):
+        """MLE and ADE rows have no Gauss-Newton matrix: NaN, which
+        _natural_objective replaces by differences of the gradient."""
+        return np.full((r, k, k), np.nan)
 
-    def ade(f, log_s):
+    def kernel(plain, derivative, tables, v, d):
+        """(values (R, n), derivatives (R, k, n), or None without d)."""
+        r = len(v)
+        if not d:
+            return plain(*tables, *_columns(v)).reshape(r, -1), None
+        value, grad = derivative(*tables, *_columns(v))
+        return (value.reshape(r, -1),
+                np.stack(grad, axis=-2).reshape(r, len(grad), -1))
+
+    def mle(v, s, d):
+        terms, score = kernel(log_pdf, d_log_pdf, rows(by_sample, s), v, d)
+        total = np.add.reduce(terms, axis=1)
+        # a non-finite total is a zero, infinite or undefined likelihood
+        value = np.where(np.isfinite(total), -total, np.inf)
+        if not d:
+            return value,
+        return value, -np.add.reduce(score, axis=2), no_matrix(*v.shape)
+
+    def ade(f, log_s, d_log_s):
         # a fit on its own takes np.log(s[::-1]) of a 1-d s: a
         # negative-stride view, so the C library's log
-        terms = np.log(f) + _libm(np.log, np.exp(log_s))[:, ::-1]
+        s = np.exp(log_s)
+        terms = np.log(f) + _libm(np.log, s)[:, ::-1]
         # every term is <= 0, so F = 0 or S = 0 makes the value +inf; it is
         # NaN where z overflowed, where S = 0
         out = -n - np.add.reduce(coef * terms, axis=1) / n
         out[np.isnan(out)] = np.inf
-        return out
+        if d_log_s is None:
+            return out,
+        # d log F = -(S/F) d log S; log S enters at position n+1-i
+        d_log_f = -(s / f)[:, None] * d_log_s
+        grad = -(np.matmul(d_log_f, coef) + np.matmul(d_log_s, coef[::-1])
+                 ) / n
+        return out, grad, no_matrix(*d_log_s.shape[:2])
 
     def distance(f, j):
         weight, position = rows(by_method, j)
         return (c0[0] if len(c0) == 1 else c0[j]) + np.add.reduce(
             weight * (f - position) ** 2, axis=1)
 
-    def squares(f, j):
+    def squares(f, j, log_s, d_log_s):
         out = distance(f, j)
         bad = np.isnan(out).nonzero()[0]
         if bad.size:  # F is NaN where z overflowed; cdf's limit there is 1
-            out[bad] = distance(np.fmin(f[bad], 1.0), j[bad])
-        return out
+            f[bad] = np.fmin(f[bad], 1.0)
+            out[bad] = distance(f[bad], j[bad])
+        if d_log_s is None:
+            return out,
+        weight, position = rows(by_method, j)
+        jac = -np.exp(log_s)[:, None] * d_log_s    # dF = -S d log S
+        if bad.size:  # where S = 0, F is flat
+            jac[bad] = np.nan_to_num(jac[bad], nan=0.0, posinf=0.0,
+                                     neginf=0.0)
+        weighted = 2.0 * jac * (weight[:, None] if weight.ndim > 1 else weight)
+        grad = np.matmul(weighted, (f - position)[..., None])[..., 0]
+        return out, grad, np.matmul(weighted, jac.transpose(0, 2, 1))
 
-    def distances(v, s, j, n_ade):
+    def distances(v, s, j, n_ade, d):
         """Every distance row from one survival-kernel call on the sorted
         samples: ADE on the first n_ade rows, a squares formula on the
         rest."""
-        log_s = log_sf(*rows(by_sample_sorted, s), *_columns(v)).reshape(
-            len(v), -1)
+        log_s, d_log_s = kernel(log_sf, d_log_sf, rows(by_sample_sorted, s),
+                                v, d)
         f = -np.expm1(log_s)
         if n_ade == len(v):
-            return ade(f, log_s)
+            return ade(f, log_s, d_log_s)
         if not n_ade:
-            return squares(f, j)
-        return np.concatenate((ade(f[:n_ade], log_s[:n_ade]),
-                               squares(f[n_ade:], j[n_ade:])))
+            return squares(f, j, log_s, d_log_s)
+        head, tail = (None, None) if d_log_s is None else (
+            d_log_s[:n_ade], d_log_s[n_ade:])
+        return tuple(map(np.concatenate, zip(
+            ade(f[:n_ade], log_s[:n_ade], head),
+            squares(f[n_ade:], j[n_ade:], log_s[n_ade:], tail))))
 
-    def objective(v, fits):
+    def grouped(v, fits, d):
         if n_methods == 1:  # s = fits, and every per-method table has one row
-            return (mle(v, fits) if formula[0] == 0 else distances(
-                v, fits, fits, len(v) if formula[0] == 1 else 0))
+            return (mle(v, fits, d) if formula[0] == 0 else distances(
+                v, fits, fits, len(v) if formula[0] == 1 else 0, d))
         s, j = np.divmod(fits, n_methods)
         kind = formula[j]
         counts = np.bincount(kind, minlength=3).tolist()
         n_mle, n_ade = counts[:2]
         if n_mle == len(v):
-            return mle(v, s)
+            return mle(v, s, d)
         order = None
         if len(v) not in counts:  # take the rows grouped by formula
             order = kind.argsort(kind="stable")
             v, s, j = v[order], s[order], j[order]
-        out = distances(v[n_mle:], s[n_mle:], j[n_mle:], n_ade)
+        out = distances(v[n_mle:], s[n_mle:], j[n_mle:], n_ade, d)
         if n_mle:
-            out = np.concatenate((mle(v[:n_mle], s[:n_mle]), out))
+            out = tuple(map(np.concatenate, zip(mle(v[:n_mle], s[:n_mle], d),
+                                                out)))
         if order is None:
             return out
-        grouped, out = out, np.empty(len(v))
-        out[order] = grouped
-        return out
+        back = np.empty_like(order)
+        back[order] = np.arange(len(order))
+        return tuple(a[back] for a in out)
+
+    def objective(v, fits, derivatives=False):
+        out = grouped(v, fits, derivatives)
+        return out if derivatives else out[0]
     return objective
 
 
@@ -240,34 +308,15 @@ def neg_log_likelihood(params: RtgleParams, data) -> float:
 
 def nll_gradient(params: RtgleParams, data) -> np.ndarray:
     """Analytic gradient of the negative log-likelihood w.r.t.
-    (alpha, beta, gamma, p); requires interior parameters."""
+    (alpha, beta, gamma, p): the RTGLE record's score (d_log_pdf) summed;
+    requires interior parameters."""
     x = _check_data(data)
     a, b, g, p = params.as_tuple()
     if a <= 0.0 or b <= 0.0 or not (0.0 < p < 1.0):
         raise ValueError("gradient requires interior parameters "
                          "(alpha>0, beta>0, 0<p<1)")
-    n = len(x)
-    m = a * x + 0.5 * b * x * x
-    z = np.power(m, g)
-    logm = np.log(m)
-    mix = (1.0 - p) + p * z
-    zg1 = np.power(m, g - 1.0)
-
-    dl_da = (np.sum(1.0 / (a + b * x))
-             + (g - 1.0) * np.sum(x / m)
-             + p * g * np.sum(x * zg1 / mix)
-             - g * np.sum(x * zg1))
-    x2h = 0.5 * x * x
-    dl_db = (np.sum(x / (a + b * x))
-             + (g - 1.0) * np.sum(x2h / m)
-             + p * g * np.sum(x2h * zg1 / mix)
-             - g * np.sum(x2h * zg1))
-    dl_dg = (n / g
-             + np.sum(logm)
-             + p * np.sum(z * logm / mix)
-             - np.sum(z * logm))
-    dl_dp = np.sum((z - 1.0) / mix)
-    return -np.array([dl_da, dl_db, dl_dg, dl_dp])
+    _, score = _RTGLE.d_log_pdf(x, np.square(x), a, b, g, p)
+    return -np.array([np.sum(d) for d in score])
 
 
 def ls_objective(params: RtgleParams, data) -> float:
@@ -301,150 +350,217 @@ _OBJECTIVES = {
 
 
 # --- estimation engine ---------------------------------------------------------
-# A parameter vector is described by the kind of each coordinate: "pos"
-# (> 0), "unit" (a probability) or "sym" (in [-1, 1]).
+# A parameter vector is described by the kind of each coordinate: "rate"
+# (>= 0, a closed edge at 0), "pos" (> 0, a shape or scale), "unit" (a
+# probability, in [0, 1]) or "sym" (in [-1, 1]).  The search runs on the
+# natural scale inside that box; starts are placed, and standard errors
+# taken, in the unconstrained coordinates of _to_free.
 
 _LOGIT_CLAMP = 40.0
 
 
 def _interior(v: float, kind: str) -> bool:
-    return (v > 0.0 if kind == "pos" else 0.0 < v < 1.0 if kind == "unit"
-            else -1.0 < v < 1.0)
+    return (0.0 < v < 1.0 if kind == "unit" else -1.0 < v < 1.0
+            if kind == "sym" else v > 0.0)
 
 
 def _to_free(values, kinds) -> np.ndarray:
-    """Map interior natural-scale values to unconstrained coordinates."""
+    """Map interior natural-scale values to unconstrained coordinates: log
+    for "rate" and "pos", logit for "unit" and atanh for "sym"."""
     if not all(map(_interior, values, kinds)):
         raise ValueError("transform requires interior parameters")
-    return np.array([math.log(v) if k == "pos" else math.log(v / (1.0 - v))
-                     if k == "unit" else math.atanh(v)
+    return np.array([math.log(v / (1.0 - v)) if k == "unit"
+                     else math.atanh(v) if k == "sym" else math.log(v)
                      for v, k in zip(values, kinds)])
 
 
 def _inverse(kinds):
     """The inverse of _to_free on rows, logit coordinates clamped to |t| <=
-    40: natural(theta (R, k)) -> (values (R, k), ok), where ok is None while
-    every exp is positive and finite, else the (R,) mask of the rows where
-    no finite "pos" coordinate overflowed."""
+    40: natural(theta (R, k)) -> values (R, k); a log coordinate whose exp
+    overflows is inf."""
     kinds = np.array(kinds)
     unit = np.flatnonzero(kinds == "unit")
     sym = np.flatnonzero(kinds == "sym")
-    # exp(theta) for "pos", exp(-theta) for "unit" and exp(0) for "sym";
-    # above t = 40, 1 + exp(-t) rounds to 1, so only -t <= 40 needs the clamp
+    # exp(theta) for log coordinates, exp(-theta) for "unit" and exp(0) for
+    # "sym"; above t = 40, 1 + exp(-t) rounds to 1, so only -t <= 40 needs
+    # the clamp
     sign = np.where(kinds == "unit", -1.0,
                     np.where(kinds == "sym", 0.0, 1.0))
     bound = np.where(kinds == "unit", _LOGIT_CLAMP, np.inf)
 
     def natural(theta):
         values = _libm(np.exp, np.minimum(theta * sign, bound))
-        ok = None
-        if not 0.0 < np.minimum.reduce(values, axis=None) \
-                <= np.maximum.reduce(values, axis=None) < np.inf:
-            ok = ~np.logical_or.reduce((values == np.inf) & (theta < np.inf),
-                                       axis=1)
         for c in unit:
             values[:, c] = 1.0 / (1.0 + values[:, c])
         for c in sym:  # numpy's tanh rounds differently on every path
             values[:, c] = [math.tanh(t) for t in theta[:, c].tolist()]
-        return values, ok
+        return values
     return natural
 
 
 def _jacobian(values, kinds) -> np.ndarray:
     """Derivative of each natural-scale value by its free coordinate."""
-    return np.array([v if k == "pos" else v * (1.0 - v) if k == "unit"
-                     else 1.0 - v * v for v, k in zip(values, kinds)])
+    return np.array([v * (1.0 - v) if k == "unit" else 1.0 - v * v
+                     if k == "sym" else v for v, k in zip(values, kinds)])
 
 
-def _nelder_mead(objective, x0: np.ndarray, fits: np.ndarray, maxiter: int,
-                 xatol: float, fatol: float):
-    """scipy's minimize(method="Nelder-Mead") with options adaptive=True,
-    maxiter, xatol and fatol, run from every row of x0 (S, N) at once; row
-    s minimizes objective(., fits[s]) of the rows (R, N) -> (R,).
+def _box(kinds):
+    """(lower, upper, closed) per coordinate: the search's box; an open
+    lower edge (a shape or scale) is never reached."""
+    kinds = np.array(kinds)
+    return (np.where(kinds == "sym", -1.0, 0.0),
+            np.where((kinds == "unit") | (kinds == "sym"), 1.0, np.inf),
+            kinds != "pos")
 
-    The searches advance in lockstep on (S, N+1, N) simplices and leave as
-    they stop.  Each step evaluates the reflections in one call, the
-    expansion or contraction points in at most one more and the shrunk
-    simplices in at most a third.  A call holds only points scipy
-    evaluates, so a search costs scipy's rows.  Every row takes scipy's
-    steps in scipy's arithmetic, so the returned x (S, N), fun, nit and
-    success (S,) are scipy's to the bit.
+
+def _finite_rows(*arrays):
+    """True on the rows where every entry of every (R, ...) array is
+    finite."""
+    ok = np.ones(len(arrays[0]), dtype=bool)
+    for a in arrays:
+        ok &= np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+    return ok
+
+
+def _leave_edge(h, g, edge, at_lower, fixed, unit, length, d):
+    """The second-order test of the closed edges of the box, in the scaled
+    coordinates of _search (unit = 1/sqrt|diag h|): a coordinate i on an
+    edge (edge[:, i]) whose Schur complement c = h_ii - h_iF h_FF^-1 h_Fi
+    on the other free coordinates F is negative, with a gradient g_i too
+    small to matter within one scaled unit (2|g_i| < -c), is a degenerate
+    edge: moving into the box along u = e_i - h_FF^-1 h_Fi lowers the
+    objective, as at the p = 0 edge of a nested model, where the gradient
+    by p vanishes at the sub-model's optimum whichever way it rounds.
+    There the step is length * u into the box, for the first such
+    coordinate.  Returns the steps d and the mask of the searches that
+    leave an edge."""
+    eye = np.eye(h.shape[1])
+    leaving = np.zeros(len(d), dtype=bool)
+    for i in range(h.shape[1]):
+        rows = np.flatnonzero(edge[:, i] & ~leaving)
+        if not rows.size:
+            continue
+        others = fixed[rows].copy()
+        others[:, i] = True
+        scale = np.where(others, 0.0, unit[rows])
+        b = h[rows, :, i] * scale * unit[rows, i, None]
+        try:
+            y = np.linalg.solve(h[rows] * scale[:, :, None] * scale[:, None, :]
+                                + others[:, None] * eye, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # h_FF singular: no test this step
+            continue
+        schur = np.sign(h[rows, i, i]) - np.add.reduce(b * y, axis=1)
+        leave = (schur < 0.0) & (2.0 * np.abs(g[rows, i] * unit[rows, i])
+                                 < -schur)
+        rows, y = rows[leave], y[leave]
+        if not rows.size:
+            continue
+        inward = np.where(at_lower[rows, i], 1.0, -1.0)
+        u = -y * inward[:, None]
+        u[:, i] = inward
+        d[rows] = length[rows, None] * u * unit[rows]
+        leaving[rows] = True
+    return d, leaving
+
+
+def _search(objective, x, fits, f, g, h, box, config: OptimizerConfig):
+    """Projected Levenberg-Marquardt from every row of x (S, k) at once, on
+    the natural scale inside box = (lower, upper, closed); row s minimizes
+    objective(., fits[s], derivatives=True) -> (value, gradient, curvature
+    matrix) of the rows (R, k), whose values at x are (f, g, h).  Returns
+    the optimum x (S, k), its value, the steps taken, the certificate and
+    the coordinates (S, k) on a closed edge at the optimum.
+
+    A step first fixes the active set: the coordinates at a closed edge of
+    the box whose gradient points out of it.  On the other, free,
+    coordinates it scales the matrix to a unit diagonal (Marquardt's
+    scaling) and takes its eigendecomposition V diag(l) V^T, in one batched
+    np.linalg.eigh; with c = V^T g, the step is d = -V c / (|l| + mu),
+    and the decrement sum c^2 / |l| (|l| floored at 1e-12) measures the
+    decrease the model still predicts.  A search whose decrement is <=
+    config.tolerance * |value| holds the certificate and stops: no relative
+    decrease beyond tolerance / 2 is left on the free coordinates, and
+    every active edge has the gradient pointing out of the box.  A search
+    that holds it on an edge failing _leave_edge's second-order test first
+    steps off that edge, with lengths 1, 1/2, ..., 1/32 while each is
+    refused, and stops only when it is back on a certified point or has
+    tried them all.  So does a
+    search whose step, refused, has shrunk below config.step_tolerance *
+    (|x| + config.step_tolerance) in every coordinate, and one that has
+    taken config.max_iterations steps, but only a certified search is
+    converged.
+
+    The trial point clips the step to the closed edges and takes it on a
+    log scale for the open coordinates (x exp(d/x), shapes and scales,
+    which stay positive).  One objective call evaluates the trials of every
+    live search; a trial is taken only if its value is lower and its
+    derivatives are finite.  mu starts at 1e-3 and follows Nielsen's rule
+    (Nielsen, IMM-REP-1999-05): on a taken step it is scaled by max(1/3, 1
+    - (2 rho - 1)^3), rho being the actual over the predicted decrease,
+    down to 1e-10, and on a refused one by nu, which doubles on every
+    refusal in a row.  A row's steps do not depend on the others.
     """
-    n_rows, N = x0.shape
-    chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
-    # the trial points k1 * xbar - k2 * x_last: reflection, expansion,
-    # outside and inside contraction.  (1 - psi) xbar - (-psi) x_last is
-    # scipy's (1 - psi) xbar + psi x_last to the bit
-    k1 = np.array([2.0, 1 + chi, 1 + psi, 1 - psi])[:, None, None]
-    k2 = np.array([1.0, chi, psi, -psi])[:, None, None]
-
-    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
-    d = np.arange(N)
-    sim[:, d + 1, d] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = objective(sim.reshape(-1, N),
-                     np.repeat(fits, N + 1)).reshape(n_rows, N + 1)
-    rows = np.arange(n_rows)[:, None]
-    for _ in range(2):  # scipy sorts the first simplex twice; ties can move
-        order = fsim.argsort(axis=1)
-        sim, fsim = sim[rows, order], fsim[rows, order]
-
-    x, fun = np.empty((n_rows, N)), np.empty(n_rows)
-    nit = np.empty(n_rows, dtype=int)
-    ids = np.arange(n_rows)  # the rows of x0 still searching
-    iterations = 1
-    while iterations < maxiter:
-        # scipy's stopping test, the cheaper function-value half first; in
-        # a sorted simplex max |f_j - f_0| is f_N - f_0, NaN and inf alike
-        stop = fsim[:, -1] - fsim[:, 0] <= fatol
-        if stop.any():
-            stop &= np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]).reshape(
-                len(ids), -1), axis=1) <= xatol
-            if stop.any():
-                done = ids[stop]
-                x[done], fun[done] = sim[stop, 0], fsim[stop].min(axis=1)
-                nit[done] = iterations
-                keep = ~stop
-                ids, sim, fsim, fits = (ids[keep], sim[keep], fsim[keep],
-                                        fits[keep])
-                rows = rows[:len(ids)]
-                if not ids.size:
-                    break
-        xbar = np.add.reduce(sim[:, :-1], 1) / N
-        last = sim[:, -1]
-        trials = k1 * xbar - k2 * last
-        new_x = trials[0]
-        new_f = objective(new_x, fits)
-        # scipy's choice: 0 take the reflection, 1 try an expansion,
-        # 2 an outside and 3 an inside contraction
-        case = np.where(new_f < fsim[:, 0], 1, np.where(
-            new_f < fsim[:, -2], 0, 3 - (new_f < fsim[:, -1])))
-        second = case.nonzero()[0]
-        shrink = second[:0]
-        if second.size:
-            c = case[second]
-            trial = trials[c, second]
-            f_trial = objective(trial, fits[second])
-            f_ref = np.where(c == 3, fsim[second, -1], new_f[second])
-            # an outside contraction is taken on a tie, the others are not
-            take = (f_trial < f_ref) | ((f_trial == f_ref) & (c == 2))
-            taken = second[take]
-            new_x[taken], new_f[taken] = trial[take], f_trial[take]
-            shrink = second[(c > 1) & ~take]
-            if shrink.size:
-                new_x[shrink], new_f[shrink] = last[shrink], fsim[shrink, -1]
-        sim[:, -1], fsim[:, -1] = new_x, new_f
-        if shrink.size:
-            best = sim[shrink, :1]
-            shrunk = best + sigma * (sim[shrink, 1:] - best)
-            sim[shrink, 1:] = shrunk
-            fsim[shrink, 1:] = objective(
-                shrunk.reshape(-1, N), np.repeat(fits[shrink], N)
-            ).reshape(-1, N)
-        iterations += 1
-        order = fsim.argsort(axis=1)
-        sim, fsim = sim[rows, order], fsim[rows, order]
-    x[ids], fun[ids], nit[ids] = sim[:, 0], fsim.min(axis=1), iterations
-    return x, fun, nit, nit < maxiter
+    lower, upper, closed = box
+    n_rows, k = x.shape
+    eye = np.eye(k)
+    diagonal = np.arange(k)
+    mu, nu = np.full(n_rows, 1e-3), np.full(n_rows, 2.0)
+    found = (x.copy(), f.copy(), np.zeros(n_rows, dtype=int),
+             np.zeros(n_rows, dtype=bool), np.zeros((n_rows, k), dtype=bool))
+    ids = np.arange(n_rows)  # the rows of x still searching
+    for step in range(config.max_iterations + 1):
+        edge = closed & ((x <= lower) | (x >= upper))
+        active = edge & (((x <= lower) & (g >= 0.0))
+                         | ((x >= upper) & (g <= 0.0)))
+        diag = np.abs(h[:, diagonal, diagonal])
+        unit = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        fixed = active | ~(diag > 0.0)
+        scale = np.where(fixed, 0.0, unit)
+        gs = g * scale
+        level, vectors = np.linalg.eigh(
+            h * scale[:, :, None] * scale[:, None, :] + fixed[:, None] * eye)
+        c = np.matmul(gs[:, None, :], vectors)[:, 0]
+        d = -np.matmul(vectors, (c / (np.abs(level) + mu[:, None]))[
+            ..., None])[..., 0] * scale
+        certified = (np.add.reduce(c * c / np.maximum(np.abs(level), 1e-12),
+                                   axis=1) <= config.tolerance * np.abs(f))
+        leaving = np.zeros(len(x), dtype=bool)
+        probe = certified & edge.any(axis=1) & (nu < 128.0)
+        if probe.any():
+            d, leaving = _leave_edge(h, g, edge & probe[:, None], x <= lower,
+                                     fixed, unit, 2.0 / nu, d)
+        trial = np.where(closed, np.clip(x + d, lower, upper),
+                         x * np.exp(d / np.where(closed, 1.0, x)))
+        d = trial - x
+        # a step refused and shrunk below step_tolerance: the search is stuck
+        stuck = (nu > 2.0) & ~(np.abs(d) > config.step_tolerance
+                               * (np.abs(x) + config.step_tolerance)).any(
+                                   axis=1)
+        done = (certified & ~leaving) | stuck
+        if step == config.max_iterations:
+            done[:] = True
+        if done.any():
+            for out, value in zip(found, (x, f, step, certified, edge)):
+                out[ids[done]] = value if np.ndim(value) == 0 else value[done]
+            keep = ~done
+            if not keep.any():
+                break
+            ids, x, f, g, h, mu, nu, fits, trial, d, leaving = (
+                a[keep] for a in (ids, x, f, g, h, mu, nu, fits, trial, d,
+                                  leaving))
+        predicted = -np.add.reduce(
+            g * d + 0.5 * d * np.matmul(h, d[..., None])[..., 0], axis=1)
+        f_trial, g_trial, h_trial = objective(trial, fits, True)
+        take = (f_trial < f) & _finite_rows(g_trial, h_trial)
+        rho = np.where(predicted > 0.0, (f - f_trial) / predicted, 1.0)
+        mu = np.where(leaving, mu, np.where(take, np.maximum(mu * np.maximum(
+            1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-10), mu * nu))
+        nu = np.where(take, 2.0, 2.0 * nu)
+        x = np.where(take[:, None], trial, x)
+        f = np.where(take, f_trial, f)
+        g = np.where(take[:, None], g_trial, g)
+        h = np.where(take[:, None, None], h_trial, h)
+    return found
 
 
 def minimize(*args, **kwargs):
@@ -464,9 +580,11 @@ class _Model:
     """A model the engine fits: RTGLE, or a competitor in ``compare``."""
     name: str
     param_names: tuple[str, ...]
-    kinds: tuple[str, ...]       # per coordinate: "pos", "unit" or "sym"
+    kinds: tuple[str, ...]       # per coordinate: "rate", "pos", "unit", "sym"
     log_pdf: Callable            # (x, x2, *params) -> log f
     log_sf: Callable             # (x, x2, *params) -> log S
+    d_log_pdf: Callable          # (x, x2, *params) -> (log f, d log f)
+    d_log_sf: Callable           # (x, x2, *params) -> (log S, d log S)
     image: Callable | None       # params -> RTGLE params, if it has them
     start: Callable              # checked data -> natural-scale start
     spread: float | tuple[float, ...] = 1.0   # of the starts, free scale
@@ -484,58 +602,99 @@ def _moment_start(x: np.ndarray) -> tuple[float, float, float, float]:
 
 
 _RTGLE = _Model("RTGLE", ("alpha", "beta", "gamma", "p"),
-                ("pos", "pos", "pos", "unit"), _log_pdf_kernel,
-                _log_sf_kernel, lambda *v: v, _moment_start,
-                (1.0, 1.5, 0.5, 1.5))
+                ("rate", "rate", "pos", "unit"), _log_pdf_kernel,
+                _log_sf_kernel, _d_log_pdf_kernel, _d_log_sf_kernel,
+                lambda *v: v, _moment_start, (1.0, 1.5, 0.5, 1.5))
+
+
+def _natural_objective(model: _Model, methods, data: np.ndarray):
+    """_row_objective of model, objective(v (R, k), fits (R,),
+    derivatives=False), +inf (with zero derivatives) on the rows whose
+    natural values are not finite or have no valid RTGLE image.  A call of
+    one row takes numpy's arithmetic like a call of many (_columns): a
+    kernel that overflows or divides by zero gives inf or NaN, never an
+    exception, and a row has the same value alone as inside a larger call.
+
+    The rows are checked only on calls with a value at or below 0, or not
+    finite: while every value is positive and finite, RTGLE and the
+    competitors' RTGLE images pass their checks, or give a non-finite
+    log-likelihood, +inf all the same.
+
+    With derivatives=True the matrix of an MLE or ADE row is its Hessian,
+    by forward differences of the analytic gradient at steps 1e-6 (|v| +
+    1e-3), taken back from an upper edge, with the k shifted rows in the
+    same call; it is NaN where a shifted row has no finite value.
+    """
+    objective = _row_objective(methods, data, model.log_pdf, model.log_sf,
+                               model.d_log_pdf, model.d_log_sf)
+    image = model.image
+    k = len(model.kinds)
+    upper = _box(model.kinds)[1]
+    curved = np.array([m is EstimationMethod.MLE or m is EstimationMethod.ADE
+                       for m in methods])
+
+    def checked(v, fits, derivatives):
+        if 0.0 < np.minimum.reduce(v, axis=None) \
+                <= np.maximum.reduce(v, axis=None) < np.inf:
+            return objective(v, fits, derivatives)
+        ok = _finite_rows(v)
+        if image is not None:
+            ok &= _valid_rows(*image(*v.T))
+        r = len(v)
+        out = (np.full(r, np.inf), np.zeros((r, k)), np.zeros((r, k, k)))
+        if ok.any():
+            found = objective(v[ok], fits[ok], derivatives)
+            for a, b in zip(out, found if derivatives else (found,)):
+                a[ok] = b
+        return out if derivatives else out[0]
+
+    def on_natural(v, fits, derivatives=False):
+        rows = np.flatnonzero(curved[fits % len(methods)]) if derivatives \
+            else ()
+        if not len(rows):
+            return checked(v, fits, derivatives)
+        r, at = len(v), v[rows]
+        step = 1e-6 * (np.abs(at) + 1e-3)
+        step = np.where(at + step > upper, -step, step)
+        shifted = (at[:, None, :] + step[:, :, None] * np.eye(k))
+        value, grad, matrix = checked(
+            np.concatenate((v, shifted.reshape(-1, k))),
+            np.concatenate((fits, np.repeat(fits[rows], k))), True)
+        hess = (grad[r:].reshape(-1, k, k) - grad[rows, None]) \
+            / step[:, :, None]
+        hess[~np.isfinite(value[r:]).reshape(-1, k).all(axis=1)] = np.nan
+        matrix = matrix[:r]
+        matrix[rows] = 0.5 * (hess + hess.transpose(0, 2, 1))
+        return value[:r], grad[:r], matrix
+    return on_natural
 
 
 def _model_objective(model: _Model, methods, data: np.ndarray):
-    """(objective, natural): _row_objective of model as a function of the
-    free coordinates, objective(theta (R, k), fits (R,)) -> (R,), and the
-    map natural = _inverse(model.kinds) it evaluates through.  The value is
-    +inf on the rows where exp of a finite "pos" coordinate overflows or
-    the natural values have no valid RTGLE image.  A call of one row takes
-    numpy's arithmetic like a call of many (_columns): a kernel that
-    overflows or divides by zero gives inf or NaN, never an exception, and
-    a row has the same value alone as inside a larger call.
-
-    The image is checked only on calls with a value at 0, inf or NaN: while
-    every value is positive and finite, RTGLE and the competitors' RTGLE
-    images pass their checks, or give a non-finite log-likelihood, +inf all
-    the same.
-    """
-    objective = _row_objective(methods, data, model.log_pdf, model.log_sf)
-    natural, image = _inverse(model.kinds), model.image
-
-    def on_free(theta, fits):
-        values, ok = natural(theta)
-        if ok is None:
-            return objective(values, fits)
-        if image is not None:
-            ok &= _valid_rows(*image(*values.T))
-        out = np.full(len(ok), np.inf)
-        if ok.any():
-            out[ok] = objective(values[ok], fits[ok])
-        return out
-    return on_free, natural
+    """(objective, natural): _natural_objective of model as a function of
+    the free coordinates, objective(theta (R, k), fits (R,)) -> (R,), and
+    the map natural = _inverse(model.kinds) it evaluates through."""
+    on_natural = _natural_objective(model, methods, data)
+    natural = _inverse(model.kinds)
+    return (lambda theta, fits: on_natural(natural(theta), fits)), natural
 
 
 @np.errstate(**_IGNORE)
 def _lockstep_fits(samples, methods, config: OptimizerConfig,
                    model: _Model = _RTGLE):
-    """The one fit routine: multi-start Nelder-Mead for every method on
-    every sample, all in one lockstep search (_nelder_mead).  For sample s
-    and method j it returns the optimum of the best start, (values,
-    objective, iterations, converged) with values on the natural scale, or
-    the typed error of that fit.
+    """The one fit routine: a multi-start bounded Levenberg-Marquardt
+    search for every method on every sample, all in one lockstep search
+    (_search).  For sample s and method j it returns the optimum of the
+    best start, (values, objective, iterations, converged, at_boundary)
+    with values on the natural scale and at_boundary the coordinates on a
+    closed edge there, or the typed error of that fit.
 
     A fit starts at model.start(x), or for RTGLE at config.start, whose
     edge coordinates (a rate at 0, p at 0 or 1) take model.start(x)'s.  Its
     starts are that center and config.n_starts - 1 normal perturbations of
-    it in free coordinates with standard deviation model.spread (Philox
-    keyed by config.seed, the same for every fit); a start with a
-    non-finite objective is dropped.  Runs with floating-point warnings off
-    (_IGNORE).
+    it in free coordinates (_to_free) with standard deviation model.spread
+    (Philox keyed by config.seed, the same for every fit), mapped to the
+    natural scale; a start with a non-finite objective or derivative is
+    dropped.  Runs with floating-point warnings off (_IGNORE).
     """
     n_methods, k, n = len(methods), len(model.kinds), config.n_starts
     found: list = [None] * len(samples)
@@ -557,29 +716,29 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
         raise ValueError("fit_many: the samples must all have one size")
     if not fitted:
         return found
-    objective, natural = _model_objective(model, methods, np.array(data))
+    objective = _natural_objective(model, methods, np.array(data))
     n_fits = len(fitted) * n_methods
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     centers = np.repeat(np.array(centers), n_methods, axis=0)
     starts = np.repeat(centers[:, None, :], n, axis=1)
     starts[:, 1:] += rng.normal(scale=model.spread, size=(n - 1, k))
-    starts = starts.reshape(-1, k)
+    x = _inverse(model.kinds)(starts.reshape(-1, k))
     fits = np.repeat(np.arange(n_fits), n)
-    live = np.isfinite(objective(starts, fits))
-    x, fun = starts, np.full(len(starts), np.inf)
-    nit = np.zeros(len(starts), dtype=int)
-    success = np.zeros(len(starts), dtype=bool)
+    f, g, h = objective(x, fits, True)
+    live = np.isfinite(f) & _finite_rows(g, h)
+    fun = np.full(len(x), np.inf)
+    nit = np.zeros(len(x), dtype=int)
+    success = np.zeros(len(x), dtype=bool)
+    edge = np.zeros(x.shape, dtype=bool)
     if live.any():
-        x[live], fun[live], nit[live], success[live] = _nelder_mead(
-            objective, starts[live], fits[live], config.max_iterations,
-            config.step_tolerance, config.tolerance)
-    # each fit keeps the first of its best finite optima
-    fun[~np.isfinite(fun)] = np.inf
+        x[live], fun[live], nit[live], success[live], edge[live] = _search(
+            objective, x[live], fits[live], f[live], g[live], h[live],
+            _box(model.kinds), config)
+    # each fit keeps the first of its best optima
     best = np.argmin(fun.reshape(n_fits, n), axis=1) + np.arange(n_fits) * n
-    values = natural(x[best])[0].tolist()
-    optima = [(tuple(values[f]), float(fun[r]), int(nit[r]), bool(success[r]))
-              if np.isfinite(fun[r]) else None
-              for f, r in enumerate(best.tolist())]
+    optima = [(tuple(x[r].tolist()), float(fun[r]), int(nit[r]),
+               bool(success[r]), tuple(edge[r].tolist()))
+              if np.isfinite(fun[r]) else None for r in best.tolist()]
     for i, s in enumerate(fitted):
         found[s] = [AllStartsFailed(f"no start produced a finite {m.value} "
                                     f"objective for {model.name}")
@@ -590,7 +749,7 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
 
 def fit(data, method: EstimationMethod,
         config: OptimizerConfig | None = None) -> FitResult:
-    """Minimize the chosen objective by multi-start Nelder-Mead.
+    """Minimize the chosen objective by the multi-start bounded search.
 
     Deterministic given (data, method, config.seed).  This is
     fit_many([data], (method,), config)[0][0], raised if an error, plus for
@@ -617,7 +776,8 @@ def fit_many(samples, methods, config: OptimizerConfig | None = None
     config = config or OptimizerConfig()
     return [[opt if isinstance(opt, Exception) else FitResult(
         params=validate(*opt[0]), objective=opt[1], converged=opt[3],
-        iterations=opt[2], n_starts_used=config.n_starts, method=m)
+        iterations=opt[2], n_starts_used=config.n_starts, method=m,
+        at_boundary=opt[4])
         for m, opt in zip(methods, row)]
         for row in _lockstep_fits(samples, methods, config)]
 
@@ -633,13 +793,17 @@ def _standard_errors(model: _Model, values, data) -> tuple[float, ...]:
     one call, as named blocks: theta, theta +- e_i and theta +- e_i +- e_j
     for the index pairs i < j of np.triu_indices.  An estimate on the edge
     of the parameter space (a rate at 0, a probability at 0 or 1, lambda at
-    -1 or 1) has no free coordinates and raises HessianNotPD naming that
-    coordinate.
+    -1 or 1) has no free coordinates and raises HessianNotPD naming every
+    such coordinate.
     """
-    for name, v, kind in zip(model.param_names, values, model.kinds):
-        if not _interior(v, kind):
-            raise HessianNotPD(f"{name}={v!r} is on the boundary of the "
-                               "parameter space; no information matrix there")
+    edges = [f"{name}={v!r}" for name, v, kind
+             in zip(model.param_names, values, model.kinds)
+             if not _interior(v, kind)]
+    if edges:
+        raise HessianNotPD(f"{', '.join(edges)} "
+                           f"{'is' if len(edges) == 1 else 'are'} on the "
+                           "boundary of the parameter space; no information "
+                           "matrix there")
     objective, _ = _model_objective(model, (EstimationMethod.MLE,),
                                     _check_data(data)[None])
     theta = _to_free(values, model.kinds)

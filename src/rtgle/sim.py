@@ -6,9 +6,9 @@ from (master seed, sample-size index, replicate index), so results are
 bit-identical regardless of execution schedule, then fits every requested
 method to the same sample.  Replicates whose fit fails with a typed error
 (no start succeeded, degenerate or nonpositive data, invalid parameters),
-or whose sample cannot be drawn because a quantile underflows, are
-excluded from the averages and counted as failed fits of every method; any
-other error propagates.
+or whose sample cannot be drawn because a quantile underflows or
+overflows, are excluded from the averages and counted as failed fits of
+every method; any other error propagates.
 The report holds numbers only; ``rtgle simulate`` prints it as a table.
 """
 
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import QuantileUnderflow, RtgleParams, sample, validate
+from .distribution import (QuantileOverflow, QuantileUnderflow, RtgleParams,
+                           sample, validate)
 # fit is looked up here by the benchmark's per-layer tracing (bench/tracing.py)
 from .estimate import (EstimationMethod, OptimizerConfig, fit,  # noqa: F401
                        fit_many)
@@ -103,8 +104,8 @@ def run_design(design: SimDesign) -> SimReport:
             try:
                 samples.append(sample(design.true_params, n, seed=(
                     _replicate_seed(design.seed, si, rep))))
-            except QuantileUnderflow:
-                # a draw below the smallest float leaves nothing to fit
+            except (QuantileUnderflow, QuantileOverflow):
+                # a draw outside the floats leaves nothing to fit
                 for m in design.methods:
                     failed[m] += 1
         for row in fit_many(samples, design.methods, config):

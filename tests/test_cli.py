@@ -164,6 +164,25 @@ def test_quantile_underflow_is_numeric_failure(capsys):
     assert out == "" and "smallest positive float" in err
 
 
+def test_quantile_overflow_is_numeric_failure(capsys):
+    # at alpha = 1e-300, gamma = 0.05 some of 100 draws lie above the floats
+    code, out, err = run_cli(capsys, "sample", "--params", "1e-300,0,0.05,0",
+                             "--n", "100", "--seed", "1")
+    assert code == 4
+    assert out == "" and "largest float" in err
+
+
+def test_fit_json_reports_edges(capsys):
+    # the embedded data's MLE sits on the p = 1 edge
+    code, out, _ = run_cli(capsys, "fit", "--data", "embedded", "--format",
+                           "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["p"] == 1.0 and doc["converged"] is True
+    assert doc["at_boundary"] == {"alpha": False, "beta": False,
+                                  "gamma": False, "p": True}
+
+
 def test_gof_bootstrap_quantile_underflow_is_numeric_failure(capsys):
     # a bootstrap replicate drawn from a gamma = 0.003 fit cannot be drawn
     code, out, err = run_cli(capsys, "gof", "--data", "embedded", "--params",
@@ -461,6 +480,17 @@ for name, argv in (
 print(json.dumps(sorted(m for m in sys.modules
                         if m.startswith("scipy.integrate"))))
 """
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # the fit engine needs no scipy optimizer; setup time stays import-free
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import rtgle.cli; print('scipy.optimize' in sys.modules)", src],
+        capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_asymptotic_p_values_load_no_scipy_integrate(tmp_path):

@@ -320,14 +320,15 @@ def test_competitor_on_edge_has_no_standard_errors():
     with pytest.raises(HessianNotPD, match="beta=0.0"):
         _standard_errors(_SPECS["RTLE"], cf.model.params, x)
     assert cf.standard_errors is None
-    assert "beta=0.0" in cf.diagnostics
-    # TLL on the trimmed data ends at lambda = 1 - 5.8e-15: interior by the
-    # edge rule, but its Hessian is singular
+    assert "beta=0.0" in cf.diagnostics and cf.at_boundary[1]
+    # TLL on the trimmed data ends at lambda = 1.0 exactly, on the edge
+    # with the gradient pointing out, and says so
     trimmed = np.delete(x, flag_outliers_iqr(x))
     cf = fit_competitor("TLL", trimmed, OptimizerConfig(n_starts=4, seed=1))
-    assert 0.0 < 1.0 - cf.model.params[2] < 1e-14
+    assert cf.model.params[2] == 1.0
+    assert cf.at_boundary == (False, False, True) and cf.converged
     assert cf.standard_errors is None
-    assert "Hessian is singular" in cf.diagnostics
+    assert "lambda=1.0 is on the boundary" in cf.diagnostics
     # a fit with standard errors has no diagnostics
     cf = fit_competitor("W", trimmed, OptimizerConfig(n_starts=4, seed=1))
     assert cf.standard_errors is not None and cf.diagnostics == ""

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+import rtgle
 from rtgle.distribution import (BothRatesZero, HazardShapeClass, NegativeRate,
                                 NonPositiveGamma, PdfShapeClass, POutOfRange,
-                                QuantileUnderflow, RtgleParams,
+                                QuantileOverflow, QuantileUnderflow,
+                                RtgleParams, _log1pmx,
                                 baseline_hazard, cdf,
                                 classify_hazard_shape, classify_pdf_shape,
                                 exponential, hazard, linear_exponential,
@@ -295,6 +297,39 @@ def test_quantile_underflow_is_a_typed_error():
     # at gamma = 0.01, Q(u) underflows below u of about 6e-4
     with pytest.raises(QuantileUnderflow):
         sample(RtgleParams(1.0, 1.0, 0.01, 0.5), 10_000, seed=1)
+
+
+def test_quantile_overflow_is_a_typed_error():
+    # at gamma = 0.005 the upper tail overflows: t^(1/gamma) passes the
+    # largest float; a typed error, with no RuntimeWarning on the way
+    params = RtgleParams(1.0, 0.0, 0.005, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuantileOverflow, match="largest float"):
+            quantile(params, 1 - 1e-16)
+        with pytest.raises(QuantileOverflow):
+            quantile_vec(params, [0.5, 1 - 1e-16])
+        # only the upper tail leaves the floats here: 7% of draws
+        with pytest.raises(QuantileOverflow):
+            sample(RtgleParams(1e-300, 0.0, 0.05, 0.0), 100, seed=1)
+    assert issubclass(QuantileOverflow, ArithmeticError)
+    assert rtgle.QuantileOverflow is QuantileOverflow
+    # with the quadratic term Q(u) grows like sqrt(2c/b), c = z^(1/gamma):
+    # where 2c and 2bc overflow but Q(u) does not, the log form gives it
+    params = RtgleParams(1.0, 1.0, 0.004, 0.0)
+    u = -math.expm1(-math.exp(0.004 * math.log(1.2e308)))
+    log_c = math.log(-math.log1p(-u)) / 0.004     # p = 0: z = -log(1 - u)
+    assert math.exp(log_c) > 0.5 * np.finfo(float).max
+    q = quantile(params, u)
+    assert q == pytest.approx(math.exp(0.5 * (math.log(2.0) + log_c)),
+                              rel=1e-12)
+
+
+def test_log1pmx_without_small_arguments():
+    # the series branch is skipped when no y lies below 0.01; the result
+    # is log1p(y) - y to the bit
+    y = np.array([0.01, 0.5, 3.0, 1e6])
+    assert _log1pmx(y).tolist() == (np.log1p(y) - y).tolist()
 
 
 def test_quantile_deep_lower_tail():

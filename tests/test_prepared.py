@@ -2,11 +2,14 @@
 from checked, sorted and tabulated data, and must do exactly the arithmetic
 of the public objectives.
 
-The golden values were recorded (numpy 2.4, scipy 1.17, x86-64) from the
-implementation that re-checked, re-sorted and re-validated the data on every
-objective evaluation.  They are compared with ``==``: a change to the order
-of any floating-point operation on the fit path fails here.  A numpy build
-with different ufunc loops may move their last bits.
+The objective values at fixed parameters were recorded (numpy 2.4, scipy
+1.17, x86-64) from the implementation that re-checked, re-sorted and
+re-validated the data on every objective evaluation; the fits were
+re-recorded from the bounded Levenberg-Marquardt search, and each must end
+at or below the objective the Nelder-Mead search it replaced reached.  They
+are compared with ``==``: a change to the order of any floating-point
+operation on the fit path fails here.  A numpy build with different ufunc
+loops may move their last bits.
 """
 
 import math
@@ -57,23 +60,33 @@ X = np.array([
 ])
 
 # method -> (alpha, beta, gamma, p, objective, iterations) of
-# fit_many([X], (method,), default_sim_optimizer(TRUE))[0][0]
+# fit_many([X], (method,), default_sim_optimizer(TRUE))[0][0], from the
+# bounded Levenberg-Marquardt search; LSE and CME end on the beta = 0 edge
 GOLDEN_SIM = {
-    EstimationMethod.MLE: (1.2166394867746788, 0.08337648400259462,
-                           1.707421587020524, 0.6879227313476404,
-                           52.1776353919346, 285),
-    EstimationMethod.LSE: (1.3601427765591447, 5.063457219539335e-15,
-                           1.632612796369901, 0.8316616185262758,
-                           0.03621239379559812, 832),
-    EstimationMethod.WLSE: (1.297850374165226, 0.04141210848822713,
-                            1.6502761060341202, 0.7733474460650871,
-                            21.353339130105006, 517),
-    EstimationMethod.ADE: (0.36198136389023583, 2.6467772115667034,
-                           0.9294419579077398, 0.8188176766466276,
-                           0.2552962971836621, 590),
-    EstimationMethod.CME: (1.366968972295105, 4.203089650406314e-14,
-                           1.6463895365978145, 0.8481206861033036,
-                           0.03675682781710605, 815),
+    EstimationMethod.MLE: (1.2166648817764243, 0.08323945498095177,
+                           1.7075556532457468, 0.6878806347180886,
+                           52.177635412304724, 7),
+    EstimationMethod.LSE: (1.3601431648320927, 0.0, 1.632612357442303,
+                           0.831662081447787, 0.03621239379561822, 22),
+    EstimationMethod.WLSE: (1.2978426454925074, 0.04143689526624398,
+                            1.6502581369149938, 0.7733497102306048,
+                            21.353339132483082, 51),
+    EstimationMethod.ADE: (0.36196445716520376, 2.6468125355964114,
+                           0.9294380615423103, 0.8188149575409976,
+                           0.25529629720443836, 20),
+    EstimationMethod.CME: (1.3669682046871539, 0.0, 1.646390393750886,
+                           0.8481197599819952, 0.03675682781719134, 30),
+}
+
+# the objective each of these fits reached by the multi-start Nelder-Mead
+# that the bounded search replaced; a fit must end at or below it, to 1e-9
+# relative
+NELDER_MEAD_SIM = {
+    EstimationMethod.MLE: 52.1776353919346,
+    EstimationMethod.LSE: 0.03621239379559812,
+    EstimationMethod.WLSE: 21.353339130105006,
+    EstimationMethod.ADE: 0.2552962971836621,
+    EstimationMethod.CME: 0.03675682781710605,
 }
 
 # the objective of each method at TRUE on X
@@ -85,42 +98,54 @@ GOLDEN_AT_TRUE = {
     EstimationMethod.CME: 0.11301515850313967,
 }
 
-# fit(X, MLE, OptimizerConfig(n_starts=4)): four Nelder-Mead starts and the
-# standard errors
-GOLDEN_MLE_4 = (1.2166394804086784, 0.08337645700431517, 1.7074216155030653,
-                0.6879226895024636, 52.17763539193459, 758)
-GOLDEN_MLE_4_SE = (0.2987668796202696, 0.6924098009995333,
-                   0.6859902740286979, 0.347195607282064)
+# fit(X, MLE, OptimizerConfig(n_starts=4)): four starts and the standard
+# errors; Nelder-Mead reached 52.17763539193459
+GOLDEN_MLE_4 = (1.2166396403447788, 0.0833756228681884, 1.7074224039198542,
+                0.68792245388947, 52.17763539193533, 16)
+GOLDEN_MLE_4_SE = (0.2987687258498516, 0.6924212064671461,
+                   0.6860004604802784, 0.3471972663219649)
+NELDER_MEAD_MLE_4 = 52.17763539193459
 
-# kind -> (params, minus2loglik, converged, standard_errors) of
-# fit_competitor(kind, TRIMMED, OptimizerConfig(n_starts=4, seed=1)),
-# recorded before the competitors ran through RTGLE's fit routine.  TW's
-# standard errors were re-recorded (a 1.9e-8 relative move) when every MLE
-# took them at _to_free of its reported parameters rather than at the
-# search's free point
+# kind -> (params, minus2loglik, converged, standard_errors, at_boundary) of
+# fit_competitor(kind, TRIMMED, OptimizerConfig(n_starts=4, seed=1)); TLL
+# ends on the lambda = 1 edge
 GOLDEN_COMPETITOR = {
-    "RTW": ((0.371397059296318, 0.809605217009729, 0.4900691685396011),
-            261.45218791891944, True,
-            (0.16504238133306606, 0.13167455755550164, 0.28929855360402607)),
-    "W": ((0.8856678829873147, 5.7709496882354525),
-          262.4914330805419, True,
-          (0.10767234903414072, 0.9937836149642776)),
-    "TW": ((0.8316401122132571, 4.811939796310217, -0.2897934017276425),
-           261.9948428877825, True,
-           (0.13202035520277222, 1.424986843504712, 0.37293556088584406)),
-    "TL": ((0.2653163257488797, 0.27392511361968824),
-           270.8567932798904, True,
-           (0.04662986986792509, 0.35433230233044216)),
-    "TLL": ((8.724646273507387, 1.019764285634389, 0.9999999999999942),
-            269.4633018899756, True,
-            None),
-    "RTLE": ((0.16302225966111034, 0.0026618047540354134, 0.0806764445279042),
-             263.2147208623124, True,
-             (0.12748646035729047, 0.005096644236785809, 0.7177645519954456)),
-    "LE": ((0.15009827767893824, 0.002597200651467297),
-           263.21911075524844, True,
-           (0.03422659610974889, 0.004695922534137341)),
+    "RTW": ((0.3713968045533337, 0.8096054228756207, 0.4900688147356098),
+            261.45218791892165, True,
+            (0.1650422238518509, 0.13167451475532316, 0.2892984323088922),
+            (False, False, False)),
+    "W": ((0.8856678839166755, 5.770949687379667), 262.491433080542, True,
+          (0.1076723543918647, 0.9937836286655338), (False, False)),
+    "TW": ((0.831639902680774, 4.81193725415203, -0.28979406228125026),
+           261.9948428877862, True,
+           (0.13202040184828331, 1.4249866636415691, 0.3729356148338292),
+           (False, False, False)),
+    "TL": ((0.26531626809857367, 0.273925569916849), 270.8567932798922, True,
+           (0.046629903807778934, 0.35433270016883667), (False, False)),
+    "TLL": ((8.72464662571025, 1.0197642983335462, 1.0), 269.46330188997547,
+            True, None, (False, False, True)),
+    "RTLE": ((0.16302236928209182, 0.002661805222439381,
+              0.08067711295305895), 263.2147208623134, True,
+             (0.12748618635425385, 0.005096649199325115, 0.7177621806948136),
+             (False, False, False)),
+    "LE": ((0.15009826977501758, 0.002597201421910977), 263.2191107552485,
+           True, (0.0342266022191693, 0.00469592414354023), (False, False)),
 }
+
+# the -2 log-likelihood of each competitor fit under Nelder-Mead, recorded
+# before the competitors ran through RTGLE's fit routine
+NELDER_MEAD_COMPETITOR = {
+    "RTW": 261.45218791891944, "W": 262.4914330805419,
+    "TW": 261.9948428877825, "TL": 270.8567932798904,
+    "TLL": 269.4633018899756, "RTLE": 263.2147208623124,
+    "LE": 263.21911075524844,
+}
+
+
+def _at_or_below(value, reference):
+    return value <= reference + 1e-9 * abs(reference)
+
+
 _FULL = load_dataset("embedded").values
 TRIMMED = np.delete(_FULL, flag_outliers_iqr(_FULL))
 
@@ -155,12 +180,14 @@ def test_sim_fit_matches_golden(method):
     r = fit_many([X], (method,), default_sim_optimizer(TRUE))[0][0]
     assert r.params.as_tuple() + (r.objective, r.iterations) \
         == GOLDEN_SIM[method]
+    assert r.converged and _at_or_below(r.objective, NELDER_MEAD_SIM[method])
 
 
 def test_multistart_mle_with_se_matches_golden():
     r = fit(X, EstimationMethod.MLE, OptimizerConfig(n_starts=4))
     assert r.params.as_tuple() + (r.objective, r.iterations) == GOLDEN_MLE_4
     assert r.standard_errors == GOLDEN_MLE_4_SE
+    assert r.converged and _at_or_below(r.objective, NELDER_MEAD_MLE_4)
 
 
 @pytest.mark.parametrize("method", list(EstimationMethod))
@@ -191,7 +218,9 @@ def test_fit_objective_is_public_objective_at_estimate(method):
 def test_competitor_fit_matches_golden(kind):
     cf = fit_competitor(kind, TRIMMED, OptimizerConfig(n_starts=4, seed=1))
     assert (cf.model.params, cf.minus2loglik, cf.converged,
-            cf.standard_errors) == GOLDEN_COMPETITOR[kind]
+            cf.standard_errors, cf.at_boundary) == GOLDEN_COMPETITOR[kind]
+    assert cf.converged and _at_or_below(cf.minus2loglik,
+                                         NELDER_MEAD_COMPETITOR[kind])
 
 
 @pytest.mark.parametrize("kind", COMPETITOR_KINDS)

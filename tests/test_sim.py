@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rtgle import cli
-from rtgle.distribution import RtgleParams, sample
+from rtgle.distribution import QuantileOverflow, RtgleParams, sample
 from rtgle.estimate import EstimationMethod, fit_many
-from rtgle.sim import SimDesign, default_sim_optimizer, run_design
+from rtgle.sim import (SimDesign, _replicate_seed, default_sim_optimizer,
+                       run_design)
 
 TRUE = RtgleParams(1.2, 0.5, 1.5, 0.8)
 
@@ -137,6 +138,25 @@ def test_underflowing_sample_counted_not_fatal():
                        replicates=4, seed=3)
     cell = run_design(design).cell(20, EstimationMethod.MLE)
     assert cell.n_failed_fits >= 2
+    assert cell.n_used + cell.n_failed_fits == 4
+
+
+def test_overflowing_sample_counted_not_fatal():
+    # at alpha = 1e-300, gamma = 0.05 about 7% of draws lie above the
+    # largest float, so most 20-draw replicates cannot be drawn; they count
+    # as failed fits and the study finishes
+    design = SimDesign(true_params=RtgleParams(1e-300, 0.0, 0.05, 0.0),
+                       sample_sizes=(20,), methods=(EstimationMethod.MLE,),
+                       replicates=4, seed=0)
+    overflowing = 0
+    for rep in range(4):
+        try:
+            sample(design.true_params, 20, seed=_replicate_seed(0, 0, rep))
+        except QuantileOverflow:
+            overflowing += 1
+    assert overflowing >= 2
+    cell = run_design(design).cell(20, EstimationMethod.MLE)
+    assert cell.n_failed_fits >= overflowing
     assert cell.n_used + cell.n_failed_fits == 4
 
 
