@@ -8,8 +8,12 @@ are RTGLE with some coordinates held fixed and evaluate the RTGLE kernels
 at that image; TW, TL and TLL transmute a Weibull, Lindley or log-logistic
 G into G(1 + lam - lam*G) (Shaw & Buckley, 2009).  Each is a model record
 of ``estimate``'s engine, fitted by maximum likelihood through its one fit
-routine.  RTGLE is the first entry of the model registry ``_SPECS``, and
-``comparison_table`` fits all eight models by that one routine.
+routine.  W, LE and RTLE are searched in their own parameters, with the
+derivatives of the RTGLE kernels through the Jacobian of their image;
+RTW is searched on its image's free coordinates (alpha, gamma, p) and
+reported as (theta, gamma, p), theta = alpha^gamma.  RTGLE is the first
+entry of the model registry ``_SPECS``, and ``comparison_table`` fits all
+eight models by that one routine.
 
 Two printed-source corrections, both forced by normalization (a density
 must integrate to 1):
@@ -50,46 +54,44 @@ class CompetitorModel:
         return len(_SPECS[self.kind].kinds)
 
 
-def _nested(image, jacobian):
+def _nested(image, jacobian=None):
     """log_pdf, log_sf, their derivative kernels and the image of the
     competitor that is RTGLE at image(*params).  jacobian(*params) gives,
     per coordinate, the (RTGLE index, derivative of that image coordinate)
-    pairs of its nonzero entries, for the chain rule."""
+    pairs of its nonzero entries, for the chain rule; without it there are
+    no derivative kernels."""
     def chain(d_kernel):
         def d(x, x2, *v):
             value, grad = d_kernel(x, x2, *image(*v))
             return value, tuple(sum(c * grad[i] for i, c in column)
                                 for column in jacobian(*v))
-        return d
+        return d if jacobian else None
     return (lambda x, x2, *v: _log_pdf_kernel(x, x2, *image(*v)),
             lambda x, x2, *v: _log_sf_kernel(x, x2, *image(*v)),
             chain(_d_log_pdf_kernel), chain(_d_log_sf_kernel), image)
 
 
-def _transmuted(base_log_pdf, base_log_sf, base_d_log_pdf, base_d_log_sf):
+def _transmuted(base_d_log_pdf, base_d_log_sf):
     """log_pdf, log_sf and their derivative kernels of G(1 + lam - lam*G)
-    for a baseline G whose parameters come before lam: S = S_G (1 -
-    lam*G), f = g (1 + lam - 2*lam*G); no RTGLE image.  With dG = -S_G d
-    log S_G, d log f = d log g - 2 lam dG / (1 + lam - 2 lam G) and d log S
-    = d log S_G - lam dG / (1 - lam G) by the baseline's parameters, and
-    (1 - 2G) / (1 + lam - 2 lam G) and -G / (1 - lam G) by lam."""
-    def log_pdf(x, x2, *v):
-        *base, lam = v
-        g = -np.expm1(base_log_sf(x, x2, *base))
-        return base_log_pdf(x, x2, *base) + np.log(1.0 + lam - 2.0 * lam * g)
-
-    def log_sf(x, x2, *v):
-        *base, lam = v
-        log_s = base_log_sf(x, x2, *base)
-        return log_s + np.log1p(lam * np.expm1(log_s))
-
+    for a baseline G, given by its derivative kernels, whose parameters
+    come before lam: S = S_G (1 - lam*G), f = g (1 + lam - 2*lam*G); no
+    RTGLE image.  The factors are written so that they do not cancel as G
+    -> 1 or G -> 0: 1 + lam - 2 lam G as (1 - lam) + 2 lam S_G for lam >=
+    0 and (1 + lam) - 2 lam G below, and 1 - lam G as (1 - lam) + lam S_G
+    in the upper tail S_G < 1/2, and below it as log1p(-lam G), which keeps
+    the digits of a small G.  With dG = -S_G d log S_G, d
+    log f = d log g - 2 lam dG / (1 + lam - 2 lam G) and d log S = d log
+    S_G - lam dG / (1 - lam G) by the baseline's parameters, and (1 - 2G)
+    / (1 + lam - 2 lam G) and -G / (1 - lam G) by lam.  The plain kernels
+    are the values of these."""
     def d_log_pdf(x, x2, *v):
         *base, lam = v
         log_s, d_log_s = base_d_log_sf(x, x2, *base)
         log_g, d_log_g = base_d_log_pdf(x, x2, *base)
-        g = -np.expm1(log_s)
-        mix = 1.0 + lam - 2.0 * lam * g
-        c = 2.0 * lam * np.exp(log_s) / mix
+        g, s = -np.expm1(log_s), np.exp(log_s)
+        size = np.abs(lam)
+        mix = (1.0 - size) + 2.0 * size * np.where(lam >= 0.0, s, g)
+        c = 2.0 * lam * s / mix
         return log_g + np.log(mix), tuple(
             [a + c * b for a, b in zip(d_log_g, d_log_s)]
             + [(1.0 - 2.0 * g) / mix])
@@ -97,42 +99,28 @@ def _transmuted(base_log_pdf, base_log_sf, base_d_log_pdf, base_d_log_sf):
     def d_log_sf(x, x2, *v):
         *base, lam = v
         log_s, d_log_s = base_d_log_sf(x, x2, *base)
-        minus_g = np.expm1(log_s)
-        mix = 1.0 + lam * minus_g
-        c = 1.0 + lam * np.exp(log_s) / mix
-        return log_s + np.log1p(lam * minus_g), tuple(
-            [c * b for b in d_log_s] + [minus_g / mix])
-    return log_pdf, log_sf, d_log_pdf, d_log_sf, None
-
-
-def _lindley_log_pdf(x, x2, theta):
-    return (2.0 * _log(theta) - _log(theta + 1.0)
-            + np.log1p(x) - theta * x)
-
-
-def _lindley_log_sf(x, x2, theta):
-    return np.log1p(theta * x / (theta + 1.0)) - theta * x
+        g, s = -np.expm1(log_s), np.exp(log_s)
+        tail = s < 0.5
+        lam_t = lam * np.where(tail, s, -g)
+        mix = np.where(tail, 1.0 - lam, 1.0) + lam_t
+        c = 1.0 + lam * s / mix
+        return log_s + np.where(tail, np.log(mix), np.log1p(lam_t)), tuple(
+            [c * b for b in d_log_s] + [-g / mix])
+    return (lambda *a: d_log_pdf(*a)[0], lambda *a: d_log_sf(*a)[0],
+            d_log_pdf, d_log_sf, None)
 
 
 def _lindley_d_log_pdf(x, x2, theta):
     """d log f = 2/theta - 1/(theta+1) - x."""
-    return (_lindley_log_pdf(x, x2, theta),
+    return (2.0 * _log(theta) - _log(theta + 1.0) + np.log1p(x) - theta * x,
             (2.0 / theta - 1.0 / (theta + 1.0) - x,))
 
 
 def _lindley_d_log_sf(x, x2, theta):
     """d log S = x / ((theta+1)(theta+1+theta x)) - x."""
     t1 = theta + 1.0
-    return (_lindley_log_sf(x, x2, theta),
+    return (np.log1p(theta * x / t1) - theta * x,
             (x / (t1 * (t1 + theta * x)) - x,))
-
-
-def _loglogistic_log_pdf(x, x2, a, b):
-    return _loglogistic_d_log_pdf(x, x2, a, b)[0]
-
-
-def _loglogistic_log_sf(x, x2, a, b):
-    return _loglogistic_d_log_sf(x, x2, a, b)[0]
 
 
 def _loglogistic_d_log_pdf(x, x2, a, b):
@@ -154,21 +142,18 @@ def _loglogistic_d_log_sf(x, x2, a, b):
     return -np.log1p(u), (b / a * q, -np.log(t) * q)
 
 
-def _root(th, g):
-    """th ** (1/g), elementwise through _libm."""
-    return _libm(np.power, th, 1.0 / g)
-
-
-def _rtw_jacobian(th, g, p):
-    """alpha = th^(1/g): d alpha = alpha/(g th) by th and -alpha log(th)/g^2
-    by g."""
-    a = _root(th, g)
-    return (((0, a / (g * th)),), ((0, -a * np.log(th) / (g * g)), (2, 1.0)),
-            ((3, 1.0),))
-
-
 _WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0),
                    lambda mu, s: (((2, 1.0),), ((0, -1.0 / (s * s)),)))
+
+# RTW is searched on its image's free coordinates (alpha, gamma, p), alpha
+# = theta^(1/gamma), and reported by theta = alpha^gamma: in theta the
+# power bends the likelihood's valley, and starts at a large gamma crawl
+# along it (parameter-effects curvature, Bates & Watts 1980)
+_RTW_IMAGE = _Model(
+    "RTW", ("alpha", "gamma", "p"), ("pos", "pos", "unit"),
+    *_nested(lambda a, g, p: (a, 0.0, g, p),
+             lambda a, g, p: (((0, 1.0),), ((2, 1.0),), ((3, 1.0),))),
+    start=lambda x: (1.0 / np.mean(x), 1.0, 0.5))
 
 # the model registry: RTGLE, then the competitors, as model records of the
 # estimation engine; a competitor fit starts at its own start, since
@@ -176,21 +161,21 @@ _WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0),
 _SPECS: dict[str, _Model] = {m.name: m for m in (
     _RTGLE,
     _Model("RTW", ("theta", "gamma", "p"), ("pos", "pos", "unit"),
-           *_nested(lambda th, g, p: (_root(th, g), 0.0, g, p),
-                    _rtw_jacobian),
-           start=lambda x: (1.0 / np.mean(x), 1.0, 0.5)),
+           *_nested(lambda th, g, p: (_libm(np.power, th, 1.0 / g), 0.0,
+                                     g, p)),
+           start=_RTW_IMAGE.start,   # theta = alpha at gamma = 1
+           search=(_RTW_IMAGE,
+                   lambda a, g, p: (_libm(np.power, a, g), g, p))),
     _Model("W", ("mu", "sigma"), ("pos", "pos"), *_WEIBULL,
            start=lambda x: (1.0, np.mean(x))),
     _Model("TW", ("mu", "sigma", "lambda"), ("pos", "pos", "sym"),
-           *_transmuted(*_WEIBULL[:4]),
+           *_transmuted(*_WEIBULL[2:4]),
            start=lambda x: (1.0, np.mean(x), 0.0)),
     _Model("TL", ("theta", "lambda"), ("pos", "sym"),
-           *_transmuted(_lindley_log_pdf, _lindley_log_sf,
-                        _lindley_d_log_pdf, _lindley_d_log_sf),
+           *_transmuted(_lindley_d_log_pdf, _lindley_d_log_sf),
            start=lambda x: (1.0 / np.mean(x), 0.0)),
     _Model("TLL", ("alpha", "beta", "lambda"), ("pos", "pos", "sym"),
-           *_transmuted(_loglogistic_log_pdf, _loglogistic_log_sf,
-                        _loglogistic_d_log_pdf, _loglogistic_d_log_sf),
+           *_transmuted(_loglogistic_d_log_pdf, _loglogistic_d_log_sf),
            start=lambda x: (np.median(x), 1.0, 0.0)),
     _Model("RTLE", ("alpha", "beta", "p"), ("rate", "rate", "unit"),
            *_nested(lambda a, b, p: (a, b, 1.0, p),

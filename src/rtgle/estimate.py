@@ -5,7 +5,8 @@ Anderson-Darling, Cramer-von Mises).
 One private engine fits every model: RTGLE and the competitors in
 ``compare`` are model records (``_Model``) of one fit routine,
 ``_lockstep_fits``.  A record carries its log density and log survival
-and their analytic first derivatives by the natural parameters.  The
+and their analytic first derivatives by the natural parameters, or
+names another record searched in its place (``_Model.search``).  The
 engine searches the natural parameters inside their box (rates >= 0, p in
 [0, 1], lambda in [-1, 1], shapes and scales > 0) by a multi-start
 projected Levenberg-Marquardt search (``_search``), the one optimizer:
@@ -588,6 +589,8 @@ class _Model:
     image: Callable | None       # params -> RTGLE params, if it has them
     start: Callable              # checked data -> natural-scale start
     spread: float | tuple[float, ...] = 1.0   # of the starts, free scale
+    # (record searched in this one's place, map of its values to these)
+    search: tuple[_Model, Callable] | None = None
 
 
 def _moment_start(x: np.ndarray) -> tuple[float, float, float, float]:
@@ -688,25 +691,29 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     with values on the natural scale and at_boundary the coordinates on a
     closed edge there, or the typed error of that fit.
 
-    A fit starts at model.start(x), or for RTGLE at config.start, whose
-    edge coordinates (a rate at 0, p at 0 or 1) take model.start(x)'s.  Its
-    starts are that center and config.n_starts - 1 normal perturbations of
-    it in free coordinates (_to_free) with standard deviation model.spread
-    (Philox keyed by config.seed, the same for every fit), mapped to the
-    natural scale; a start with a non-finite objective or derivative is
-    dropped.  Runs with floating-point warnings off (_IGNORE).
+    A model with a search record (model.search) is searched as that
+    record, and each optimum is mapped back to model's values and takes
+    model's objective there.  A fit starts at the searched record's
+    start(x), or for RTGLE at config.start, whose edge coordinates (a rate
+    at 0, p at 0 or 1) take model.start(x)'s.  Its starts are that center
+    and config.n_starts - 1 normal perturbations of it in free coordinates
+    (_to_free) with standard deviation spread (Philox keyed by
+    config.seed, the same for every fit), mapped to the natural scale; a
+    start with a non-finite objective or derivative is dropped.  Runs with
+    floating-point warnings off (_IGNORE).
     """
+    searched, to_values = model.search or (model, None)
     n_methods, k, n = len(methods), len(model.kinds), config.n_starts
     found: list = [None] * len(samples)
     fitted, data, centers = [], [], []
     for s, sample in enumerate(samples):
         try:
             x = _check_fit_data(sample, k)
-            center = model.start(x)
+            center = searched.start(x)
             if model is _RTGLE and config.start is not None:
                 center = [v if _interior(v, kind) else c for v, c, kind in zip(
                     validate(*config.start).as_tuple(), center, model.kinds)]
-            centers.append(_to_free(center, model.kinds))
+            centers.append(_to_free(center, searched.kinds))
         except (NonPositiveData, DegenerateData, InvalidParams) as exc:
             found[s] = [exc] * n_methods
             continue
@@ -716,13 +723,14 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
         raise ValueError("fit_many: the samples must all have one size")
     if not fitted:
         return found
-    objective = _natural_objective(model, methods, np.array(data))
+    data = np.array(data)
+    objective = _natural_objective(searched, methods, data)
     n_fits = len(fitted) * n_methods
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     centers = np.repeat(np.array(centers), n_methods, axis=0)
     starts = np.repeat(centers[:, None, :], n, axis=1)
-    starts[:, 1:] += rng.normal(scale=model.spread, size=(n - 1, k))
-    x = _inverse(model.kinds)(starts.reshape(-1, k))
+    starts[:, 1:] += rng.normal(scale=searched.spread, size=(n - 1, k))
+    x = _inverse(searched.kinds)(starts.reshape(-1, k))
     fits = np.repeat(np.arange(n_fits), n)
     f, g, h = objective(x, fits, True)
     live = np.isfinite(f) & _finite_rows(g, h)
@@ -733,7 +741,11 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     if live.any():
         x[live], fun[live], nit[live], success[live], edge[live] = _search(
             objective, x[live], fits[live], f[live], g[live], h[live],
-            _box(model.kinds), config)
+            _box(searched.kinds), config)
+        if to_values:
+            x[live] = np.column_stack(to_values(*x[live].T))
+            fun[live] = _natural_objective(model, methods, data)(
+                x[live], fits[live])
     # each fit keeps the first of its best optima
     best = np.argmin(fun.reshape(n_fits, n), axis=1) + np.arange(n_fits) * n
     optima = [(tuple(x[r].tolist()), float(fun[r]), int(nit[r]),

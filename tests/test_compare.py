@@ -11,6 +11,7 @@ from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
                            comparison_table, competitor_cdf,
                            competitor_log_pdf, competitor_pdf, fit_competitor,
                            make_competitor)
+from rtgle import estimate
 from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, sample
 from rtgle.estimate import (_IGNORE, _RTGLE, EstimationMethod, HessianNotPD,
@@ -152,6 +153,51 @@ def test_nested_likelihood_is_rtgle_likelihood_at_image(kind):
     cf = fit_competitor(kind, trimmed)
     image = RtgleParams(*_SPECS[kind].image(*cf.model.params))
     assert cf.minus2loglik == 2.0 * neg_log_likelihood(image, trimmed)
+
+
+# per transmuted kind at lambda = 1: its parameters, a point x where S_G <
+# 1e-16, and the baseline's log g and log S_G there in closed form
+UPPER_TAIL = {
+    "TW": ((1.0, 1.0, 1.0), 40.0, lambda x: (-x, -x)),
+    "TL": ((1.0, 1.0), 45.0, lambda x: (math.log1p(x) - x - math.log(2.0),
+                                        math.log1p(0.5 * x) - x)),
+    "TLL": ((1.0, 1.0, 1.0), 1e17, lambda x: (-2.0 * math.log1p(x),
+                                              -math.log1p(x))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UPPER_TAIL))
+def test_transmuted_upper_tail_at_lambda_one(kind):
+    # at lambda = 1, f = 2 g S_G and S = S_G^2, also where G rounds to 1
+    params, x, baseline = UPPER_TAIL[kind]
+    log_g, log_s = baseline(x)
+    assert log_s < math.log(1e-16)
+    model = make_competitor(kind, *params)
+    assert competitor_log_pdf(model, x) == pytest.approx(
+        math.log(2.0) + log_g + log_s, rel=1e-12, abs=0.0)
+    with np.errstate(**_IGNORE):
+        log_sf = float(_SPECS[kind].log_sf(x, x * x, *params))
+    assert log_sf == pytest.approx(2.0 * log_s, rel=1e-12, abs=0.0)
+
+
+def test_rtw_starts_do_not_crawl(monkeypatch):
+    # RTW is searched on its RTGLE image (alpha, gamma, p): on these seeds
+    # a start searched in (theta, gamma, p) crawled along the valley that
+    # theta = alpha^gamma bends, to the 2,000-step cap
+    full = load_dataset("embedded").values
+    trimmed = np.delete(full, flag_outliers_iqr(full))
+    steps = []
+
+    def counted(*args):
+        found = search(*args)
+        steps.append(found[2])
+        return found
+    search = estimate._search
+    monkeypatch.setattr(estimate, "_search", counted)
+    for seed in (2, 6, 8, 10, 11, 23, 28, 35):
+        cf = fit_competitor("RTW", trimmed, OptimizerConfig(seed=seed))
+        assert steps.pop().max() <= 200, seed
+        assert cf.minus2loglik <= 261.45218791892165 * (1.0 + 1e-9), seed
 
 
 def test_log_pdf_outside_support():

@@ -319,7 +319,10 @@ def _lockstep_setup(model):
     if isinstance(model, EstimationMethod):
         spec, methods, center = _RTGLE, (model,), TRUE.as_tuple()
     else:
-        spec, methods = _SPECS[model], (EstimationMethod.MLE,)
+        # the record the engine searches: for RTW, its image in (alpha,
+        # gamma, p)
+        spec, _ = _SPECS[model].search or (_SPECS[model], None)
+        methods = (EstimationMethod.MLE,)
         center = spec.start(x)
     theta = _to_free(center, spec.kinds)
     thetas = np.array([theta] + list(

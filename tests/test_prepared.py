@@ -110,9 +110,9 @@ NELDER_MEAD_MLE_4 = 52.17763539193459
 # fit_competitor(kind, TRIMMED, OptimizerConfig(n_starts=4, seed=1)); TLL
 # ends on the lambda = 1 edge
 GOLDEN_COMPETITOR = {
-    "RTW": ((0.3713968045533337, 0.8096054228756207, 0.4900688147356098),
-            261.45218791892165, True,
-            (0.1650422238518509, 0.13167451475532316, 0.2892984323088922),
+    "RTW": ((0.3713976225803483, 0.8096048402115114, 0.4900701081467944),
+            261.452187918932, True,
+            (0.16504286904938067, 0.13167473103242525, 0.28929913223119275),
             (False, False, False)),
     "W": ((0.8856678839166755, 5.770949687379667), 262.491433080542, True,
           (0.1076723543918647, 0.9937836286655338), (False, False)),
@@ -120,16 +120,38 @@ GOLDEN_COMPETITOR = {
            261.9948428877862, True,
            (0.13202040184828331, 1.4249866636415691, 0.3729356148338292),
            (False, False, False)),
-    "TL": ((0.26531626809857367, 0.273925569916849), 270.8567932798922, True,
-           (0.046629903807778934, 0.35433270016883667), (False, False)),
-    "TLL": ((8.72464662571025, 1.0197642983335462, 1.0), 269.46330188997547,
-            True, None, (False, False, True)),
+    "TL": ((0.2653162680985686, 0.27392556991687966), 270.85679327989214,
+           True, (0.046629890411065, 0.3543325289937218), (False, False)),
+    "TLL": ((8.724646625710317, 1.0197642983335498, 1.0),
+            269.46330188997547, True, None, (False, False, True)),
     "RTLE": ((0.16302236928209182, 0.002661805222439381,
               0.08067711295305895), 263.2147208623134, True,
              (0.12748618635425385, 0.005096649199325115, 0.7177621806948136),
              (False, False, False)),
     "LE": ((0.15009826977501758, 0.002597201421910977), 263.2191107552485,
            True, (0.0342266022191693, 0.00469592414354023), (False, False)),
+}
+
+# the goldens above that were re-recorded when RTW came to be searched on
+# its RTGLE image (alpha, gamma, p) and the transmuted factors came to be
+# written without cancellation (f/g on S_G for lambda >= 0), as they were
+# before: kind -> (params, minus2loglik, standard_errors, relative bound on
+# the move of params and standard errors).  TL and TLL moved by at most
+# 4.9e-7, and TW (lambda < 0) not at all.  RTW's optimum is the same to
+# 4e-14 in -2logL, but a certified point (a predicted decrease within
+# 1e-10 of the value) pins its parameters only to some 1e-5 here: the four
+# certified starts of the old search spread over 5e-5 in theta, and the
+# old golden lies 6.6e-7 from the optimum polished to 1e-13, the new one
+# 1.5e-6 on its other side
+PREVIOUS_COMPETITOR = {
+    "RTW": ((0.3713968045533337, 0.8096054228756207, 0.4900688147356098),
+            261.45218791892165,
+            (0.1650422238518509, 0.13167451475532316, 0.2892984323088922),
+            1e-5),
+    "TL": ((0.26531626809857367, 0.273925569916849), 270.8567932798922,
+           (0.046629903807778934, 0.35433270016883667), 1e-6),
+    "TLL": ((8.72464662571025, 1.0197642983335462, 1.0), 269.46330188997547,
+            None, 1e-6),
 }
 
 # the -2 log-likelihood of each competitor fit under Nelder-Mead, recorded
@@ -221,6 +243,12 @@ def test_competitor_fit_matches_golden(kind):
             cf.standard_errors, cf.at_boundary) == GOLDEN_COMPETITOR[kind]
     assert cf.converged and _at_or_below(cf.minus2loglik,
                                          NELDER_MEAD_COMPETITOR[kind])
+    if kind in PREVIOUS_COMPETITOR:
+        params, m2ll, se, rel = PREVIOUS_COMPETITOR[kind]
+        assert cf.minus2loglik == pytest.approx(m2ll, rel=1e-9, abs=0.0)
+        assert cf.model.params == pytest.approx(params, rel=rel, abs=0.0)
+        assert (cf.standard_errors == se if se is None else
+                cf.standard_errors == pytest.approx(se, rel=rel, abs=0.0))
 
 
 @pytest.mark.parametrize("kind", COMPETITOR_KINDS)
