@@ -54,21 +54,49 @@ class CompetitorModel:
         return len(_SPECS[self.kind].kinds)
 
 
-def _nested(image, jacobian=None):
+def _nested(image, index=None, slope=None):
     """log_pdf, log_sf, their derivative kernels and the image of the
-    competitor that is RTGLE at image(*params).  jacobian(*params) gives,
-    per coordinate, the (RTGLE index, derivative of that image coordinate)
-    pairs of its nonzero entries, for the chain rule; without it there are
-    no derivative kernels."""
+    competitor that is RTGLE at image(*params).  index gives, per
+    coordinate, the RTGLE coordinate image maps it to, one to one, for the
+    chain rule; slope(*params) the first and second derivative of the maps
+    that are not the identity, by coordinate (W's alpha = 1/sigma).
+    Without index there are no derivative kernels.  Since the Jacobian is
+    constant over a row, a Hessian is J^T H J of RTGLE's summed one, plus
+    the second derivative times the summed derivative by that
+    coordinate."""
+    pick = (slice(None),) + np.ix_(index, index) if index else None
+
     def chain(d_kernel):
         def d(x, x2, *v):
-            value, grad = d_kernel(x, x2, *image(*v))
-            return value, tuple(sum(c * grad[i] for i, c in column)
-                                for column in jacobian(*v))
-        return d if jacobian else None
+            value, grad, second = d_kernel(x, x2, *image(*v))
+            slopes = slope(*v) if slope else {}
+            grad_v = tuple(slopes[c][0] * grad[i] if c in slopes else grad[i]
+                           for c, i in enumerate(index))
+
+            def second_v(weights):
+                h = second(weights)[pick]
+                for c, (first, curvature) in slopes.items():
+                    first = np.reshape(first, (-1, 1))
+                    h[:, c] *= first
+                    h[:, :, c] *= first
+                    h[:, c, c] += np.reshape(curvature, -1) * np.reshape(
+                        np.add.reduce(weights * grad[index[c]], axis=-1), -1)
+                return h
+            return value, grad_v, second_v
+        return d if index else None
     return (lambda x, x2, *v: _log_pdf_kernel(x, x2, *image(*v)),
             lambda x, x2, *v: _log_sf_kernel(x, x2, *image(*v)),
             chain(_d_log_pdf_kernel), chain(_d_log_sf_kernel), image)
+
+
+def _summed(x, entries, layout, weights):
+    """The weighted sum over the points of a k x k Hessian, (R, k, k), from
+    its distinct per-point entries (broadcast against x) and layout, the
+    entry of each of its elements, row by row."""
+    sums = np.matmul(np.stack(np.broadcast_arrays(x, *entries)[1:], axis=-2),
+                     weights[..., None])
+    k = math.isqrt(len(layout))
+    return sums.reshape(-1, len(entries))[:, layout].reshape(-1, k, k)
 
 
 def _transmuted(base_d_log_pdf, base_d_log_sf):
@@ -83,67 +111,115 @@ def _transmuted(base_d_log_pdf, base_d_log_sf):
     log f = d log g - 2 lam dG / (1 + lam - 2 lam G) and d log S = d log
     S_G - lam dG / (1 - lam G) by the baseline's parameters, and (1 - 2G)
     / (1 + lam - 2 lam G) and -G / (1 - lam G) by lam.  The plain kernels
-    are the values of these."""
+    are the values of these.  For a factor M = 1 + lam - 2 lam G (N = 1 -
+    lam G) and c = 2 lam S_G / M (lam S_G / N), d2 log M by the baseline's
+    parameters is c (d2 log S_G + d log S_G d log S_G^T) - c^2 d log S_G d
+    log S_G^T, by them and lam 2 S_G / M^2 d log S_G (S_G / N^2 d log S_G),
+    and by lam -((1 - 2G) / M)^2 (-(G / N)^2)."""
+    def summed(weights, d_log_s, base, c, cross, by_lam):
+        """The weighted sum of the Hessian of log f or log S: base the
+        baseline's part, d log S_G (k - 1 arrays), and the factor's c,
+        cross and derivative by lam."""
+        d = np.stack(d_log_s, axis=-2)
+        k = len(d_log_s) + 1
+        block = base + np.matmul(d * (weights * (c - c * c))[..., None, :],
+                                 np.swapaxes(d, -1, -2)).reshape(-1, k - 1,
+                                                                 k - 1)
+        h = np.empty((len(block), k, k))
+        h[:, :-1, :-1] = block
+        h[:, -1, :-1] = h[:, :-1, -1] = np.matmul(
+            d, (weights * cross)[..., None]).reshape(-1, k - 1)
+        h[:, -1, -1] = np.reshape(np.add.reduce(
+            weights * -(by_lam * by_lam), axis=-1), -1)
+        return h
+
     def d_log_pdf(x, x2, *v):
         *base, lam = v
-        log_s, d_log_s = base_d_log_sf(x, x2, *base)
-        log_g, d_log_g = base_d_log_pdf(x, x2, *base)
+        log_s, d_log_s, sf_second = base_d_log_sf(x, x2, *base)
+        log_g, d_log_g, pdf_second = base_d_log_pdf(x, x2, *base)
         g, s = -np.expm1(log_s), np.exp(log_s)
         size = np.abs(lam)
         mix = (1.0 - size) + 2.0 * size * np.where(lam >= 0.0, s, g)
         c = 2.0 * lam * s / mix
-        return log_g + np.log(mix), tuple(
-            [a + c * b for a, b in zip(d_log_g, d_log_s)]
-            + [(1.0 - 2.0 * g) / mix])
+        grad = tuple([a + c * b for a, b in zip(d_log_g, d_log_s)]
+                     + [(1.0 - 2.0 * g) / mix])
+        return log_g + np.log(mix), grad, lambda w: summed(
+            w, d_log_s, pdf_second(w) + sf_second(w * c), c,
+            2.0 * s / mix / mix, grad[-1])
 
     def d_log_sf(x, x2, *v):
         *base, lam = v
-        log_s, d_log_s = base_d_log_sf(x, x2, *base)
+        log_s, d_log_s, sf_second = base_d_log_sf(x, x2, *base)
         g, s = -np.expm1(log_s), np.exp(log_s)
         tail = s < 0.5
         lam_t = lam * np.where(tail, s, -g)
         mix = np.where(tail, 1.0 - lam, 1.0) + lam_t
         c = 1.0 + lam * s / mix
-        return log_s + np.where(tail, np.log(mix), np.log1p(lam_t)), tuple(
-            [c * b for b in d_log_s] + [-g / mix])
+        grad = tuple([c * b for b in d_log_s] + [-g / mix])
+        return (log_s + np.where(tail, np.log(mix), np.log1p(lam_t)), grad,
+                lambda w: summed(w, d_log_s, sf_second(w * c), c - 1.0,
+                                 s / mix / mix, grad[-1]))
     return (lambda *a: d_log_pdf(*a)[0], lambda *a: d_log_sf(*a)[0],
             d_log_pdf, d_log_sf, None)
 
 
 def _lindley_d_log_pdf(x, x2, theta):
-    """d log f = 2/theta - 1/(theta+1) - x."""
+    """d log f = 2/theta - 1/(theta+1) - x, d2 log f = 1/(theta+1)^2 -
+    2/theta^2."""
     return (2.0 * _log(theta) - _log(theta + 1.0) + np.log1p(x) - theta * x,
-            (2.0 / theta - 1.0 / (theta + 1.0) - x,))
+            (2.0 / theta - 1.0 / (theta + 1.0) - x,),
+            lambda w: _summed(x, (1.0 / (theta + 1.0) ** 2
+                                  - 2.0 / theta ** 2,), [0], w))
 
 
 def _lindley_d_log_sf(x, x2, theta):
-    """d log S = x / ((theta+1)(theta+1+theta x)) - x."""
+    """d log S = x / D - x with D = (theta+1)(theta+1+theta x), d2 log S =
+    -x (2 (theta+1) + (2 theta + 1) x) / D^2."""
     t1 = theta + 1.0
-    return (np.log1p(theta * x / t1) - theta * x,
-            (x / (t1 * (t1 + theta * x)) - x,))
+    d = t1 * (t1 + theta * x)
+    return (np.log1p(theta * x / t1) - theta * x, (x / d - x,),
+            lambda w: _summed(x, (-x * (2.0 * t1 + (2.0 * theta + 1.0) * x)
+                                  / (d * d),), [0], w))
 
 
 def _loglogistic_d_log_pdf(x, x2, a, b):
-    """With u = (x/a)^b: d log f = (b/a)(u-1)/(u+1) by a and 1/b + log(x/a)
-    (1-u)/(1+u) by b."""
+    """With u = (x/a)^b and q = (u-1)/(u+1): d log f = (b/a) q by a and
+    1/b - log(x/a) q by b; with v = u/(1+u)^2, d2 log f = -(b/a^2)(q +
+    2 b v), (q + 2 b v log(x/a))/a and -1/b^2 - 2 v log(x/a)^2."""
     t = x / a
     log_t = np.log(t)
     u = np.power(t, b)
     q = (u - 1.0) / (u + 1.0)
+
+    def second(w):
+        v = u / (u + 1.0) ** 2
+        return _summed(x, (-b / (a * a) * (q + 2.0 * b * v),
+                           (q + 2.0 * b * v * log_t) / a,
+                           -1.0 / (b * b) - 2.0 * v * log_t * log_t),
+                       [0, 1, 1, 2], w)
     return (_log(b / a) + (b - 1.0) * log_t - 2.0 * np.log1p(u),
-            (b / a * q, 1.0 / b - log_t * q))
+            (b / a * q, 1.0 / b - log_t * q), second)
 
 
 def _loglogistic_d_log_sf(x, x2, a, b):
-    """d log S = (b/a) u/(1+u) by a and -log(x/a) u/(1+u) by b."""
+    """With s = u/(1+u): d log S = (b/a) s by a and -log(x/a) s by b; with
+    v = u/(1+u)^2, d2 log S = -(b/a^2)(s + b v), (s + b v log(x/a))/a and
+    -v log(x/a)^2."""
     t = x / a
+    log_t = np.log(t)
     u = np.power(t, b)
     q = u / (1.0 + u)
-    return -np.log1p(u), (b / a * q, -np.log(t) * q)
+
+    def second(w):
+        v = q / (1.0 + u)
+        return _summed(x, (-b / (a * a) * (q + b * v),
+                           (q + b * v * log_t) / a, -v * log_t * log_t),
+                       [0, 1, 1, 2], w)
+    return -np.log1p(u), (b / a * q, -log_t * q), second
 
 
-_WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0),
-                   lambda mu, s: (((2, 1.0),), ((0, -1.0 / (s * s)),)))
+_WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0), (2, 0),
+                   lambda mu, s: {1: (-1.0 / (s * s), 2.0 / (s * s * s))})
 
 # RTW is searched on its image's free coordinates (alpha, gamma, p), alpha
 # = theta^(1/gamma), and reported by theta = alpha^gamma: in theta the
@@ -151,9 +227,15 @@ _WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0),
 # along it (parameter-effects curvature, Bates & Watts 1980)
 _RTW_IMAGE = _Model(
     "RTW", ("alpha", "gamma", "p"), ("pos", "pos", "unit"),
-    *_nested(lambda a, g, p: (a, 0.0, g, p),
-             lambda a, g, p: (((0, 1.0),), ((2, 1.0),), ((3, 1.0),))),
+    *_nested(lambda a, g, p: (a, 0.0, g, p), (0, 2, 3)),
     start=lambda x: (1.0 / np.mean(x), 1.0, 0.5))
+
+
+def _rtw_jacobian(a, g, p):
+    """d (theta, gamma, p) / d (alpha, gamma, p) at theta = alpha^gamma."""
+    theta = a ** g
+    return ((g * theta / a, theta * math.log(a), 0.0), (0.0, 1.0, 0.0),
+            (0.0, 0.0, 1.0))
 
 # the model registry: RTGLE, then the competitors, as model records of the
 # estimation engine; a competitor fit starts at its own start, since
@@ -165,7 +247,9 @@ _SPECS: dict[str, _Model] = {m.name: m for m in (
                                      g, p)),
            start=_RTW_IMAGE.start,   # theta = alpha at gamma = 1
            search=(_RTW_IMAGE,
-                   lambda a, g, p: (_libm(np.power, a, g), g, p))),
+                   lambda a, g, p: (_libm(np.power, a, g), g, p),
+                   lambda th, g, p: (_libm(np.power, th, 1.0 / g), g, p),
+                   _rtw_jacobian)),
     _Model("W", ("mu", "sigma"), ("pos", "pos"), *_WEIBULL,
            start=lambda x: (1.0, np.mean(x))),
     _Model("TW", ("mu", "sigma", "lambda"), ("pos", "pos", "sym"),
@@ -178,12 +262,10 @@ _SPECS: dict[str, _Model] = {m.name: m for m in (
            *_transmuted(_loglogistic_d_log_pdf, _loglogistic_d_log_sf),
            start=lambda x: (np.median(x), 1.0, 0.0)),
     _Model("RTLE", ("alpha", "beta", "p"), ("rate", "rate", "unit"),
-           *_nested(lambda a, b, p: (a, b, 1.0, p),
-                    lambda a, b, p: (((0, 1.0),), ((1, 1.0),), ((3, 1.0),))),
+           *_nested(lambda a, b, p: (a, b, 1.0, p), (0, 1, 3)),
            start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2, 0.5)),
     _Model("LE", ("alpha", "beta"), ("rate", "rate"),
-           *_nested(lambda a, b: (a, b, 1.0, 0.0),
-                    lambda a, b: (((0, 1.0),), ((1, 1.0),))),
+           *_nested(lambda a, b: (a, b, 1.0, 0.0), (0, 1)),
            start=lambda x: (1.0 / np.mean(x), 0.1 / np.mean(x) ** 2)),
 )}
 

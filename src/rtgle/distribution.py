@@ -161,7 +161,8 @@ def _columns(values: np.ndarray):
     loops are cheaper; the kernel's values come out as (R, n) or (n,).
     Either way the arithmetic is numpy's, which gives inf or NaN where
     Python's float arithmetic would raise."""
-    return values[0] if len(values) == 1 else values.T[:, :, None]
+    return values[0] if len(values) == 1 else np.ascontiguousarray(
+        values.T)[:, :, None]
 
 
 def _log(v):
@@ -202,18 +203,78 @@ def _log_sf_kernel(x, x2, a, b, g, p):
     return np.log1p(p * z) - z
 
 
+# With L = log m, the derivatives of L by a and b are q = x/m and q x/2,
+# so every second derivative of log f or log S by (a, b, g, p) is a
+# per-point term times q^2 or q (or 1) times a power of x/2.  _hessian sums
+# each term against (1, x, x^2) in one matmul, and _HESSIAN maps those sums
+# (term t times x^e is sum 3t + e) into the 4 x 4 matrix.  The terms, as
+# the kernels write them: the coefficients of L_i L_j in the (a, b) block,
+# of L_i by g and of L_i by p; the (g, g) and (g, p) entries; minus the
+# (p, p) entry; and for log f the 1/(a + b*x)^2 of log(a + b*x), whose
+# (a, b) block is -(1, x, x^2) times it.
+_HESSIAN = np.zeros((21, 16))
+for _t, _e, _i, _j, _c in ((0, 0, 0, 0, 1.0), (0, 1, 0, 1, 0.5),
+                           (0, 2, 1, 1, 0.25), (1, 0, 0, 2, 1.0),
+                           (1, 1, 1, 2, 0.5), (2, 0, 0, 3, 1.0),
+                           (2, 1, 1, 3, 0.5), (3, 0, 2, 2, 1.0),
+                           (4, 0, 2, 3, 1.0), (5, 0, 3, 3, -1.0),
+                           (6, 0, 0, 0, -1.0), (6, 1, 0, 1, -1.0),
+                           (6, 2, 1, 1, -1.0)):
+    _HESSIAN[3 * _t + _e, [4 * _i + _j, 4 * _j + _i]] = _c
+
+
+def _hessian(x, x2, q, terms, weights):
+    """The weighted sum over the points of an RTGLE kernel's Hessian, (R,
+    4, 4), from its per-point terms (T, R, n) (see _HESSIAN) and q = x/m;
+    weights (n,) or (R, n).  Each sum runs over one row's points, so a row
+    has the same bits alone as in a batch."""
+    terms[:3] *= q
+    terms[0] *= q
+    powers = np.empty(x.shape + (3,))
+    powers[..., 0] = 1.0
+    powers[..., 1] = x
+    powers[..., 2] = x2
+    sums = np.matmul(terms.swapaxes(0, -2) * weights[..., None, :], powers)
+    used = _HESSIAN[:3 * len(terms)]
+    return np.matmul(sums.reshape(-1, len(used)), used).reshape(-1, 4, 4)
+
+
 def _d_log_sf_kernel(x, x2, a, b, g, p):
-    """(log S, its derivatives by (a, b, g, p)): _log_sf_kernel's value to
-    the bit, and with c = d log S / d log z = p*z/(1+p*z) - z, d log S =
-    c * g * d log m for a and b, c * log m for g and z/(1+p*z) for p."""
+    """(log S, its derivatives by (a, b, g, p), second): _log_sf_kernel's
+    value to the bit, and with r = p*z/(1+p*z) and c = d log S / d log z =
+    r - z, d log S = c * g * d log m for a and b, c * log m for g and
+    z/(1+p*z) for p.  second(weights) is the weighted sum of its Hessian
+    (_hessian), whose terms are, with L = log m: g ((g-1) c - g r^2) for
+    L_a L_b, c + g L (c - r^2) and g z/(1+p*z)^2 for L_i by g and by p,
+    and L^2 (c - r^2), L z/(1+p*z)^2 and -(z/(1+p*z))^2 for (g, g), (g, p)
+    and (p, p)."""
     m = _m(a, b, x, x2)
     z = np.power(m, g)
     pz = p * z
     value = np.log1p(pz) - z
     opz = 1.0 + pz
-    c = pz / opz - z
-    gc_m = g * c * x / m      # c * g * d log m / da, d log m / da = x/m
-    return value, (gc_m, 0.5 * x * gc_m, c * np.log(m), z / opz)
+    r = pz / opz
+    c = r - z
+    gc = g * c
+    gc_m = gc * x / m      # c * g * d log m / da, d log m / da = x/m
+    log_m = np.log(m)
+    grad = (gc_m, 0.5 * x * gc_m, c * log_m, z / opz)
+
+    def second(weights):
+        q = x / m
+        t = np.empty((6,) + q.shape)
+        c_r = np.subtract(c, r * r, out=t[3])
+        g_c_r = g * c_r
+        np.multiply(g, g_c_r, out=t[0])
+        t[0] -= gc
+        np.add(c, g_c_r * log_m, out=t[1])
+        u = np.divide(grad[3], opz, out=t[4])
+        np.multiply(g, u, out=t[2])
+        c_r *= log_m * log_m
+        u *= log_m
+        np.square(grad[3], out=t[5])
+        return _hessian(x, x2, q, t, weights)
+    return value, grad, second
 
 
 def _log_pdf_parts(x, x2, a, b, g, p):
@@ -240,17 +301,42 @@ def _log_pdf_kernel(x, x2, a, b, g, p):
 
 
 def _d_log_pdf_kernel(x, x2, a, b, g, p):
-    """(log f, its derivatives by (a, b, g, p)): _log_pdf_kernel's value
-    to the bit, and with r = p*z/(1-p+p*z) and e = (g-1) + g*(r - z), the
-    derivative of log f by log m at fixed g, d log f = 1/(a+b*x) + e*x/m
-    for a, x/(a+b*x) + e*x^2/(2m) for b, 1/g + (1 + r - z) log m for g and
-    (z - 1)/(1-p+p*z) for p."""
+    """(log f, its derivatives by (a, b, g, p), second): _log_pdf_kernel's
+    value to the bit, and with r = p*z/(1-p+p*z) and e = (g-1) + g*(r - z),
+    the derivative of log f by log m at fixed g, d log f = 1/(a+b*x) +
+    e*x/m for a, x/(a+b*x) + e*x^2/(2m) for b, 1/g + (1 + r - z) log m for
+    g and (z - 1)/(1-p+p*z) for p.  second(weights) takes the terms of
+    _d_log_sf_kernel with 1 - p + p*z for 1 + p*z and r - z for c, plus
+    those of (g-1) log m, log g and log(a + b*x): 1 - g for L_a L_b, 1 for
+    L_i by g, -1/g^2 for (g, g), and 1/(a+b*x)^2."""
     value, m, log_m, z, mix = _log_pdf_parts(x, x2, a, b, g, p)
-    r_z = p * z / mix - z
+    r = p * z / mix
+    r_z = r - z
     w = 1.0 / (a + b * x)
-    e_m = ((g - 1.0) + g * r_z) * x / m
-    return value, (w + e_m, x * (w + 0.5 * e_m), 1.0 / g + log_m * (1.0 + r_z),
-                   (z - 1.0) / mix)
+    g_1, g_r = g - 1.0, g * r_z
+    e_m = (g_1 + g_r) * x / m
+    one_r, inverse = 1.0 + r_z, 1.0 / g
+    grad = (w + e_m, x * (w + 0.5 * e_m), inverse + log_m * one_r,
+            (z - 1.0) / mix)
+
+    def second(weights):
+        q = x / m
+        t = np.empty((7,) + q.shape)
+        c_r = np.subtract(r_z, r * r, out=t[3])
+        g_c_r = g * c_r
+        np.multiply(g, g_c_r, out=t[0])
+        t[0] -= g_r
+        t[0] -= g_1
+        np.add(one_r, g_c_r * log_m, out=t[1])
+        u = np.divide(z / mix, mix, out=t[4])
+        np.multiply(g, u, out=t[2])
+        c_r *= log_m * log_m
+        c_r -= inverse * inverse
+        u *= log_m
+        np.square(grad[3], out=t[5])
+        np.square(w, out=t[6])
+        return _hessian(x, x2, q, t, weights)
+    return value, grad, second
 
 
 def sf(params: RtgleParams, x):

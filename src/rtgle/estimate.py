@@ -5,18 +5,18 @@ Anderson-Darling, Cramer-von Mises).
 One private engine fits every model: RTGLE and the competitors in
 ``compare`` are model records (``_Model``) of one fit routine,
 ``_lockstep_fits``.  A record carries its log density and log survival
-and their analytic first derivatives by the natural parameters, or
-names another record searched in its place (``_Model.search``).  The
-engine searches the natural parameters inside their box (rates >= 0, p in
-[0, 1], lambda in [-1, 1], shapes and scales > 0) by a multi-start
-projected Levenberg-Marquardt search (``_search``), the one optimizer:
-every start of a fit, or of many fits (``fit_many``), advances in
-lockstep, with one value-and-derivative call of the row objective per
-step.  Its curvature is the Gauss-Newton matrix 2 J^T W J for LSE, WLSE
-and CME, and for MLE and ADE the Hessian by differences of the analytic
-gradient (``_natural_objective``).  Starts are placed in unconstrained
-coordinates (log for positive values, logit for probabilities, atanh for
-values in [-1, 1]) and mapped to the natural scale.
+and their analytic first and second derivatives by the natural
+parameters, or names another record searched in its place
+(``_Model.search``).  The engine searches the natural parameters inside
+their box (rates >= 0, p in [0, 1], lambda in [-1, 1], shapes and scales
+> 0) by a multi-start projected Levenberg-Marquardt search (``_search``),
+the one optimizer: every start of a fit, or of many fits (``fit_many``),
+advances in lockstep, with one value-and-derivative call of the row
+objective per step, one row per live search.  Its curvature is every
+objective's analytic Hessian (``_row_objective``).  Starts are placed in
+unconstrained coordinates (log for positive values, logit for
+probabilities, atanh for values in [-1, 1]) and mapped to the natural
+scale.
 
 ``OptimizerConfig.tolerance`` is the relative decrease of the objective the
 search's model may still predict at a converged fit, its first-order
@@ -25,9 +25,8 @@ relative step below which a search that cannot lower its objective stops,
 and ``max_iterations`` caps the steps.  A fit reports the coordinates that
 end on a closed edge (``at_boundary``).  ``fit`` is ``fit_many`` on one
 sample, plus for an MLE the standard errors from the inverse observed
-information (central-difference Hessian in free coordinates, mapped back
-by the delta method), by the one rule every model's MLE takes
-(``_standard_errors``).
+information, the same analytic Hessian on the natural scale, by the one
+rule every model's MLE takes (``_standard_errors``).
 """
 
 from __future__ import annotations
@@ -134,10 +133,11 @@ def _check_fit_data(data, k: int) -> np.ndarray:
 # search, a few rows of tens of points, the number of numpy calls sets the
 # cost, not the rows.  A row's value does not depend on the other rows, to
 # the bit; the public objectives are its value on one row.  Called with
-# derivatives=True it also returns each row's gradient and Gauss-Newton
-# matrix, from the derivative kernels d_log_pdf and d_log_sf, whose values
-# are log_pdf's and log_sf's to the bit.  Callers evaluate it under
-# _IGNORE: far from the optimum the kernels overflow.
+# derivatives=True it also returns each row's gradient and Hessian, from
+# the derivative kernels d_log_pdf and d_log_sf, whose values are
+# log_pdf's and log_sf's to the bit, and the same alone as in a batch.
+# Callers evaluate it under _IGNORE: far from the optimum the kernels
+# overflow.
 
 _IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
@@ -150,22 +150,27 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
     sample data[f // M] of the checked samples data (S, n), for the model
     with log density log_pdf(x, x2, *v) and log survival log_sf(x, x2, *v).
 
-    With derivatives=True it returns (value, gradient (R, k), matrix (R, k,
-    k)), from the derivative kernels d_log_pdf and d_log_sf, which return
-    (the value of log_pdf or log_sf to the bit, its k derivatives).  The
-    matrix is the Gauss-Newton matrix 2 J^T W J of LSE, WLSE and CME, with
-    J the derivatives dF = -S d log S of their residuals, and NaN for MLE
-    and ADE, which are not sums of squares."""
+    With derivatives=True it returns (value, gradient (R, k), Hessian (R,
+    k, k)), from the derivative kernels d_log_pdf and d_log_sf, which
+    return (the value of log_pdf or log_sf to the bit, its k derivatives,
+    second), second(weights) the sum over the points of weights times the
+    second derivatives, (R, k, k), with weights (n,) or (R, n).  An MLE
+    row's Hessian is -sum d2 log f; an ADE row's takes d2 log F = -(S/F)
+    (d2 log S + d log S d log S^T / F); a squares row's (LSE, WLSE, CME) is
+    2 J^T W J + 2 sum w (F - position) d2 F, with J = dF = -S d log S and
+    d2 F = -S (d2 log S + d log S d log S^T)."""
     n_methods, n = len(methods), data.shape[1]
     x2 = np.square(data)
     xs = np.sort(data, axis=1)
     xs2 = np.square(xs)
     i = np.arange(1, n + 1)
     coef = 2 * i - 1
+    coef_n = coef / n
     pos = i / (n + 1.0)
     # LSE, WLSE and CME are c0 + sum w (F(x_(i)) - position)^2; w = 1 and
     # c0 = 0 change no bit of the unweighted and unshifted sums
     ones = np.ones(n)
+    minus_ones = -ones      # MLE: minus the summed d2 log f
     least_squares = {
         EstimationMethod.LSE: (0.0, ones, pos),
         EstimationMethod.WLSE: (0.0, (n + 1.0) ** 2 * (n + 2.0)
@@ -185,30 +190,29 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         n); one row is broadcast instead of copied."""
         return pair[:, 0] if pair.shape[1] == 1 else pair[:, index]
 
-    def no_matrix(r, k):
-        """MLE and ADE rows have no Gauss-Newton matrix: NaN, which
-        _natural_objective replaces by differences of the gradient."""
-        return np.full((r, k, k), np.nan)
-
     def kernel(plain, derivative, tables, v, d):
-        """(values (R, n), derivatives (R, k, n), or None without d)."""
+        """(values (R, n), derivatives (R, k, n) and the kernel's
+        second(weights), or None in their place without d)."""
         r = len(v)
         if not d:
-            return plain(*tables, *_columns(v)).reshape(r, -1), None
-        value, grad = derivative(*tables, *_columns(v))
-        return (value.reshape(r, -1),
-                np.stack(grad, axis=-2).reshape(r, len(grad), -1))
+            return plain(*tables, *_columns(v)).reshape(r, -1), None, None
+        value, grad, second = derivative(*tables, *_columns(v))
+        return (value.reshape(r, -1), np.concatenate(grad).reshape(
+            len(grad), r, -1).swapaxes(0, 1), second)
 
     def mle(v, s, d):
-        terms, score = kernel(log_pdf, d_log_pdf, rows(by_sample, s), v, d)
+        terms, score, second = kernel(log_pdf, d_log_pdf, rows(by_sample, s),
+                                      v, d)
         total = np.add.reduce(terms, axis=1)
         # a non-finite total is a zero, infinite or undefined likelihood
         value = np.where(np.isfinite(total), -total, np.inf)
         if not d:
             return value,
-        return value, -np.add.reduce(score, axis=2), no_matrix(*v.shape)
+        return value, -np.add.reduce(score, axis=2), second(minus_ones)
 
     def ade(f, log_s, d_log_s):
+        """(value, gradient, the Hessian but for its d2 log S part, the
+        weights of d2 log S, no row flat), or the value alone."""
         # a fit on its own takes np.log(s[::-1]) of a 1-d s: a
         # negative-stride view, so the C library's log
         s = np.exp(log_s)
@@ -220,49 +224,80 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         if d_log_s is None:
             return out,
         # d log F = -(S/F) d log S; log S enters at position n+1-i
-        d_log_f = -(s / f)[:, None] * d_log_s
+        ratio = s / f
+        d_log_f = -ratio[:, None] * d_log_s
         grad = -(np.matmul(d_log_f, coef) + np.matmul(d_log_s, coef[::-1])
                  ) / n
-        return out, grad, no_matrix(*d_log_s.shape[:2])
+        # d2 log F = -(S/F)(d2 log S + d log S d log S^T / F)
+        ratio *= coef_n
+        outer = np.matmul(d_log_s * (ratio / f)[:, None],
+                          d_log_s.transpose(0, 2, 1))
+        return (out, grad, outer, ratio - coef_n[::-1],
+                np.zeros(len(f), dtype=bool))
 
-    def distance(f, j):
-        weight, position = rows(by_method, j)
+    def distance(f, j, weight, position):
         return (c0[0] if len(c0) == 1 else c0[j]) + np.add.reduce(
             weight * (f - position) ** 2, axis=1)
 
     def squares(f, j, log_s, d_log_s):
-        out = distance(f, j)
+        """As ade.  The Hessian of sum w (F - position)^2 is 2 J^T W J + 2
+        sum w (F - position) d2 F, with J = dF = -S d log S and d2 F = -S
+        (d2 log S + d log S d log S^T).  A row where z overflowed, where F
+        is flat at S = 0 and d2 log S undefined, keeps 2 J^T W J."""
+        weight, position = rows(by_method, j)
+        out = distance(f, j, weight, position)
         bad = np.isnan(out).nonzero()[0]
         if bad.size:  # F is NaN where z overflowed; cdf's limit there is 1
             f[bad] = np.fmin(f[bad], 1.0)
-            out[bad] = distance(f[bad], j[bad])
+            out[bad] = distance(f[bad], j[bad], *rows(by_method, j[bad]))
         if d_log_s is None:
             return out,
-        weight, position = rows(by_method, j)
-        jac = -np.exp(log_s)[:, None] * d_log_s    # dF = -S d log S
+        s = np.exp(log_s)
+        residual = f - position
+        # -2 w S, and the weights of d2 log S, -2 w (F - position) S
+        scale = -2.0 * weight * s
+        weights = scale * residual
+        grad = np.matmul(d_log_s, weights[..., None])[..., 0]
+        # the weights of d log S d log S^T: 2 w S^2 from J^T W J, less
+        # 2 w (F - position) S from d2 F
+        outer = np.matmul(d_log_s * (scale * (residual - s))[:, None],
+                          d_log_s.transpose(0, 2, 1))
+        flat = np.zeros(len(f), dtype=bool)
         if bad.size:  # where S = 0, F is flat
-            jac[bad] = np.nan_to_num(jac[bad], nan=0.0, posinf=0.0,
-                                     neginf=0.0)
-        weighted = 2.0 * jac * (weight[:, None] if weight.ndim > 1 else weight)
-        grad = np.matmul(weighted, (f - position)[..., None])[..., 0]
-        return out, grad, np.matmul(weighted, jac.transpose(0, 2, 1))
+            flat[bad] = True
+            weights[bad] = 0.0
+            jac = np.nan_to_num(-s[bad, None] * d_log_s[bad], nan=0.0,
+                                posinf=0.0, neginf=0.0)    # dF = -S d log S
+            jac_w = 2.0 * jac * (weight[bad, None] if weight.ndim > 1
+                                 else weight)
+            grad[bad] = np.matmul(jac_w, residual[bad, :, None])[..., 0]
+            outer[bad] = np.matmul(jac_w, jac.transpose(0, 2, 1))
+        return out, grad, outer, weights, flat
 
     def distances(v, s, j, n_ade, d):
         """Every distance row from one survival-kernel call on the sorted
         samples: ADE on the first n_ade rows, a squares formula on the
         rest."""
-        log_s, d_log_s = kernel(log_sf, d_log_sf, rows(by_sample_sorted, s),
-                                v, d)
+        log_s, d_log_s, second = kernel(log_sf, d_log_sf,
+                                        rows(by_sample_sorted, s), v, d)
         f = -np.expm1(log_s)
         if n_ade == len(v):
-            return ade(f, log_s, d_log_s)
-        if not n_ade:
-            return squares(f, j, log_s, d_log_s)
-        head, tail = (None, None) if d_log_s is None else (
-            d_log_s[:n_ade], d_log_s[n_ade:])
-        return tuple(map(np.concatenate, zip(
-            ade(f[:n_ade], log_s[:n_ade], head),
-            squares(f[n_ade:], j[n_ade:], log_s[n_ade:], tail))))
+            out = ade(f, log_s, d_log_s)
+        elif not n_ade:
+            out = squares(f, j, log_s, d_log_s)
+        else:
+            head, tail = (None, None) if d_log_s is None else (
+                d_log_s[:n_ade], d_log_s[n_ade:])
+            out = tuple(map(np.concatenate, zip(
+                ade(f[:n_ade], log_s[:n_ade], head),
+                squares(f[n_ade:], j[n_ade:], log_s[n_ade:], tail))))
+        if d_log_s is None:
+            return out
+        value, grad, outer, weights, flat = out
+        matrix = outer + second(weights)
+        if flat.any():
+            matrix[flat] = outer[flat]
+        return value, grad, matrix
 
     def grouped(v, fits, d):
         if n_methods == 1:  # s = fits, and every per-method table has one row
@@ -316,7 +351,7 @@ def nll_gradient(params: RtgleParams, data) -> np.ndarray:
     if a <= 0.0 or b <= 0.0 or not (0.0 < p < 1.0):
         raise ValueError("gradient requires interior parameters "
                          "(alpha>0, beta>0, 0<p<1)")
-    _, score = _RTGLE.d_log_pdf(x, np.square(x), a, b, g, p)
+    _, score, _ = _RTGLE.d_log_pdf(x, np.square(x), a, b, g, p)
     return -np.array([np.sum(d) for d in score])
 
 
@@ -354,8 +389,8 @@ _OBJECTIVES = {
 # A parameter vector is described by the kind of each coordinate: "rate"
 # (>= 0, a closed edge at 0), "pos" (> 0, a shape or scale), "unit" (a
 # probability, in [0, 1]) or "sym" (in [-1, 1]).  The search runs on the
-# natural scale inside that box; starts are placed, and standard errors
-# taken, in the unconstrained coordinates of _to_free.
+# natural scale inside that box, and standard errors are taken there;
+# starts are placed in the unconstrained coordinates of _to_free.
 
 _LOGIT_CLAMP = 40.0
 
@@ -397,12 +432,6 @@ def _inverse(kinds):
             values[:, c] = [math.tanh(t) for t in theta[:, c].tolist()]
         return values
     return natural
-
-
-def _jacobian(values, kinds) -> np.ndarray:
-    """Derivative of each natural-scale value by its free coordinate."""
-    return np.array([v * (1.0 - v) if k == "unit" else 1.0 - v * v
-                     if k == "sym" else v for v, k in zip(values, kinds)])
 
 
 def _box(kinds):
@@ -467,10 +496,11 @@ def _leave_edge(h, g, edge, at_lower, fixed, unit, length, d):
 def _search(objective, x, fits, f, g, h, box, config: OptimizerConfig):
     """Projected Levenberg-Marquardt from every row of x (S, k) at once, on
     the natural scale inside box = (lower, upper, closed); row s minimizes
-    objective(., fits[s], derivatives=True) -> (value, gradient, curvature
-    matrix) of the rows (R, k), whose values at x are (f, g, h).  Returns
-    the optimum x (S, k), its value, the steps taken, the certificate and
-    the coordinates (S, k) on a closed edge at the optimum.
+    objective(., fits[s], derivatives=True) -> (value, gradient, Hessian)
+    of the rows (R, k), whose values at x are (f, g, h).  Returns the
+    optimum x (S, k), its value, the steps taken, the certificate and the
+    coordinates (S, k) on a closed edge at the optimum.  After the starts,
+    every objective call holds one row per live search, its trial point.
 
     A step first fixes the active set: the coordinates at a closed edge of
     the box whose gradient points out of it.  On the other, free,
@@ -584,13 +614,16 @@ class _Model:
     kinds: tuple[str, ...]       # per coordinate: "rate", "pos", "unit", "sym"
     log_pdf: Callable            # (x, x2, *params) -> log f
     log_sf: Callable             # (x, x2, *params) -> log S
-    d_log_pdf: Callable          # (x, x2, *params) -> (log f, d log f)
-    d_log_sf: Callable           # (x, x2, *params) -> (log S, d log S)
+    # (x, x2, *params) -> (log f, d log f, second), second(weights) the
+    # sum over the points of weights * d2 log f
+    d_log_pdf: Callable
+    d_log_sf: Callable           # the same for log S
     image: Callable | None       # params -> RTGLE params, if it has them
     start: Callable              # checked data -> natural-scale start
     spread: float | tuple[float, ...] = 1.0   # of the starts, free scale
-    # (record searched in this one's place, map of its values to these)
-    search: tuple[_Model, Callable] | None = None
+    # (record searched in this one's place, map of its values to these,
+    # the inverse map, the Jacobian of the first: rows by these values)
+    search: tuple[_Model, Callable, Callable, Callable] | None = None
 
 
 def _moment_start(x: np.ndarray) -> tuple[float, float, float, float]:
@@ -616,27 +649,20 @@ def _natural_objective(model: _Model, methods, data: np.ndarray):
     natural values are not finite or have no valid RTGLE image.  A call of
     one row takes numpy's arithmetic like a call of many (_columns): a
     kernel that overflows or divides by zero gives inf or NaN, never an
-    exception, and a row has the same value alone as inside a larger call.
+    exception, and a row has the same value, gradient and Hessian alone as
+    inside a larger call.  A call evaluates its rows and no others.
 
     The rows are checked only on calls with a value at or below 0, or not
     finite: while every value is positive and finite, RTGLE and the
     competitors' RTGLE images pass their checks, or give a non-finite
     log-likelihood, +inf all the same.
-
-    With derivatives=True the matrix of an MLE or ADE row is its Hessian,
-    by forward differences of the analytic gradient at steps 1e-6 (|v| +
-    1e-3), taken back from an upper edge, with the k shifted rows in the
-    same call; it is NaN where a shifted row has no finite value.
     """
     objective = _row_objective(methods, data, model.log_pdf, model.log_sf,
                                model.d_log_pdf, model.d_log_sf)
     image = model.image
     k = len(model.kinds)
-    upper = _box(model.kinds)[1]
-    curved = np.array([m is EstimationMethod.MLE or m is EstimationMethod.ADE
-                       for m in methods])
 
-    def checked(v, fits, derivatives):
+    def checked(v, fits, derivatives=False):
         if 0.0 < np.minimum.reduce(v, axis=None) \
                 <= np.maximum.reduce(v, axis=None) < np.inf:
             return objective(v, fits, derivatives)
@@ -650,35 +676,7 @@ def _natural_objective(model: _Model, methods, data: np.ndarray):
             for a, b in zip(out, found if derivatives else (found,)):
                 a[ok] = b
         return out if derivatives else out[0]
-
-    def on_natural(v, fits, derivatives=False):
-        rows = np.flatnonzero(curved[fits % len(methods)]) if derivatives \
-            else ()
-        if not len(rows):
-            return checked(v, fits, derivatives)
-        r, at = len(v), v[rows]
-        step = 1e-6 * (np.abs(at) + 1e-3)
-        step = np.where(at + step > upper, -step, step)
-        shifted = (at[:, None, :] + step[:, :, None] * np.eye(k))
-        value, grad, matrix = checked(
-            np.concatenate((v, shifted.reshape(-1, k))),
-            np.concatenate((fits, np.repeat(fits[rows], k))), True)
-        hess = (grad[r:].reshape(-1, k, k) - grad[rows, None]) \
-            / step[:, :, None]
-        hess[~np.isfinite(value[r:]).reshape(-1, k).all(axis=1)] = np.nan
-        matrix = matrix[:r]
-        matrix[rows] = 0.5 * (hess + hess.transpose(0, 2, 1))
-        return value[:r], grad[:r], matrix
-    return on_natural
-
-
-def _model_objective(model: _Model, methods, data: np.ndarray):
-    """(objective, natural): _natural_objective of model as a function of
-    the free coordinates, objective(theta (R, k), fits (R,)) -> (R,), and
-    the map natural = _inverse(model.kinds) it evaluates through."""
-    on_natural = _natural_objective(model, methods, data)
-    natural = _inverse(model.kinds)
-    return (lambda theta, fits: on_natural(natural(theta), fits)), natural
+    return checked
 
 
 @np.errstate(**_IGNORE)
@@ -702,7 +700,7 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     start with a non-finite objective or derivative is dropped.  Runs with
     floating-point warnings off (_IGNORE).
     """
-    searched, to_values = model.search or (model, None)
+    searched, to_values, *_ = model.search or (model, None)
     n_methods, k, n = len(methods), len(model.kinds), config.n_starts
     found: list = [None] * len(samples)
     fitted, data, centers = [], [], []
@@ -796,16 +794,15 @@ def fit_many(samples, methods, config: OptimizerConfig | None = None
 
 @np.errstate(**_IGNORE)
 def _standard_errors(model: _Model, values, data) -> tuple[float, ...]:
-    """Delta-method standard errors of model's maximum likelihood estimate
-    values (natural scale) on data, from the inverse observed information.
-
-    The Hessian of the negative log-likelihood is taken by central
-    differences at _to_free(values) (step 1e-4 * (1 + |theta|)), inverted,
-    and mapped to the natural scale.  Its 2k^2 + 1 points are evaluated in
-    one call, as named blocks: theta, theta +- e_i and theta +- e_i +- e_j
-    for the index pairs i < j of np.triu_indices.  An estimate on the edge
+    """Standard errors of model's maximum likelihood estimate values
+    (natural scale) on data: the square roots of the diagonal of the
+    inverse observed information, the analytic Hessian of the negative
+    log-likelihood at values (_natural_objective's matrix).  A model with
+    a search record (model.search) takes the Hessian of that record at the
+    values it maps to, and maps the inverse through the Jacobian J of the
+    record's map back to these values, J H^-1 J^T.  An estimate on the edge
     of the parameter space (a rate at 0, a probability at 0 or 1, lambda at
-    -1 or 1) has no free coordinates and raises HessianNotPD naming every
+    -1 or 1) has no information matrix and raises HessianNotPD naming every
     such coordinate.
     """
     edges = [f"{name}={v!r}" for name, v, kind
@@ -816,33 +813,26 @@ def _standard_errors(model: _Model, values, data) -> tuple[float, ...]:
                            f"{'is' if len(edges) == 1 else 'are'} on the "
                            "boundary of the parameter space; no information "
                            "matrix there")
-    objective, _ = _model_objective(model, (EstimationMethod.MLE,),
-                                    _check_data(data)[None])
-    theta = _to_free(values, model.kinds)
-    k = len(theta)
-    h = 1e-4 * (1.0 + np.abs(theta))
-    e = np.diag(h)
-    up, down = theta + e, theta - e      # row i: theta +- e_i
-    i, j = np.triu_indices(k, 1)
-    blocks = (theta[None], up, down,
-              up[i] + e[j], up[i] - e[j], down[i] + e[j], down[i] - e[j])
-    points = np.concatenate(blocks)
-    f = objective(points, np.zeros(len(points), dtype=int))
-    f0, f_up, f_down, f_pp, f_pm, f_mp, f_mm = np.split(
-        f, np.cumsum([len(b) for b in blocks[:-1]]))
-    hess = np.diag((f_up - 2.0 * f0 + f_down) / h ** 2)
-    hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[i] * h[j])
+    searched, _, from_values, jacobian = model.search or (model, None, None,
+                                                          None)
+    v = np.array(from_values(*values) if from_values else values,
+                 dtype=float)
+    _, _, hess = _natural_objective(searched, (EstimationMethod.MLE,),
+                                    _check_data(data)[None])(
+        v[None], np.zeros(1, dtype=int), True)
     if not np.all(np.isfinite(hess)):
         raise HessianNotPD("Hessian evaluation produced non-finite entries")
     try:
-        cov_t = np.linalg.inv(hess)
+        cov = np.linalg.inv(hess[0])
     except np.linalg.LinAlgError as exc:
         raise HessianNotPD(f"Hessian is singular: {exc}") from exc
-    diag = np.diag(cov_t)
+    if jacobian:
+        j = np.array(jacobian(*v))
+        cov = j @ cov @ j.T
+    diag = np.diag(cov)
     if np.any(diag <= 0.0):
         raise HessianNotPD("inverse information has non-positive diagonal")
-    se = np.sqrt(diag) * np.abs(_jacobian(values, model.kinds))
-    return tuple(float(v) for v in se)
+    return tuple(float(v) for v in np.sqrt(diag))
 
 
 def standard_errors(params_at_mle: RtgleParams, data

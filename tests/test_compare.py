@@ -15,7 +15,7 @@ from rtgle import estimate
 from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, sample
 from rtgle.estimate import (_IGNORE, _RTGLE, EstimationMethod, HessianNotPD,
-                            OptimizerConfig, _model_objective,
+                            OptimizerConfig, _inverse, _natural_objective,
                             _standard_errors, _to_free, fit,
                             neg_log_likelihood, standard_errors)
 
@@ -251,7 +251,11 @@ def test_one_row_call_is_its_row_of_a_batch(kind):
     x = load_dataset("embedded").values
     methods = (EstimationMethod.MLE, EstimationMethod.ADE,
                EstimationMethod.LSE)
-    objective, _ = _model_objective(spec, methods, x[None])
+    on_natural = _natural_objective(spec, methods, x[None])
+    natural = _inverse(spec.kinds)
+
+    def objective(theta, fits):
+        return on_natural(natural(theta), fits)
     inner = _to_free(spec.start(x), spec.kinds)
     thetas = [inner] + [np.array(t) for t in EDGE_ROWS.get(kind, ())]
     with warnings.catch_warnings(), np.errstate(**_IGNORE):

@@ -1,6 +1,6 @@
-"""The analytic first derivatives of every model record, and the gradients
-and curvature matrices the bounded search takes from them, against
-finite differences of the values they come with."""
+"""The analytic first and second derivatives of every model record, and
+the gradients and Hessians the bounded search takes from them, against
+finite differences of the values and gradients they come with."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtgle.compare import _SPECS
-from rtgle.distribution import RtgleParams, cdf, sample
+from rtgle.distribution import RtgleParams, sample
 from rtgle.estimate import (_IGNORE, _RTGLE, EstimationMethod,
                             _natural_objective, _row_objective)
 
@@ -81,7 +81,7 @@ def _reference(kernel, x, values, kinds, i):
 @pytest.mark.parametrize("which", ["pdf", "sf"])
 def test_log_derivatives_match_differences(kind, which):
     # the record the engine searches: for RTW, its image in (alpha, gamma, p)
-    spec, _ = _SPECS[kind].search or (_SPECS[kind], None)
+    spec = (_SPECS[kind].search or (_SPECS[kind],))[0]
     plain = spec.log_pdf if which == "pdf" else spec.log_sf
     derivative = spec.d_log_pdf if which == "pdf" else spec.d_log_sf
 
@@ -91,47 +91,42 @@ def test_log_derivatives_match_differences(kind, which):
         with np.errstate(**_IGNORE):
             x = GRID[spec.log_sf(GRID, GRID * GRID, *values) >= -15.0]
             assert len(x) >= 10
-            value, grad = derivative(x, x * x, *values)
+            value, grad, second = derivative(x, x * x, *values)
             # the value is the plain kernel's, to the bit
             assert np.array_equal(value, plain(x, x * x, *values))
             assert np.isfinite(value).all()
+            # one-hot weights give each point's Hessian, which any weights
+            # sum
+            hessian = second(np.eye(len(x)))
+            weights = np.linspace(-1.0, 2.0, len(x))
+            assert np.allclose(second(weights)[0],
+                               np.tensordot(weights, hessian, 1),
+                               rtol=1e-9, atol=1e-9 * np.abs(hessian).max())
             for i in range(len(values)):
-                fd, error, resolved = _reference(plain, x, values,
-                                                 spec.kinds, i)
                 # at least a quarter of the points resolve, even at p = 1
                 # where z, and so 1 - p + p z, vanishes at small x: no
                 # example is vacuous
-                assert resolved.mean() >= 0.25, (kind, which, values, i)
-                assert np.all((np.abs(grad[i] - fd) <= 1e-6 * np.abs(fd)
-                               + 1e-7 + error)[resolved]), (
-                    kind, which, values, i)
+                for j, kernel in [(None, plain)] + [
+                        (j, lambda x, x2, *v, j=j: derivative(x, x2, *v)[1][j])
+                        for j in range(len(values))]:
+                    fd, error, resolved = _reference(kernel, x, values,
+                                                     spec.kinds, i)
+                    assert resolved.mean() >= 0.25, (kind, which, values, i, j)
+                    found = grad[i] if j is None else hessian[:, j, i]
+                    # differences of the gradient also carry its rounding,
+                    # some 21 eps |d log f| / h, which error can miss
+                    rounding = 0.0 if j is None else 1e-8 * np.abs(grad[j])
+                    assert np.all((np.abs(found - fd) <= 1e-6 * np.abs(fd)
+                                   + 1e-7 + error + rounding)[resolved]), (
+                        kind, which, values, i, j)
     check()
-
-
-def _squares_matrix(method, v):
-    """2 J^T W J of a squares method at natural values v: J by central
-    differences of the public cdf at the sorted data."""
-    xs = np.sort(DATA)
-    n = len(xs)
-    i = np.arange(1, n + 1)
-    w = ((n + 1.0) ** 2 * (n + 2.0) / (i * (n - i + 1.0))
-         if method is EstimationMethod.WLSE else np.ones(n))
-    jac = np.empty((n, 4))
-    for j in range(4):
-        h = 1e-6 * (1.0 + abs(v[j]))
-        up, down = v.copy(), v.copy()
-        up[j] += h
-        down[j] -= h
-        jac[:, j] = (cdf(RtgleParams(*up), xs)
-                     - cdf(RtgleParams(*down), xs)) / (2.0 * h)
-    return 2.0 * jac.T @ (w[:, None] * jac)
 
 
 @pytest.mark.parametrize("method", list(EstimationMethod), ids=str)
 def test_row_gradient_and_matrix_match_differences(method):
-    # each row's gradient is the derivative of its value; a squares row's
-    # matrix is 2 J^T W J, and an MLE or ADE row's matrix, from
-    # differences of the analytic gradient, is the Hessian of its value
+    # each row's gradient is the derivative of its value, and its matrix,
+    # from the analytic second derivatives of the kernels, is the Hessian
+    # of its value
     rows = _row_objective((method,), DATA[None])
     natural = _natural_objective(_RTGLE, (method,), DATA[None])
     first = np.zeros(1, dtype=int)
@@ -148,25 +143,31 @@ def test_row_gradient_and_matrix_match_differences(method):
                            for j, s in enumerate(np.diag(steps))])
             assert np.allclose(grad[0], fd, rtol=1e-6, atol=1e-8 * abs(
                 value[0])), (method, v)
-            if method in (EstimationMethod.MLE, EstimationMethod.ADE):
-                e = np.diag(steps)
-                hess = np.array([[(f(v + e[a] + e[b]) - f(v + e[a] - e[b])
+            assert rows(v[None], first, True)[2].tolist() == matrix.tolist()
+            e = np.diag(steps)
+            expected = np.array([[(f(v + e[a] + e[b]) - f(v + e[a] - e[b])
                                    - f(v - e[a] + e[b]) + f(v - e[a] - e[b]))
                                   / (4.0 * steps[a] * steps[b])
                                   for b in range(4)] for a in range(4)])
-                expected = hess
-            else:
-                expected = _squares_matrix(method, v)
-                assert np.isnan(rows(v[None], first, True)[2]).sum() == 0
             assert np.allclose(matrix[0], expected, rtol=1e-4,
                                atol=1e-6 * np.abs(expected).max()), (
                 method, v)
 
 
-def test_mle_and_ade_rows_have_no_gauss_newton_matrix():
-    # only the natural objective supplies their curvature
-    first = np.zeros(1, dtype=int)
-    for method in (EstimationMethod.MLE, EstimationMethod.ADE):
-        out = _row_objective((method,), DATA[None])(
-            np.array([TRUE.as_tuple()]), first, True)
-        assert np.isnan(out[2]).all()
+def test_every_row_has_a_finite_symmetric_matrix():
+    # every row of a call of all five methods on two samples, in any
+    # order, has a finite symmetric matrix, the same alone as in the call
+    methods = tuple(EstimationMethod)
+    objective = _row_objective(methods, np.array([DATA,
+                                                  sample(TRUE, 30, seed=12)]))
+    rng = np.random.default_rng(5)
+    v = np.array(TRUE.as_tuple()) * rng.uniform(0.7, 1.3, size=(10, 4))
+    fits = rng.permutation(10)
+    with np.errstate(**_IGNORE):
+        matrix = objective(v, fits, True)[2]
+        for r in range(10):
+            assert objective(v[r:r + 1], fits[r:r + 1], True)[2].tolist() \
+                == matrix[r:r + 1].tolist(), fits[r]
+    assert np.isfinite(matrix).all()
+    for m in matrix:
+        assert np.allclose(m, m.T, rtol=1e-12, atol=1e-12 * np.abs(m).max())

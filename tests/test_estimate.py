@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from rtgle import DegenerateData
+from rtgle import DegenerateData, estimate
 from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
                            comparison_table, fit_competitor)
 from rtgle.distribution import (RtgleParams, _log_pdf_kernel, _log_sf_kernel,
-                                sample, validate)
+                                _valid_rows, sample, validate)
 from rtgle.estimate import (_IGNORE, _OBJECTIVES, _RTGLE, AllStartsFailed,
                             EstimationMethod, HessianNotPD, NonPositiveData,
-                            OptimizerConfig, _box, _inverse,
+                            OptimizerConfig, _box, _finite_rows, _inverse,
                             _natural_objective, _row_objective, _search,
                             _to_free, ad_objective, cvm_objective, fit,
                             fit_many, ls_objective, neg_log_likelihood,
@@ -321,7 +321,7 @@ def _lockstep_setup(model):
     else:
         # the record the engine searches: for RTW, its image in (alpha,
         # gamma, p)
-        spec, _ = _SPECS[model].search or (_SPECS[model], None)
+        spec = (_SPECS[model].search or (_SPECS[model],))[0]
         methods = (EstimationMethod.MLE,)
         center = spec.start(x)
     theta = _to_free(center, spec.kinds)
@@ -422,6 +422,47 @@ def test_lockstep_evaluates_only_its_own_points(kind):
             assert np.array(mine).tolist() == np.array(points).tolist(), label
     for fits, _ in calls[1:]:
         assert sorted(set(fits)) == fits
+
+
+@pytest.mark.parametrize("model",
+                         list(EstimationMethod) + ["W", "TW", "RTW"], ids=str)
+def test_search_calls_hold_one_row_per_live_search(model, monkeypatch):
+    # after the starts, each objective call of a search holds exactly one
+    # row per live search, its trial point, and reaches the kernels with
+    # those of them that have a valid RTGLE image and no other row: a
+    # search is in a call of every one of its steps and no more
+    spec, methods, _, starts = _lockstep_setup(model)
+    rows = []
+
+    def row_objective(*args):
+        objective = _row_objective(*args)
+
+        def counted(v, fits, derivatives=False):
+            rows[-1].append(fits.tolist())
+            return objective(v, fits, derivatives)
+        return counted
+    monkeypatch.setattr(estimate, "_row_objective", row_objective)
+    natural = _natural_objective(spec, methods, LOCKSTEP_X[None])
+    calls = []
+
+    def objective(v, fits, derivatives=False):
+        valid = _finite_rows(v)
+        if spec.image:
+            valid &= _valid_rows(*spec.image(*v.T))
+        calls.append((fits.tolist(), fits[valid].tolist()))
+        rows.append([])
+        return natural(v, fits, derivatives)
+    labels = np.arange(len(starts))   # one sample: fits only label
+    with np.errstate(**_IGNORE):
+        f, g, h = objective(starts, labels, True)
+        steps = _search(objective, starts, labels, f, g, h, _box(spec.kinds),
+                        OptimizerConfig())[2]
+    assert rows[0] == [labels.tolist()]
+    for (fits, valid), reached in zip(calls[1:], rows[1:]):
+        assert len(set(fits)) == len(fits)
+        assert reached == ([valid] if valid else []), (fits, reached)
+    assert [sum(label in fits for fits, _ in calls[1:]) for label in labels] \
+        == steps.tolist()
 
 
 def test_converged_is_a_certificate():

@@ -61,21 +61,48 @@ X = np.array([
 
 # method -> (alpha, beta, gamma, p, objective, iterations) of
 # fit_many([X], (method,), default_sim_optimizer(TRUE))[0][0], from the
-# bounded Levenberg-Marquardt search; LSE and CME end on the beta = 0 edge
+# bounded Levenberg-Marquardt search on the analytic Hessians; LSE and CME
+# end on the beta = 0 edge
 GOLDEN_SIM = {
+    EstimationMethod.MLE: (1.2166648439092391, 0.08323966967194106,
+                           1.7075554424830726, 0.6878807025279106,
+                           52.177635412240654, 7),
+    EstimationMethod.LSE: (1.3601489746262934, 0.0, 1.6326052073354247,
+                           0.8316689174157063, 0.036212393800122936, 17),
+    EstimationMethod.WLSE: (1.2978496475878487, 0.04141547940228216,
+                            1.650273267198409, 0.7733481573842372,
+                            21.35333913014083, 13),
+    EstimationMethod.ADE: (0.361964462682951, 2.6468125856259044,
+                           0.9294380510826338, 0.818814972972334,
+                           0.2552962972044668, 20),
+    EstimationMethod.CME: (1.3669743482123096, 0.0, 1.6463828280655513,
+                           0.8481270475742944, 0.03675682782060869, 23),
+}
+
+# the goldens above that were re-recorded when the search came to take
+# every row's Hessian from the kernels' analytic second derivatives, in
+# place of differences of the gradient (MLE, ADE) and of the Gauss-Newton
+# matrix (LSE, WLSE, CME), as they were before: method -> (alpha, beta,
+# gamma, p, objective, relative bound on the move of the parameters).  The
+# objectives moved by at most 1.3e-10 relative, MLE's and WLSE's down and
+# the others up.  A certified point (a predicted decrease within 1e-10 of
+# the value) pins the parameters only along the curved directions:
+# WLSE's beta, the flattest, moved 5.2e-4, its old fit 2.3e-9 above the
+# new one in objective after 51 Gauss-Newton steps, against 13 now
+PREVIOUS_SIM = {
     EstimationMethod.MLE: (1.2166648817764243, 0.08323945498095177,
                            1.7075556532457468, 0.6878806347180886,
-                           52.177635412304724, 7),
+                           52.177635412304724, 1e-5),
     EstimationMethod.LSE: (1.3601431648320927, 0.0, 1.632612357442303,
-                           0.831662081447787, 0.03621239379561822, 22),
+                           0.831662081447787, 0.03621239379561822, 1e-5),
     EstimationMethod.WLSE: (1.2978426454925074, 0.04143689526624398,
                             1.6502581369149938, 0.7733497102306048,
-                            21.353339132483082, 51),
+                            21.353339132483082, 1e-3),
     EstimationMethod.ADE: (0.36196445716520376, 2.6468125355964114,
                            0.9294380615423103, 0.8188149575409976,
-                           0.25529629720443836, 20),
+                           0.25529629720443836, 1e-6),
     EstimationMethod.CME: (1.3669682046871539, 0.0, 1.646390393750886,
-                           0.8481197599819952, 0.03675682781719134, 30),
+                           0.8481197599819952, 0.03675682781719134, 1e-5),
 }
 
 # the objective each of these fits reached by the multi-start Nelder-Mead
@@ -100,58 +127,76 @@ GOLDEN_AT_TRUE = {
 
 # fit(X, MLE, OptimizerConfig(n_starts=4)): four starts and the standard
 # errors; Nelder-Mead reached 52.17763539193459
-GOLDEN_MLE_4 = (1.2166396403447788, 0.0833756228681884, 1.7074224039198542,
-                0.68792245388947, 52.17763539193533, 16)
-GOLDEN_MLE_4_SE = (0.2987687258498516, 0.6924212064671461,
-                   0.6860004604802784, 0.3471972663219649)
+GOLDEN_MLE_4 = (1.2166396411532483, 0.08337560600978618, 1.7074224225427401,
+                0.687922446188708, 52.177635391935354, 16)
+GOLDEN_MLE_4_SE = (0.2987673617618069, 0.6924112076587993,
+                   0.6859918174200843, 0.34719586678588377)
 NELDER_MEAD_MLE_4 = 52.17763539193459
+
+# GOLDEN_MLE_4 and its standard errors as they were before the analytic
+# Hessians, with the relative bounds on the move of the parameters and of
+# the standard errors: those were the inverse of a central-difference
+# Hessian in free coordinates, whose truncation error is some 1e-5 here
+# (they moved 1.4e-5), and are now the inverse analytic Hessian
+PREVIOUS_MLE_4 = ((1.2166396403447788, 0.0833756228681884,
+                   1.7074224039198542, 0.68792245388947, 52.17763539193533),
+                  (0.2987687258498516, 0.6924212064671461,
+                   0.6860004604802784, 0.3471972663219649), 1e-6, 1e-4)
 
 # kind -> (params, minus2loglik, converged, standard_errors, at_boundary) of
 # fit_competitor(kind, TRIMMED, OptimizerConfig(n_starts=4, seed=1)); TLL
 # ends on the lambda = 1 edge
 GOLDEN_COMPETITOR = {
-    "RTW": ((0.3713976225803483, 0.8096048402115114, 0.4900701081467944),
-            261.452187918932, True,
-            (0.16504286904938067, 0.13167473103242525, 0.28929913223119275),
+    "RTW": ((0.3713976231318118, 0.8096048398140292, 0.4900701089353029),
+            261.45218791893205, True,
+            (0.16504297122534023, 0.1316747921231272, 0.2892992800864285),
             (False, False, False)),
-    "W": ((0.8856678839166755, 5.770949687379667), 262.491433080542, True,
-          (0.1076723543918647, 0.9937836286655338), (False, False)),
-    "TW": ((0.831639902680774, 4.81193725415203, -0.28979406228125026),
+    "W": ((0.8856678839029846, 5.770949687538187), 262.491433080542, True,
+          (0.10767235141325333, 0.9937836177805215), (False, False)),
+    "TW": ((0.8316399025369273, 4.811937252025206, -0.2897940627429481),
            261.9948428877862, True,
-           (0.13202040184828331, 1.4249866636415691, 0.3729356148338292),
+           (0.13202036449891003, 1.4249860965585432, 0.3729354534354243),
            (False, False, False)),
-    "TL": ((0.2653162680985686, 0.27392556991687966), 270.85679327989214,
-           True, (0.046629890411065, 0.3543325289937218), (False, False)),
-    "TLL": ((8.724646625710317, 1.0197642983335498, 1.0),
+    "TL": ((0.2653162680821854, 0.27392557000248746), 270.85679327989214,
+           True, (0.046629891354435626, 0.3543325554779826), (False, False)),
+    "TLL": ((8.724646625161585, 1.0197642982776824, 1.0),
             269.46330188997547, True, None, (False, False, True)),
-    "RTLE": ((0.16302236928209182, 0.002661805222439381,
-              0.08067711295305895), 263.2147208623134, True,
-             (0.12748618635425385, 0.005096649199325115, 0.7177621806948136),
+    "RTLE": ((0.16302237007817452, 0.002661805215907655,
+              0.08067711739359201), 263.21472086231347, True,
+             (0.1274889239182828, 0.005096653699393029, 0.7177789945342833),
              (False, False, False)),
-    "LE": ((0.15009826977501758, 0.002597201421910977), 263.2191107552485,
-           True, (0.0342266022191693, 0.00469592414354023), (False, False)),
+    "LE": ((0.15009826975668766, 0.0025972014230557132), 263.2191107552485,
+           True, (0.03422660457940241, 0.004695924928909708), (False, False)),
 }
 
-# the goldens above that were re-recorded when RTW came to be searched on
-# its RTGLE image (alpha, gamma, p) and the transmuted factors came to be
-# written without cancellation (f/g on S_G for lambda >= 0), as they were
-# before: kind -> (params, minus2loglik, standard_errors, relative bound on
-# the move of params and standard errors).  TL and TLL moved by at most
-# 4.9e-7, and TW (lambda < 0) not at all.  RTW's optimum is the same to
-# 4e-14 in -2logL, but a certified point (a predicted decrease within
-# 1e-10 of the value) pins its parameters only to some 1e-5 here: the four
-# certified starts of the old search spread over 5e-5 in theta, and the
-# old golden lies 6.6e-7 from the optimum polished to 1e-13, the new one
-# 1.5e-6 on its other side
+# the goldens above as they were before the analytic Hessians, every one
+# re-recorded: kind -> (params, minus2loglik, standard_errors, relative
+# bound on the move of params, relative bound on the move of the standard
+# errors).  -2logL moved by at most 2.2e-16 relative and the parameters by
+# at most 5.5e-8 (RTLE); the standard errors, once the inverse of a
+# central-difference Hessian in free coordinates and now the inverse
+# analytic Hessian, by at most 2.3e-5 (RTLE)
 PREVIOUS_COMPETITOR = {
-    "RTW": ((0.3713968045533337, 0.8096054228756207, 0.4900688147356098),
-            261.45218791892165,
-            (0.1650422238518509, 0.13167451475532316, 0.2892984323088922),
-            1e-5),
-    "TL": ((0.26531626809857367, 0.273925569916849), 270.8567932798922,
-           (0.046629903807778934, 0.35433270016883667), 1e-6),
-    "TLL": ((8.72464662571025, 1.0197642983335462, 1.0), 269.46330188997547,
-            None, 1e-6),
+    "RTW": ((0.3713976225803483, 0.8096048402115114, 0.4900701081467944),
+            261.452187918932,
+            (0.16504286904938067, 0.13167473103242525, 0.28929913223119275),
+            1e-6, 1e-4),
+    "W": ((0.8856678839166755, 5.770949687379667), 262.491433080542,
+          (0.1076723543918647, 0.9937836286655338), 1e-6, 1e-4),
+    "TW": ((0.831639902680774, 4.81193725415203, -0.28979406228125026),
+           261.9948428877862,
+           (0.13202040184828331, 1.4249866636415691, 0.3729356148338292),
+           1e-6, 1e-4),
+    "TL": ((0.2653162680985686, 0.27392556991687966), 270.85679327989214,
+           (0.046629890411065, 0.3543325289937218), 1e-6, 1e-4),
+    "TLL": ((8.724646625710317, 1.0197642983335498, 1.0),
+            269.46330188997547, None, 1e-6, 1e-4),
+    "RTLE": ((0.16302236928209182, 0.002661805222439381,
+              0.08067711295305895), 263.2147208623134,
+             (0.12748618635425385, 0.005096649199325115, 0.7177621806948136),
+             1e-6, 1e-4),
+    "LE": ((0.15009826977501758, 0.002597201421910977), 263.2191107552485,
+           (0.0342266022191693, 0.00469592414354023), 1e-6, 1e-4),
 }
 
 # the -2 log-likelihood of each competitor fit under Nelder-Mead, recorded
@@ -203,6 +248,9 @@ def test_sim_fit_matches_golden(method):
     assert r.params.as_tuple() + (r.objective, r.iterations) \
         == GOLDEN_SIM[method]
     assert r.converged and _at_or_below(r.objective, NELDER_MEAD_SIM[method])
+    *params, objective, rel = PREVIOUS_SIM[method]
+    assert r.objective == pytest.approx(objective, rel=1e-9, abs=0.0)
+    assert r.params.as_tuple() == pytest.approx(params, rel=rel, abs=0.0)
 
 
 def test_multistart_mle_with_se_matches_golden():
@@ -210,6 +258,10 @@ def test_multistart_mle_with_se_matches_golden():
     assert r.params.as_tuple() + (r.objective, r.iterations) == GOLDEN_MLE_4
     assert r.standard_errors == GOLDEN_MLE_4_SE
     assert r.converged and _at_or_below(r.objective, NELDER_MEAD_MLE_4)
+    (*params, objective), se, rel, rel_se = PREVIOUS_MLE_4
+    assert r.objective == pytest.approx(objective, rel=1e-9, abs=0.0)
+    assert r.params.as_tuple() == pytest.approx(params, rel=rel, abs=0.0)
+    assert r.standard_errors == pytest.approx(se, rel=rel_se, abs=0.0)
 
 
 @pytest.mark.parametrize("method", list(EstimationMethod))
@@ -243,12 +295,11 @@ def test_competitor_fit_matches_golden(kind):
             cf.standard_errors, cf.at_boundary) == GOLDEN_COMPETITOR[kind]
     assert cf.converged and _at_or_below(cf.minus2loglik,
                                          NELDER_MEAD_COMPETITOR[kind])
-    if kind in PREVIOUS_COMPETITOR:
-        params, m2ll, se, rel = PREVIOUS_COMPETITOR[kind]
-        assert cf.minus2loglik == pytest.approx(m2ll, rel=1e-9, abs=0.0)
-        assert cf.model.params == pytest.approx(params, rel=rel, abs=0.0)
-        assert (cf.standard_errors == se if se is None else
-                cf.standard_errors == pytest.approx(se, rel=rel, abs=0.0))
+    params, m2ll, se, rel, rel_se = PREVIOUS_COMPETITOR[kind]
+    assert cf.minus2loglik == pytest.approx(m2ll, rel=1e-9, abs=0.0)
+    assert cf.model.params == pytest.approx(params, rel=rel, abs=0.0)
+    assert (cf.standard_errors == se if se is None else
+            cf.standard_errors == pytest.approx(se, rel=rel_se, abs=0.0))
 
 
 @pytest.mark.parametrize("kind", COMPETITOR_KINDS)
