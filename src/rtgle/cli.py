@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     options = {
         "--format": dict(choices=("text", "json", "csv"), default="text"),
         "--out": dict(default=None, help="output file path"),
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=_int_at_least(0), default=0),
         "--data": dict(required=True, help="data file or 'embedded'"),
         "--params": dict(required=True, help="alpha,beta,gamma,p"),
     }

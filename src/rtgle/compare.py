@@ -35,7 +35,7 @@ from .distribution import (_checked, _d_log_pdf_kernel, _d_log_sf_kernel,
                            _libm, _log, _log_pdf_kernel, _log_sf_kernel,
                            _on_support)
 from .estimate import (_RTGLE, AllStartsFailed, EstimationMethod,
-                       HessianNotPD, OptimizerConfig, _check_data,
+                       HessianNotPD, OptimizerConfig, _box, _check_data,
                        _lockstep_fits, _Model, _standard_errors)
 # looked up here by the benchmark's per-layer tracing (bench/tracing.py)
 from .estimate import minimize  # noqa: F401
@@ -278,17 +278,15 @@ def make_competitor(kind: str, *params: float) -> CompetitorModel:
     spec = _SPECS[kind]
     if len(params) != len(spec.kinds):
         raise ValueError(f"{kind} takes {len(spec.kinds)} parameters")
-    for v, k in zip(params, spec.kinds):
+    # the search's box; an open lower edge (a shape or scale) is excluded
+    box = (a.tolist() for a in _box(spec.kinds))
+    for name, v, low, high, closed in zip(spec.param_names, params, *box):
         if not math.isfinite(v):
-            raise ValueError(f"{kind}: parameter must be finite, got {v!r}")
-        if k == "pos" and not v > 0.0:
-            raise ValueError(f"{kind}: parameter must be > 0, got {v!r}")
-        if k == "rate" and not v >= 0.0:
-            raise ValueError(f"{kind}: parameter must be >= 0, got {v!r}")
-        if k == "sym" and not -1.0 <= v <= 1.0:
-            raise ValueError(f"{kind}: lambda must lie in [-1, 1], got {v!r}")
-        if k == "unit" and not 0.0 <= v <= 1.0:
-            raise ValueError(f"{kind}: p must lie in [0, 1], got {v!r}")
+            raise ValueError(f"{kind}: {name} must be finite, got {v!r}")
+        if not (low <= v <= high and (closed or v > low)):
+            raise ValueError(
+                f"{kind}: {name} must lie in {'[' if closed else '('}{low:g},"
+                f" {high:g}{']' if high < math.inf else ')'}, got {v!r}")
     if spec.image:  # a nested kind is evaluated as RTGLE at its image
         with np.errstate(over="ignore"):
             image = spec.image(*params)

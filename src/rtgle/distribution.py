@@ -140,10 +140,12 @@ def rt_linear_exponential(alpha: float, beta: float, p: float) -> RtgleParams:
 
 # --- evaluation -------------------------------------------------------------
 # The kernels take an array x > 0, x2 = x**2 and the scalars (alpha, beta,
-# gamma, p), the signature of every competitor model in ``compare``, and hold
-# the only copy of each formula; _on_support adds the rest.  The estimation
-# engine also passes the parameters of many fits at once as (R, 1) columns
-# against (R, n) or (1, n) data.
+# gamma, p), the signature of every competitor model in ``compare``;
+# _on_support adds the rest.  A derivative kernel returns its plain
+# kernel's value to the bit (tests/test_derivatives.py), log f from the
+# shared _log_pdf_parts and log S from its own copy of log1p(p*z) - z.  The
+# estimation engine also passes the parameters of many fits at once as
+# (R, 1) columns against (R, n) or (1, n) data.
 
 def _libm(ufunc, *args) -> np.ndarray:
     """ufunc elementwise on scalars or arrays of per-row values, rounded as

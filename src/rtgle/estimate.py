@@ -18,15 +18,16 @@ unconstrained coordinates (log for positive values, logit for
 probabilities, atanh for values in [-1, 1]) and mapped to the natural
 scale.
 
-``OptimizerConfig.tolerance`` is the relative decrease of the objective the
-search's model may still predict at a converged fit, its first-order
-certificate: ``converged`` is true only with it.  ``step_tolerance`` is the
-relative step below which a search that cannot lower its objective stops,
-and ``max_iterations`` caps the steps.  A fit reports the coordinates that
-end on a closed edge (``at_boundary``).  ``fit`` is ``fit_many`` on one
-sample, plus for an MLE the standard errors from the inverse observed
-information, the same analytic Hessian on the natural scale, by the one
-rule every model's MLE takes (``_standard_errors``).
+Every search stops by one policy of module constants: ``_TOLERANCE`` is
+the relative decrease of the objective the search's model may still predict
+at a converged fit, its first-order certificate: ``converged`` is true only
+with it.  ``_STEP_TOLERANCE`` is the relative step below which a search
+that cannot lower its objective stops, and ``_MAX_ITERATIONS`` caps the
+steps.  A fit reports the coordinates that end on a closed edge
+(``at_boundary``).  ``fit`` is ``fit_many`` on one sample, plus for an MLE
+the standard errors from the inverse observed information, the same
+analytic Hessian on the natural scale, by the one rule every model's MLE
+takes (``_standard_errors``).
 """
 
 from __future__ import annotations
@@ -68,20 +69,24 @@ class AllStartsFailed(RuntimeError):
     """Every optimizer start failed to produce a finite objective."""
 
 
+# the stopping policy of every search (_search)
+_MAX_ITERATIONS = 2000
+_TOLERANCE = 1e-10
+_STEP_TOLERANCE = 1e-8
+
+
 @dataclass
 class OptimizerConfig:
-    max_iterations: int = 2000
-    tolerance: float = 1e-10
+    """The starts of a fit (_lockstep_fits); the stopping policy is fixed."""
     n_starts: int = 100
     seed: int = 0
-    step_tolerance: float = 1e-8
     start: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.tolerance <= 0 or self.n_starts <= 0:
-            raise ValueError("optimizer config fields must be positive")
-        if self.step_tolerance <= 0:
-            raise ValueError("optimizer config fields must be positive")
+        if self.n_starts <= 0:
+            raise ValueError("n_starts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -493,7 +498,7 @@ def _leave_edge(h, g, edge, at_lower, fixed, unit, length, d):
     return d, leaving
 
 
-def _search(objective, x, fits, f, g, h, box, config: OptimizerConfig):
+def _search(objective, x, fits, f, g, h, box):
     """Projected Levenberg-Marquardt from every row of x (S, k) at once, on
     the natural scale inside box = (lower, upper, closed); row s minimizes
     objective(., fits[s], derivatives=True) -> (value, gradient, Hessian)
@@ -509,17 +514,16 @@ def _search(objective, x, fits, f, g, h, box, config: OptimizerConfig):
     np.linalg.eigh; with c = V^T g, the step is d = -V c / (|l| + mu),
     and the decrement sum c^2 / |l| (|l| floored at 1e-12) measures the
     decrease the model still predicts.  A search whose decrement is <=
-    config.tolerance * |value| holds the certificate and stops: no relative
-    decrease beyond tolerance / 2 is left on the free coordinates, and
+    _TOLERANCE * |value| holds the certificate and stops: no relative
+    decrease beyond _TOLERANCE / 2 is left on the free coordinates, and
     every active edge has the gradient pointing out of the box.  A search
     that holds it on an edge failing _leave_edge's second-order test first
     steps off that edge, with lengths 1, 1/2, ..., 1/32 while each is
     refused, and stops only when it is back on a certified point or has
-    tried them all.  So does a
-    search whose step, refused, has shrunk below config.step_tolerance *
-    (|x| + config.step_tolerance) in every coordinate, and one that has
-    taken config.max_iterations steps, but only a certified search is
-    converged.
+    tried them all.  So does a search whose step, refused, has shrunk
+    below _STEP_TOLERANCE * (|x| + _STEP_TOLERANCE) in every coordinate,
+    and one that has taken _MAX_ITERATIONS steps, but only a certified
+    search is converged.
 
     The trial point clips the step to the closed edges and takes it on a
     log scale for the open coordinates (x exp(d/x), shapes and scales,
@@ -539,7 +543,7 @@ def _search(objective, x, fits, f, g, h, box, config: OptimizerConfig):
     found = (x.copy(), f.copy(), np.zeros(n_rows, dtype=int),
              np.zeros(n_rows, dtype=bool), np.zeros((n_rows, k), dtype=bool))
     ids = np.arange(n_rows)  # the rows of x still searching
-    for step in range(config.max_iterations + 1):
+    for step in range(_MAX_ITERATIONS + 1):
         edge = closed & ((x <= lower) | (x >= upper))
         active = edge & (((x <= lower) & (g >= 0.0))
                          | ((x >= upper) & (g <= 0.0)))
@@ -554,7 +558,7 @@ def _search(objective, x, fits, f, g, h, box, config: OptimizerConfig):
         d = -np.matmul(vectors, (c / (np.abs(level) + mu[:, None]))[
             ..., None])[..., 0] * scale
         certified = (np.add.reduce(c * c / np.maximum(np.abs(level), 1e-12),
-                                   axis=1) <= config.tolerance * np.abs(f))
+                                   axis=1) <= _TOLERANCE * np.abs(f))
         leaving = np.zeros(len(x), dtype=bool)
         probe = certified & edge.any(axis=1) & (nu < 128.0)
         if probe.any():
@@ -563,12 +567,12 @@ def _search(objective, x, fits, f, g, h, box, config: OptimizerConfig):
         trial = np.where(closed, np.clip(x + d, lower, upper),
                          x * np.exp(d / np.where(closed, 1.0, x)))
         d = trial - x
-        # a step refused and shrunk below step_tolerance: the search is stuck
-        stuck = (nu > 2.0) & ~(np.abs(d) > config.step_tolerance
-                               * (np.abs(x) + config.step_tolerance)).any(
-                                   axis=1)
+        # a step refused and shrunk below _STEP_TOLERANCE: the search is
+        # stuck
+        stuck = (nu > 2.0) & ~(np.abs(d) > _STEP_TOLERANCE
+                               * (np.abs(x) + _STEP_TOLERANCE)).any(axis=1)
         done = (certified & ~leaving) | stuck
-        if step == config.max_iterations:
+        if step == _MAX_ITERATIONS:
             done[:] = True
         if done.any():
             for out, value in zip(found, (x, f, step, certified, edge)):
@@ -739,7 +743,7 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     if live.any():
         x[live], fun[live], nit[live], success[live], edge[live] = _search(
             objective, x[live], fits[live], f[live], g[live], h[live],
-            _box(searched.kinds), config)
+            _box(searched.kinds))
         if to_values:
             x[live] = np.column_stack(to_values(*x[live].T))
             fun[live] = _natural_objective(model, methods, data)(

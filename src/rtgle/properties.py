@@ -4,11 +4,12 @@ and densities of ordered statistics.
 Moments, L-moments, the MGF and Renyi entropy are integrals over the
 record scale t = m(x)^gamma on (0, inf), with no cutoff.  The expectations
 of one call share one node set of the trapezoid rule in log t, which
-converges exponentially there (_expect); Renyi entropy, whose integrand
-may be unbounded at t = 0, keeps adaptive quadrature.  The series
-expansions (double sums over generalized binomial coefficients) carry no
-convergence guarantee, so they are exposed as secondary cross-checks with
-explicit divergence detection.
+converges exponentially there (_expect, _log_trapezoid).  Renyi entropy,
+whose integrand may be unbounded at t = 0, takes the same rule after one
+smooth change of variable.  The series expansions (double sums over
+generalized binomial coefficients) carry no convergence guarantee, so
+they are exposed as secondary cross-checks with explicit divergence
+detection.
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ class QuantileMeasures:
     iqr: float
     galton_skewness: float
     moors_kurtosis: float
-
-
-def _quad(fn, a: float = 0.0, b: float = math.inf) -> float:
-    from scipy.integrate import quad
-    val, err = quad(fn, a, b, epsabs=0.0, epsrel=1e-11, limit=400)
-    if not math.isfinite(val):
-        raise QuadratureError("integral is not finite")
-    if err > max(1e-9, 1e-8 * abs(val)):
-        raise QuadratureError(f"quadrature error estimate {err!r} too large")
-    return val
 
 
 def _expect(params: RtgleParams, fns) -> list[float]:
@@ -401,8 +392,10 @@ def renyi_entropy(params: RtgleParams, rho: float) -> float:
     beta*x).  Near 0, x ~ t^(1/g1), g1 = gamma (alpha > 0) or 2*gamma, the
     record density is ~ t^(q-1), q = 2 at p = 1, else 1, and f ~ x^e, e =
     g1*q - 1, so the integrand is ~ t^c, c = (rho-1)*e/g1 + q - 1: for c <=
-    -1 (rho > 1, rho*e <= -1) int f^rho is infinite and the entropy -inf,
-    else t = s^k, k = 1/(1+c), makes it bounded on s in (0, 1)."""
+    -1 (rho > 1, rho*e <= -1) int f^rho is infinite and the entropy -inf.
+    Else _log_trapezoid runs on w, log t = w - (k-1) log(1 + e^-w) with k =
+    1/(1+min(c, 0)): near c = -1 the integrand decays too slowly in log t,
+    like e^((1+c) log t), but like e^w in w, as log t ~ k*w on the left."""
     if rho <= 0.0 or rho == 1.0:
         raise ValueError("rho must be positive and different from 1")
     a, b, g, p = params.as_tuple()
@@ -414,16 +407,15 @@ def renyi_entropy(params: RtgleParams, rho: float) -> float:
     log_1mp, log_p, log_a, log_b = (math.log(v) if v > 0.0 else -math.inf
                                     for v in (1.0 - p, p, a, b))
 
-    def log_integrand(log_t):
+    def log_integrand(w):
+        log_t = w - (k - 1.0) * np.logaddexp(0.0, -w)
         log_x = _log_gle_inverse(params, log_t)
-        return (rho * (np.logaddexp(log_1mp, log_p + log_t) - math.exp(log_t))
+        # log f^(rho-1) + log of the record density, plus log dt/dw
+        return (rho * (np.logaddexp(log_1mp, log_p + log_t) - np.exp(log_t))
                 + (rho - 1.0) * (math.log(g) + (1.0 - 1.0 / g) * log_t
-                                 + np.logaddexp(log_a, log_b + log_x)))
-    val = (_quad(lambda s: math.exp(log_integrand(k * math.log(s))
-                                    + math.log(k) + (k - 1.0) * math.log(s)),
-                 0.0, 1.0)
-           + _quad(lambda t: math.exp(log_integrand(math.log(t))), 1.0))
-    return math.log(val) / (1.0 - rho)
+                                 + np.logaddexp(log_a, log_b + log_x))
+                + log_t + np.log1p((k - 1.0) / (1.0 + np.exp(w))))[None]
+    return math.log(_log_trapezoid(log_integrand)[0]) / (1.0 - rho)
 
 
 def renyi_entropy_series(params: RtgleParams, rho: float

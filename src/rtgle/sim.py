@@ -29,15 +29,14 @@ PARAM_LABELS = ("alpha", "beta", "gamma", "p")
 
 def default_sim_optimizer(true_params: RtgleParams,
                           seed: int = 0) -> OptimizerConfig:
-    """A lean optimizer setup for replicated fits: a single local search
-    started at the truth, with looser stopping rules than the one-shot
-    fitter.  A coordinate of a truth on the edge (a rate at 0, p at 0 or 1)
-    starts at the fit's moment start instead.  Dispersed multi-start search
-    is deliberately avoided here; it occasionally hops to distant
-    near-equivalent optima, which inflates the spread of the error
-    distribution the study is trying to measure."""
-    return OptimizerConfig(max_iterations=1000, tolerance=1e-9, n_starts=1,
-                           seed=seed, step_tolerance=1e-6,
+    """The optimizer setup of replicated fits: a single local search started
+    at the truth, stopped by the one policy of every search.  A coordinate
+    of a truth on the edge (a rate at 0, p at 0 or 1) starts at the fit's
+    moment start instead.  Dispersed multi-start search is deliberately
+    avoided here; it occasionally hops to distant near-equivalent optima,
+    which inflates the spread of the error distribution the study is
+    trying to measure."""
+    return OptimizerConfig(n_starts=1, seed=seed,
                            start=true_params.as_tuple())
 
 
@@ -55,6 +54,8 @@ class SimDesign:
         self.methods = tuple(self.methods)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if any(n < 10 for n in self.sample_sizes):
             raise ValueError("sample sizes must be >= 10")
         if not self.sample_sizes or not self.methods:

@@ -33,19 +33,15 @@ def test_table_moments_reference_row(capsys):
 
 def test_table_moments_row_runs_one_expectation(capsys, monkeypatch):
     # E(X^1..4) on one node set; V(X), skewness and kurtosis come from those
-    # moments, and no adaptive quadrature runs
+    # moments
     from rtgle import properties
     calls = []
 
     def counted(params, fns):
         calls.append(len(fns))
         return expect(params, fns)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("_quad called")
     expect = properties._expect
     monkeypatch.setattr(properties, "_expect", counted)
-    monkeypatch.setattr(properties, "_quad", refuse)
     code, out, _ = run_cli(capsys, "table", "--kind", "moments",
                            "--params", "0.5,0.5,1.2,0.2;1,0.5,1.2,0.2")
     assert code == 0 and "3.0496" in out
@@ -148,6 +144,18 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit"])                      # missing --data
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--data", "embedded"),
+    ("compare", "--data", "embedded"),
+    ("gof", "--data", "embedded", "--params", "1,1,1,0.5"),
+    ("sample", "--params", "1,1,1,0.5", "--n", "3")], ids=lambda a: a[0])
+def test_negative_seed_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_data_error_exit_code(capsys):
@@ -288,6 +296,16 @@ def test_simulate_bad_design(tmp_path, capsys):
     dfile.write_text("{\"true_params\": [1, 1]}")
     code, _, err = run_cli(capsys, "simulate", "--design", str(dfile))
     assert code == 3
+
+
+def test_simulate_negative_seed_is_bad_design(tmp_path, capsys):
+    dfile = tmp_path / "design.json"
+    dfile.write_text(json.dumps({"true_params": [1.2, 0.5, 1.5, 0.8],
+                                 "sample_sizes": [20], "methods": ["mle"],
+                                 "replicates": 2, "seed": -3}))
+    code, out, err = run_cli(capsys, "simulate", "--design", str(dfile))
+    assert code == 3
+    assert out == "" and "bad design" in err and "seed" in err
 
 
 @pytest.mark.parametrize("sizes,methods", [([20, 20], ["mle"]),
@@ -470,7 +488,9 @@ def test_scipy_free_commands_load_no_scipy(tmp_path):
 _INTEGRATE_GRAPH = """
 import json, os, sys
 sys.path.insert(0, sys.argv[1])
-from rtgle import cli
+from rtgle import cli, properties
+from rtgle.distribution import RtgleParams
+assert 0.0 < properties.renyi_entropy(RtgleParams(0.5, 0.5, 1.2, 0.2), 2.0)
 for name, argv in (
         ("compare", ["compare", "--data", "embedded", "--n-starts", "2"]),
         ("gof", ["gof", "--data", "embedded",
@@ -494,7 +514,8 @@ def test_cli_import_loads_no_scipy_optimize():
 
 
 def test_asymptotic_p_values_load_no_scipy_integrate(tmp_path):
-    # the Anderson-Darling limiting cdf runs on the moments' trapezoid rule
+    # the Anderson-Darling limiting cdf and Renyi entropy run on the
+    # moments' trapezoid rule
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     done = subprocess.run([sys.executable, "-c", _INTEGRATE_GRAPH, src,

@@ -236,19 +236,20 @@ def test_gradient_small_at_interior_optimum():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(n_starts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=-1.0)
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerConfig(seed=-1)
 
 
-def test_converged_false_at_iteration_limit():
+def test_converged_false_at_iteration_limit(monkeypatch):
     x = sample(TRUE, 100, seed=5)
-    config = OptimizerConfig(max_iterations=5, n_starts=1)
+    monkeypatch.setattr(estimate, "_MAX_ITERATIONS", 5)
+    config = OptimizerConfig(n_starts=1)
     assert not fit_many([x], (EstimationMethod.MLE,), config)[0][0].converged
     assert not fit_competitor("TW", x, config).converged
 
 
 def test_converged_on_ordinary_mle_fit():
-    # the best start's Nelder-Mead meets its tolerances before max_iterations
+    # the best start's search is certified before it reaches the step cap
     r = fit(sample(TRUE, 80, seed=0), EstimationMethod.MLE,
             OptimizerConfig(n_starts=4))
     assert r.converged
@@ -331,11 +332,10 @@ def _lockstep_setup(model):
             _inverse(spec.kinds)(thetas))
 
 
-def _run_search(objective, starts, spec, config):
+def _run_search(objective, starts, spec):
     fits = np.zeros(len(starts), dtype=int)
     f, g, h = objective(starts, fits, True)
-    return _search(objective, starts, fits, f, g, h, _box(spec.kinds),
-                   config)
+    return _search(objective, starts, fits, f, g, h, _box(spec.kinds))
 
 
 def _scipy_polish(objective, x0, spec, method="L-BFGS-B"):
@@ -363,19 +363,17 @@ def _scipy_polish(objective, x0, spec, method="L-BFGS-B"):
 @pytest.mark.parametrize("model",
                          list(EstimationMethod) + list(COMPETITOR_KINDS),
                          ids=str)
-def test_lockstep_matches_scipy_nelder_mead(model):
+def test_lockstep_matches_scipy_nelder_mead(model, monkeypatch):
     # the lockstep search replaces scipy's adaptive Nelder-Mead: from every
     # start, neither Nelder-Mead nor scipy's bounded L-BFGS-B started at
     # its certified optimum lowers it by more than 1e-7 relative; from the
     # center it ends at or below L-BFGS-B from the center; and every search
     # takes the steps it takes alone, to the bit
     spec, methods, objective, starts = _lockstep_setup(model)
-    config = OptimizerConfig()
     with np.errstate(**_IGNORE):
-        x, fun, nit, success, active = _run_search(objective, starts, spec,
-                                                   config)
+        x, fun, nit, success, active = _run_search(objective, starts, spec)
         for row, x0 in enumerate(starts):
-            alone = _run_search(objective, starts[row:row + 1], spec, config)
+            alone = _run_search(objective, starts[row:row + 1], spec)
             assert [a[0].tolist() for a in alone] == [
                 x[row].tolist(), fun[row], nit[row], success[row],
                 active[row].tolist()], (model, row)
@@ -387,8 +385,8 @@ def test_lockstep_matches_scipy_nelder_mead(model):
         reference = _scipy_polish(objective, starts[0], spec)
         assert fun[0] <= reference + 1e-7 * abs(reference), model
         # two steps certify no search
-        stopped = _run_search(objective, starts, spec,
-                              OptimizerConfig(max_iterations=2))
+        monkeypatch.setattr(estimate, "_MAX_ITERATIONS", 2)
+        stopped = _run_search(objective, starts, spec)
         assert not stopped[3].any() and (stopped[2] <= 2).all()
 
 
@@ -398,7 +396,6 @@ def test_lockstep_evaluates_only_its_own_points(kind):
     # order, and no others: after the starts, a call holds one trial point
     # of each live search
     spec, _, objective, starts = _lockstep_setup(kind)
-    config = OptimizerConfig()
     calls = []
 
     def counted(v, fits, derivatives=False):
@@ -407,7 +404,7 @@ def test_lockstep_evaluates_only_its_own_points(kind):
     labels = np.arange(len(starts))   # one sample: fits only label
     with np.errstate(**_IGNORE):
         f, g, h = counted(starts, labels, True)
-        _search(counted, starts, labels, f, g, h, _box(spec.kinds), config)
+        _search(counted, starts, labels, f, g, h, _box(spec.kinds))
         for label, x0 in enumerate(starts):
             points = []
 
@@ -416,7 +413,7 @@ def test_lockstep_evaluates_only_its_own_points(kind):
                 return objective(v, fits, derivatives)
             first = np.zeros(1, dtype=int)
             _search(own, x0[None], first, *own(x0[None], first, True),
-                    _box(spec.kinds), config)
+                    _box(spec.kinds))
             mine = [v[r] for fits, v in calls
                     for r, fit in enumerate(fits) if fit == label]
             assert np.array(mine).tolist() == np.array(points).tolist(), label
@@ -455,8 +452,8 @@ def test_search_calls_hold_one_row_per_live_search(model, monkeypatch):
     labels = np.arange(len(starts))   # one sample: fits only label
     with np.errstate(**_IGNORE):
         f, g, h = objective(starts, labels, True)
-        steps = _search(objective, starts, labels, f, g, h, _box(spec.kinds),
-                        OptimizerConfig())[2]
+        steps = _search(objective, starts, labels, f, g, h,
+                        _box(spec.kinds))[2]
     assert rows[0] == [labels.tolist()]
     for (fits, valid), reached in zip(calls[1:], rows[1:]):
         assert len(set(fits)) == len(fits)
@@ -465,20 +462,19 @@ def test_search_calls_hold_one_row_per_live_search(model, monkeypatch):
         == steps.tolist()
 
 
-def test_converged_is_a_certificate():
+def test_converged_is_a_certificate(monkeypatch):
     # a search is converged only where its decrement is within tolerance
-    # of the value, and never when it stops at max_iterations
+    # of the value, and never when it stops at the step cap
     spec, methods, objective, starts = _lockstep_setup(EstimationMethod.MLE)
     with np.errstate(**_IGNORE):
-        x, fun, nit, success, active = _run_search(
-            objective, starts, spec, OptimizerConfig())
+        x, fun, nit, success, active = _run_search(objective, starts, spec)
         f, g, h = objective(x, np.zeros(len(x), dtype=int), True)
     assert success.all() and not active.any()
     for row in range(len(x)):
         decrement = g[row] @ np.linalg.solve(h[row], g[row])
         assert 0.0 <= decrement <= 1e-10 * abs(fun[row])
-    capped = _run_search(objective, starts, spec,
-                         OptimizerConfig(max_iterations=3))
+    monkeypatch.setattr(estimate, "_MAX_ITERATIONS", 3)
+    capped = _run_search(objective, starts, spec)
     assert not capped[3].any() and (capped[2] == 3).all()
 
 
@@ -516,9 +512,10 @@ def test_row_objective_makes_one_call_per_kernel():
              for f in fits}), fits
 
 
-def test_fit_many_returns_typed_errors_per_fit():
+def test_fit_many_returns_typed_errors_per_fit(monkeypatch):
     x = sample(TRUE, 30, seed=2)
-    config = OptimizerConfig(n_starts=3, max_iterations=300)
+    monkeypatch.setattr(estimate, "_MAX_ITERATIONS", 300)
+    config = OptimizerConfig(n_starts=3)
     methods = (EstimationMethod.MLE, EstimationMethod.CME)
     results = fit_many([[2.0] * 30, x, [1.0, -1.0] * 15], methods, config)
     assert all(isinstance(r, DegenerateData) for r in results[0])
@@ -530,11 +527,12 @@ def test_fit_many_returns_typed_errors_per_fit():
 
 
 @pytest.mark.parametrize("method", list(EstimationMethod), ids=str)
-def test_fit_is_fit_many(method):
+def test_fit_is_fit_many(method, monkeypatch):
     # an MLE fit adds only the standard errors to the lockstep search, also
-    # where the search stops at max_iterations
+    # where the search stops at the step cap
     x = sample(TRUE, 30, seed=2)
-    config = OptimizerConfig(n_starts=3, max_iterations=300)
+    monkeypatch.setattr(estimate, "_MAX_ITERATIONS", 300)
+    config = OptimizerConfig(n_starts=3)
     result = fit(x, method, config)
     if method is EstimationMethod.MLE:
         assert result.standard_errors is not None or result.diagnostics

@@ -223,6 +223,17 @@ def test_renyi_entropy_near_the_infinite_edge():
             < 1e-12 * max(1.0, abs(expected)), (params, rho)
 
 
+def test_renyi_entropy_matches_a_34_digit_oracle():
+    # interior cases where adaptive quadrature was off by 1.2e-11, 3.1e-12
+    # and 1.7e-12 (34-digit trapezoid sums in w, at two steps and two maps)
+    for params, rho, expected in (
+            ((0.1668, 1.2432, 1.9035, 0.829), 2.6314, 0.0477280797628783898),
+            ((0.81, 0.158, 1.2123, 0.0662), 0.0641, 2.01668148919462312),
+            ((1.0363, 2.9806, 3.833, 0.0), 1.7207, -0.953431321930877783)):
+        assert abs(renyi_entropy(RtgleParams(*params), rho) - expected) \
+            < 1e-13 * abs(expected), (params, rho)
+
+
 def test_renyi_entropy_oracle():
     assert renyi_entropy(ROW1, 2.0) == pytest.approx(ROW1_RENYI_2, rel=1e-8)
     # exponential(1): Renyi entropy at rho is log(rho)/(rho-1)
