@@ -19,11 +19,10 @@ from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
                        nll_gradient, standard_errors)
 from .gof import (GofReport, StatKind, ad_statistic, aic, cvm_statistic,
                   gof_report, ks_statistic, p_value)
-from .properties import (MgfDiverged, MomentReport, QuadratureError,
-                         QuantileMeasures, SeriesDiverged, cumulative_hazard,
-                         gini_mean_difference, kurtosis, l_moment, mgf,
-                         moment_quadrature, moment_recurrence_residual,
-                         moment_report, moment_series, order_statistic_pdf,
+from .properties import (MgfDiverged, QuadratureError, QuantileMeasures,
+                         cumulative_hazard, gini_mean_difference, kurtosis,
+                         l_moment, mgf, moment_quadrature,
+                         moment_recurrence_residual, order_statistic_pdf,
                          quantile_measures, record_pdf, renyi_entropy,
                          skewness, variance)
 from .special import (NonConvergenceError, SpecialDomainError, gamma_fn,

@@ -28,8 +28,7 @@ from .estimate import (AllStartsFailed, DegenerateData, EstimationMethod,
                        NonPositiveData, OptimizerConfig, _check_fit_data, fit,
                        fit_many, neg_log_likelihood)
 from .gof import gof_report
-from .properties import (QuadratureError, _kurtosis, _raw_moments, _skewness,
-                         quantile_measures)
+from .properties import _kurtosis, _raw_moments, _skewness, quantile_measures
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -240,7 +239,7 @@ def _cmd_table(args) -> int:
                 base["V(X)"] = m[1] - m[0] ** 2
                 base["skewness"] = _skewness(m)
                 base["kurtosis"] = _kurtosis(m)
-        except (QuadratureError, ArithmeticError) as exc:
+        except ArithmeticError as exc:
             print(f"row {params.as_tuple()}: {exc}", file=sys.stderr)
             continue
         rows.append(base)

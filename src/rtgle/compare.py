@@ -31,12 +31,13 @@ from functools import partial
 
 import numpy as np
 
-from .distribution import (_checked, _d_log_pdf_kernel, _d_log_sf_kernel,
-                           _libm, _log, _log_pdf_kernel, _log_sf_kernel,
-                           _on_support)
-from .estimate import (_RTGLE, AllStartsFailed, EstimationMethod,
-                       HessianNotPD, OptimizerConfig, _box, _check_data,
-                       _lockstep_fits, _Model, _standard_errors)
+from .distribution import (InvalidParams, _checked, _d_log_pdf_kernel,
+                           _d_log_sf_kernel, _libm, _log, _log_pdf_kernel,
+                           _log_sf_kernel, _on_support)
+from .estimate import (_RTGLE, AllStartsFailed, DegenerateData,
+                       EstimationMethod, HessianNotPD, NonPositiveData,
+                       OptimizerConfig, _box, _check_data, _lockstep_fits,
+                       _Model, _standard_errors)
 # looked up here by the benchmark's per-layer tracing (bench/tracing.py)
 from .estimate import minimize  # noqa: F401
 from .gof import GofReport, gof_report
@@ -374,7 +375,9 @@ def comparison_table(data, config: OptimizerConfig | None = None
     """Fit every model of the registry (RTGLE and the seven competitors)
     with fit_competitor, compute GoF for each, sort by AIC.
 
-    Per-model failures are kept as error rows so partial results survive.
+    A model whose fit raises a typed fit error (NonPositiveData,
+    DegenerateData, InvalidParams, AllStartsFailed) is kept as an error row
+    so partial results survive; any other error propagates.
     """
     x = _check_data(data)
     rows: list[ComparisonRow] = []
@@ -388,7 +391,8 @@ def comparison_table(data, config: OptimizerConfig | None = None
             rows.append(ComparisonRow(kind, params,
                                       dict(zip(params, se)) if se else None,
                                       rep, diagnostics=cf.diagnostics))
-        except (AllStartsFailed, ValueError) as exc:
+        except (NonPositiveData, DegenerateData, InvalidParams,
+                AllStartsFailed) as exc:
             rows.append(ComparisonRow(kind, {}, None, None, str(exc)))
 
     rows.sort(key=lambda r: (r.gof is None, r.gof.aic if r.gof else 0.0))

@@ -507,6 +507,8 @@ def sample(params: RtgleParams, n: int, seed: int) -> np.ndarray:
     ``QuantileOverflow`` if one overflows."""
     if n < 1:
         raise ValueError("sample: n must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random(n)
     # avoid u == 0 exactly (quantile domain is open)
@@ -553,6 +555,8 @@ def sample_via_records(params: RtgleParams, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("sample_via_records: n must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.Generator(np.random.Philox(key=seed))
     e1 = rng.exponential(size=n)
     e2 = rng.exponential(size=n)

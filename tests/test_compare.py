@@ -7,17 +7,18 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import weibull_min
 
+from rtgle import compare, estimate
 from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
                            comparison_table, competitor_cdf,
                            competitor_log_pdf, competitor_pdf, fit_competitor,
                            make_competitor)
-from rtgle import estimate
 from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, sample
-from rtgle.estimate import (_IGNORE, _RTGLE, EstimationMethod, HessianNotPD,
-                            OptimizerConfig, _inverse, _natural_objective,
-                            _standard_errors, _to_free, fit,
-                            neg_log_likelihood, standard_errors)
+from rtgle.estimate import (_IGNORE, _RTGLE, AllStartsFailed,
+                            EstimationMethod, HessianNotPD, OptimizerConfig,
+                            _inverse, _natural_objective, _standard_errors,
+                            _to_free, fit, neg_log_likelihood,
+                            standard_errors)
 
 EXAMPLES = {
     "RTW": (0.4, 0.8, 0.5),
@@ -395,3 +396,35 @@ def test_comparison_rows_say_why_they_have_no_standard_errors():
     assert "beta=0.0" in rows["RTLE"].diagnostics
     assert rows["W"].standard_errors is not None
     assert rows["W"].diagnostics == ""
+
+
+def _failing_for(kind, exc, monkeypatch):
+    # fit_competitor as it is, except that the model kind raises exc
+    real = compare.fit_competitor
+
+    def patched(k, data, config=None):
+        if k == kind:
+            raise exc
+        return real(k, data, config)
+    monkeypatch.setattr(compare, "fit_competitor", patched)
+
+
+def test_comparison_table_lets_a_plain_value_error_through(monkeypatch):
+    # a fault that is not the model's is not turned into an error row
+    _failing_for("TW", ValueError("not a fit failure"), monkeypatch)
+    with pytest.raises(ValueError, match="not a fit failure"):
+        comparison_table(load_dataset("embedded").values,
+                         OptimizerConfig(n_starts=4, seed=0))
+
+
+def test_comparison_table_keeps_a_failed_fit_as_its_error_row(monkeypatch):
+    _failing_for("TW", AllStartsFailed("every start failed"), monkeypatch)
+    rows = comparison_table(load_dataset("embedded").values,
+                            OptimizerConfig(n_starts=4, seed=0))
+    assert len(rows) == 8
+    failed = [r for r in rows if r.error is not None]
+    assert [(r.model, r.error) for r in failed] == [("TW",
+                                                     "every start failed")]
+    assert failed[0].gof is None and failed[0].params == {}
+    assert rows[-1] is failed[0]
+    assert all(r.gof is not None for r in rows if r.model != "TW")

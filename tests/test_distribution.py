@@ -379,6 +379,12 @@ def test_sample_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("sampler", [sample, sample_via_records])
+def test_sampler_refuses_a_negative_seed(sampler):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sampler(RtgleParams(0.5, 0.5, 1.2, 0.2), 5, -1)
+
+
 def test_sample_within_support_and_distribution():
     params = RtgleParams(0.5, 0.5, 1.2, 0.2)
     x = sample(params, 20000, seed=1)

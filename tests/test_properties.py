@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,16 +8,17 @@ from scipy.integrate import quad
 
 from rtgle.distribution import (RtgleParams, cdf, log_pdf, pdf, quantile,
                                 quantile_vec, sf)
-from rtgle.properties import (MgfDiverged, SeriesDiverged, cumulative_hazard,
+from rtgle.properties import (MgfDiverged, cumulative_hazard,
                               gini_mean_difference, joint_record_log_pdf,
                               kurtosis, l_moment, largest_order_statistic_pdf,
                               mgf, moment_quadrature,
-                              moment_recurrence_residual, moment_report,
-                              moment_series, order_statistic_pdf,
+                              moment_recurrence_residual, order_statistic_pdf,
                               quantile_measures, record_pdf, recurrence_rhs,
-                              renyi_entropy, renyi_entropy_series, skewness,
+                              renyi_entropy, skewness,
                               smallest_order_statistic_pdf, variance)
 from rtgle.special import log_beta
+
+from _series import SeriesDiverged, moment_series, renyi_entropy_series
 
 ROW1 = RtgleParams(0.5, 0.5, 1.2, 0.2)
 
@@ -344,11 +347,11 @@ def test_l_moment_and_gini():
     assert gini_mean_difference(ROW1) > 0.0
 
 
-def test_moment_report_bundle():
-    rep = moment_report(ROW1, 2)
-    assert rep.value_quadrature == pytest.approx(1.9782, abs=5e-4)
-    assert rep.value_series == pytest.approx(rep.value_quadrature, rel=1e-5)
-    assert rep.recurrence_residual <= 1e-6
+def test_second_moment_by_both_routes_and_the_recurrence():
+    vq = moment_quadrature(ROW1, 2)
+    assert vq == pytest.approx(1.9782, abs=5e-4)
+    assert moment_series(ROW1, 2)[0] == pytest.approx(vq, rel=1e-5)
+    assert moment_recurrence_residual(ROW1, 2) <= 1e-6
 
 
 @pytest.mark.parametrize("params", [RtgleParams(2.0, 0.0, 0.7, 0.5),
@@ -382,5 +385,37 @@ def test_properties_solve_no_quantile(monkeypatch):
     for value in (variance(ROW1), skewness(ROW1), kurtosis(ROW1),
                   l_moment(ROW1, 3), gini_mean_difference(ROW1),
                   mgf(ROW1, 0.5), renyi_entropy(ROW1, 2.0),
-                  moment_report(ROW1, 2).recurrence_residual):
+                  moment_recurrence_residual(ROW1, 2)):
         assert math.isfinite(value)
+
+
+def test_properties_and_tables_run_without_mpmath(monkeypatch, capsys):
+    # mpmath is a test dependency only; every public function of
+    # rtgle.properties, and both CLI tables, run with its import blocked
+    from rtgle import cli, properties
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    x = np.array([0.5, 1.2, 2.7])
+    calls = {
+        "moment_quadrature": (ROW1, 3), "variance": (ROW1,),
+        "skewness": (ROW1,), "kurtosis": (ROW1,), "l_moment": (ROW1, 3),
+        "gini_mean_difference": (ROW1,), "mgf": (ROW1, 0.5),
+        "renyi_entropy": (ROW1, 2.0), "recurrence_rhs": (ROW1, 2),
+        "moment_recurrence_residual": (ROW1, 2),
+        "quantile_measures": (ROW1,),
+        "order_statistic_pdf": (ROW1, 2, 5, x),
+        "smallest_order_statistic_pdf": (ROW1, 5, x),
+        "largest_order_statistic_pdf": (ROW1, 5, x),
+        "cumulative_hazard": (ROW1, x), "record_pdf": (ROW1, 3, x),
+        "joint_record_log_pdf": (ROW1, x),
+    }
+    public = {name for name, fn in inspect.getmembers(properties,
+                                                      inspect.isfunction)
+              if fn.__module__ == properties.__name__
+              and not name.startswith("_")}
+    assert set(calls) == public
+    for name, args in calls.items():
+        getattr(properties, name)(*args)
+    for kind in ("moments", "quantiles"):
+        assert cli.main(["table", "--kind", kind,
+                         "--params", "0.5,0.5,1.2,0.2"]) == 0
+    assert "row" not in capsys.readouterr().err
