@@ -190,8 +190,8 @@ def _cmd_simulate(args) -> int:
             true_params=validate(*spec["true_params"]),
             sample_sizes=tuple(spec["sample_sizes"]),
             methods=tuple(EstimationMethod(m) for m in spec["methods"]),
-            replicates=int(spec["replicates"]),
-            seed=int(spec.get("seed", 0)))
+            replicates=spec["replicates"],
+            seed=spec.get("seed", 0))
     except (KeyError, ValueError, TypeError, InvalidParams) as exc:
         raise DataError(f"bad design: {exc}") from None
     report = sim_mod.run_design(design)

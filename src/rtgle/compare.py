@@ -225,7 +225,10 @@ _WEIBULL = _nested(lambda mu, s: (1.0 / s, 0.0, mu, 0.0), (2, 0),
 # RTW is searched on its image's free coordinates (alpha, gamma, p), alpha
 # = theta^(1/gamma), and reported by theta = alpha^gamma: in theta the
 # power bends the likelihood's valley, and starts at a large gamma crawl
-# along it (parameter-effects curvature, Bates & Watts 1980)
+# along it (parameter-effects curvature, Bates & Watts 1980).  The
+# (theta, gamma, p) record in _SPECS has no derivative kernels and serves
+# evaluation only (competitor_*, make_competitor): a fit scores each
+# optimum on this record, at the image of its theta
 _RTW_IMAGE = _Model(
     "RTW", ("alpha", "gamma", "p"), ("pos", "pos", "unit"),
     *_nested(lambda a, g, p: (a, 0.0, g, p), (0, 2, 3)),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,6 +94,15 @@ def _valid_rows(alpha, beta, gamma, p) -> np.ndarray:
     return ((0.0 < gamma) & (gamma < np.inf) & (0.0 <= alpha)
             & (alpha < np.inf) & (0.0 <= beta) & (beta < np.inf)
             & ((alpha != 0.0) | (beta != 0.0)) & (0.0 <= p) & (p <= 1.0))
+
+
+def _index(value, name: str) -> int:
+    """A size, count or seed as an int (operator.index: an int or a numpy
+    integer, never a float), or a ValueError naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def validate(alpha: float, beta: float, gamma: float, p: float) -> RtgleParams:
@@ -505,6 +515,7 @@ def sample(params: RtgleParams, n: int, seed: int) -> np.ndarray:
     """n inverse-transform draws; identical output for identical inputs.
     Raises ``QuantileUnderflow`` if a draw's quantile rounds to 0, and
     ``QuantileOverflow`` if one overflows."""
+    n, seed = _index(n, "sample: n"), _index(seed, "seed")
     if n < 1:
         raise ValueError("sample: n must be >= 1")
     if seed < 0:
@@ -553,6 +564,7 @@ def sample_via_records(params: RtgleParams, n: int, seed: int) -> np.ndarray:
     and the second with probability p, using the exponential spacing of
     records: the k-th record is G^{-1}(1 - exp(-(E1+...+Ek))).
     """
+    n, seed = _index(n, "sample_via_records: n"), _index(seed, "seed")
     if n < 1:
         raise ValueError("sample_via_records: n must be >= 1")
     if seed < 0:

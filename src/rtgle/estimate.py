@@ -11,9 +11,10 @@ parameters, or names another record searched in its place
 their box (rates >= 0, p in [0, 1], lambda in [-1, 1], shapes and scales
 > 0) by a multi-start projected Levenberg-Marquardt search (``_search``),
 the one optimizer: every start of a fit, or of many fits (``fit_many``),
-advances in lockstep, with one value-and-derivative call of the row
-objective per step, one row per live search.  Its curvature is every
-objective's analytic Hessian (``_row_objective``).  Starts are placed in
+advances in lockstep, one row per live search in each step's call of the
+row objective (``_row_objective``), every row's value, gradient and
+analytic Hessian, which the standard errors and the public objectives
+call too.  Starts are placed in
 unconstrained coordinates (log for positive values, logit for
 probabilities, atanh for values in [-1, 1]) and mapped to the natural
 scale.
@@ -43,7 +44,7 @@ import numpy as np
 # tracing (bench/tracing.py)
 from .distribution import (InvalidParams, RtgleParams,  # noqa: F401
                            _columns, _d_log_pdf_kernel, _d_log_sf_kernel,
-                           _libm, _log_pdf_kernel, _log_sf_kernel,
+                           _index, _libm, _log_pdf_kernel, _log_sf_kernel,
                            _valid_rows, cdf, log_pdf, sf, validate)
 from .gof import _cvm_positions
 
@@ -83,6 +84,8 @@ class OptimizerConfig:
     start: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
+        self.n_starts = _index(self.n_starts, "n_starts")
+        self.seed = _index(self.seed, "seed")
         if self.n_starts <= 0:
             raise ValueError("n_starts must be positive")
         if self.seed < 0:
@@ -126,44 +129,48 @@ def _check_fit_data(data, k: int) -> np.ndarray:
 
 
 # --- objectives ---------------------------------------------------------------
-# _row_objective takes checked samples, sorts them and tabulates every
-# data-only array once, and returns the objectives of many fits as one
-# function of natural values, one row per evaluation, on the interior
-# kernels of ``distribution`` or of a competitor in ``compare``.  A call
-# makes one log_pdf call for its MLE rows, on the samples in input order,
-# and one log_sf call for all its distance rows (LSE, WLSE, ADE, CME), on
-# the sorted samples, each on one gather of its paired tables.  Rows of
-# several formulas are taken grouped by formula (one stable sort), so each
-# formula runs on a contiguous block.  On the small calls of a lockstep
-# search, a few rows of tens of points, the number of numpy calls sets the
-# cost, not the rows.  A row's value does not depend on the other rows, to
-# the bit; the public objectives are its value on one row.  Called with
-# derivatives=True it also returns each row's gradient and Hessian, from
-# the derivative kernels d_log_pdf and d_log_sf, whose values are
-# log_pdf's and log_sf's to the bit, and the same alone as in a batch.
-# Callers evaluate it under _IGNORE: far from the optimum the kernels
-# overflow.
+# _row_objective takes a model record and checked samples, sorts them and
+# tabulates every data-only array once, and returns the objectives of many
+# fits as one function of natural values, one row per evaluation, from the
+# record's derivative kernels.  A call makes one d_log_pdf call for its MLE
+# rows, on the samples in input order, and one d_log_sf call for all its
+# distance rows (LSE, WLSE, ADE, CME), on the sorted samples, each on one
+# gather of its paired tables.  Rows of several formulas are taken grouped
+# by formula (one stable sort), so each formula runs on a contiguous block.
+# On the small calls of a lockstep search, a few rows of tens of points,
+# the number of numpy calls sets the cost, not the rows.  The public
+# objectives are RTGLE's value on one row, and nll_gradient its MLE
+# gradient.  Callers evaluate it under _IGNORE: far from the optimum the
+# kernels overflow.
 
 _IGNORE = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
-                   log_sf=_log_sf_kernel, d_log_pdf=_d_log_pdf_kernel,
-                   d_log_sf=_d_log_sf_kernel):
-    """objective(v, fits, derivatives=False) -> (R,) for natural values v
-    (R, k) and fit numbers fits (R,): fit f is method methods[f % M] on
-    sample data[f // M] of the checked samples data (S, n), for the model
-    with log density log_pdf(x, x2, *v) and log survival log_sf(x, x2, *v).
+def _row_objective(model: _Model, methods, data: np.ndarray):
+    """objective(v, fits) -> (value (R,), gradient (R, k), Hessian (R, k,
+    k)) for natural values v (R, k) of model and fit numbers fits (R,): fit
+    f is method methods[f % M] on sample data[f // M] of the checked
+    samples data (S, n).
 
-    With derivatives=True it returns (value, gradient (R, k), Hessian (R,
-    k, k)), from the derivative kernels d_log_pdf and d_log_sf, which
-    return (the value of log_pdf or log_sf to the bit, its k derivatives,
-    second), second(weights) the sum over the points of weights times the
-    second derivatives, (R, k, k), with weights (n,) or (R, n).  An MLE
-    row's Hessian is -sum d2 log f; an ADE row's takes d2 log F = -(S/F)
-    (d2 log S + d log S d log S^T / F); a squares row's (LSE, WLSE, CME) is
-    2 J^T W J + 2 sum w (F - position) d2 F, with J = dF = -S d log S and
-    d2 F = -S (d2 log S + d log S d log S^T)."""
+    The model's derivative kernels d_log_pdf(x, x2, *v) and d_log_sf(x, x2,
+    *v) return (the value of log_pdf or log_sf to the bit, its k
+    derivatives, second), second(weights) the sum over the points of
+    weights times the second derivatives, (R, k, k), with weights (n,) or
+    (R, n).  An MLE row's Hessian is -sum d2 log f; an ADE row's takes d2
+    log F = -(S/F) (d2 log S + d log S d log S^T / F); a squares row's (LSE,
+    WLSE, CME) is 2 J^T W J + 2 sum w (F - position) d2 F, with J = dF = -S
+    d log S and d2 F = -S (d2 log S + d log S d log S^T).
+
+    A row whose natural values are not finite or have no valid RTGLE image
+    (model.image) is +inf with zero derivatives.  The rows are checked only
+    on calls with a value at or below 0, or not finite: while every value
+    is positive and finite, RTGLE and the competitors' RTGLE images pass
+    their checks, or give a non-finite log-likelihood, +inf all the same.
+    A call of one row takes numpy's arithmetic like a call of many
+    (_columns): a kernel that overflows or divides by zero gives inf or
+    NaN, never an exception, and a row has the same value, gradient and
+    Hessian alone as inside a larger call.  A call evaluates its rows and
+    no others."""
     n_methods, n = len(methods), data.shape[1]
     x2 = np.square(data)
     xs = np.sort(data, axis=1)
@@ -195,29 +202,24 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         n); one row is broadcast instead of copied."""
         return pair[:, 0] if pair.shape[1] == 1 else pair[:, index]
 
-    def kernel(plain, derivative, tables, v, d):
+    def kernel(derivative, tables, v):
         """(values (R, n), derivatives (R, k, n) and the kernel's
-        second(weights), or None in their place without d)."""
+        second(weights))."""
         r = len(v)
-        if not d:
-            return plain(*tables, *_columns(v)).reshape(r, -1), None, None
         value, grad, second = derivative(*tables, *_columns(v))
         return (value.reshape(r, -1), np.concatenate(grad).reshape(
             len(grad), r, -1).swapaxes(0, 1), second)
 
-    def mle(v, s, d):
-        terms, score, second = kernel(log_pdf, d_log_pdf, rows(by_sample, s),
-                                      v, d)
+    def mle(v, s):
+        terms, score, second = kernel(model.d_log_pdf, rows(by_sample, s), v)
         total = np.add.reduce(terms, axis=1)
         # a non-finite total is a zero, infinite or undefined likelihood
         value = np.where(np.isfinite(total), -total, np.inf)
-        if not d:
-            return value,
         return value, -np.add.reduce(score, axis=2), second(minus_ones)
 
     def ade(f, log_s, d_log_s):
         """(value, gradient, the Hessian but for its d2 log S part, the
-        weights of d2 log S, no row flat), or the value alone."""
+        weights of d2 log S, no row flat)."""
         # a fit on its own takes np.log(s[::-1]) of a 1-d s: a
         # negative-stride view, so the C library's log
         s = np.exp(log_s)
@@ -226,8 +228,6 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         # NaN where z overflowed, where S = 0
         out = -n - np.add.reduce(coef * terms, axis=1) / n
         out[np.isnan(out)] = np.inf
-        if d_log_s is None:
-            return out,
         # d log F = -(S/F) d log S; log S enters at position n+1-i
         ratio = s / f
         d_log_f = -ratio[:, None] * d_log_s
@@ -255,8 +255,6 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         if bad.size:  # F is NaN where z overflowed; cdf's limit there is 1
             f[bad] = np.fmin(f[bad], 1.0)
             out[bad] = distance(f[bad], j[bad], *rows(by_method, j[bad]))
-        if d_log_s is None:
-            return out,
         s = np.exp(log_s)
         residual = f - position
         # -2 w S, and the weights of d2 log S, -2 w (F - position) S
@@ -279,48 +277,45 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
             outer[bad] = np.matmul(jac_w, jac.transpose(0, 2, 1))
         return out, grad, outer, weights, flat
 
-    def distances(v, s, j, n_ade, d):
+    def distances(v, s, j, n_ade):
         """Every distance row from one survival-kernel call on the sorted
         samples: ADE on the first n_ade rows, a squares formula on the
         rest."""
-        log_s, d_log_s, second = kernel(log_sf, d_log_sf,
-                                        rows(by_sample_sorted, s), v, d)
+        log_s, d_log_s, second = kernel(model.d_log_sf,
+                                        rows(by_sample_sorted, s), v)
         f = -np.expm1(log_s)
         if n_ade == len(v):
             out = ade(f, log_s, d_log_s)
         elif not n_ade:
             out = squares(f, j, log_s, d_log_s)
         else:
-            head, tail = (None, None) if d_log_s is None else (
-                d_log_s[:n_ade], d_log_s[n_ade:])
             out = tuple(map(np.concatenate, zip(
-                ade(f[:n_ade], log_s[:n_ade], head),
-                squares(f[n_ade:], j[n_ade:], log_s[n_ade:], tail))))
-        if d_log_s is None:
-            return out
+                ade(f[:n_ade], log_s[:n_ade], d_log_s[:n_ade]),
+                squares(f[n_ade:], j[n_ade:], log_s[n_ade:],
+                        d_log_s[n_ade:]))))
         value, grad, outer, weights, flat = out
         matrix = outer + second(weights)
         if flat.any():
             matrix[flat] = outer[flat]
         return value, grad, matrix
 
-    def grouped(v, fits, d):
+    def grouped(v, fits):
         if n_methods == 1:  # s = fits, and every per-method table has one row
-            return (mle(v, fits, d) if formula[0] == 0 else distances(
-                v, fits, fits, len(v) if formula[0] == 1 else 0, d))
+            return (mle(v, fits) if formula[0] == 0 else distances(
+                v, fits, fits, len(v) if formula[0] == 1 else 0))
         s, j = np.divmod(fits, n_methods)
         kind = formula[j]
         counts = np.bincount(kind, minlength=3).tolist()
         n_mle, n_ade = counts[:2]
         if n_mle == len(v):
-            return mle(v, s, d)
+            return mle(v, s)
         order = None
         if len(v) not in counts:  # take the rows grouped by formula
             order = kind.argsort(kind="stable")
             v, s, j = v[order], s[order], j[order]
-        out = distances(v[n_mle:], s[n_mle:], j[n_mle:], n_ade, d)
+        out = distances(v[n_mle:], s[n_mle:], j[n_mle:], n_ade)
         if n_mle:
-            out = tuple(map(np.concatenate, zip(mle(v[:n_mle], s[:n_mle], d),
+            out = tuple(map(np.concatenate, zip(mle(v[:n_mle], s[:n_mle]),
                                                 out)))
         if order is None:
             return out
@@ -328,57 +323,67 @@ def _row_objective(methods, data: np.ndarray, log_pdf=_log_pdf_kernel,
         back[order] = np.arange(len(order))
         return tuple(a[back] for a in out)
 
-    def objective(v, fits, derivatives=False):
-        out = grouped(v, fits, derivatives)
-        return out if derivatives else out[0]
+    def objective(v, fits):
+        if 0.0 < np.minimum.reduce(v, axis=None) \
+                <= np.maximum.reduce(v, axis=None) < np.inf:
+            return grouped(v, fits)
+        ok = _finite_rows(v)
+        if model.image is not None:
+            ok &= _valid_rows(*model.image(*v.T))
+        r, k = v.shape
+        out = (np.full(r, np.inf), np.zeros((r, k)), np.zeros((r, k, k)))
+        if ok.any():
+            for a, b in zip(out, grouped(v[ok], fits[ok])):
+                a[ok] = b
+        return out
     return objective
 
 
 @np.errstate(**_IGNORE)
-def _evaluate(method: EstimationMethod, params: RtgleParams, data) -> float:
-    objective = _row_objective((method,), _check_data(data)[None])
-    return float(objective(np.array([params.as_tuple()], dtype=float),
-                           np.zeros(1, dtype=int))[0])
+def _evaluate(method: EstimationMethod, params: RtgleParams, data) -> list:
+    """[value, gradient (k,), Hessian (k, k)] of method's objective at
+    params on data: its one row of RTGLE's _row_objective."""
+    objective = _row_objective(_RTGLE, (method,), _check_data(data)[None])
+    return [a[0] for a in objective(np.array([params.as_tuple()], dtype=float),
+                                    np.zeros(1, dtype=int))]
 
 
 def neg_log_likelihood(params: RtgleParams, data) -> float:
     """Negative log-likelihood; +inf where the log-likelihood is not
     finite."""
-    return _evaluate(EstimationMethod.MLE, params, data)
+    return float(_evaluate(EstimationMethod.MLE, params, data)[0])
 
 
 def nll_gradient(params: RtgleParams, data) -> np.ndarray:
     """Analytic gradient of the negative log-likelihood w.r.t.
-    (alpha, beta, gamma, p): the RTGLE record's score (d_log_pdf) summed;
-    requires interior parameters."""
-    x = _check_data(data)
-    a, b, g, p = params.as_tuple()
+    (alpha, beta, gamma, p), the gradient of the MLE row; requires
+    interior parameters."""
+    a, b, _, p = params.as_tuple()
     if a <= 0.0 or b <= 0.0 or not (0.0 < p < 1.0):
         raise ValueError("gradient requires interior parameters "
                          "(alpha>0, beta>0, 0<p<1)")
-    _, score, _ = _RTGLE.d_log_pdf(x, np.square(x), a, b, g, p)
-    return -np.array([np.sum(d) for d in score])
+    return _evaluate(EstimationMethod.MLE, params, data)[1]
 
 
 def ls_objective(params: RtgleParams, data) -> float:
     """Sum of squared deviations of F(x_(i)) from i/(n+1)."""
-    return _evaluate(EstimationMethod.LSE, params, data)
+    return float(_evaluate(EstimationMethod.LSE, params, data)[0])
 
 
 def wls_objective(params: RtgleParams, data) -> float:
     """ls_objective with inverse-variance weights
     (n+1)^2 (n+2) / (i (n-i+1))."""
-    return _evaluate(EstimationMethod.WLSE, params, data)
+    return float(_evaluate(EstimationMethod.WLSE, params, data)[0])
 
 
 def ad_objective(params: RtgleParams, data) -> float:
     """Anderson-Darling distance; +inf when any F(x_(i)) hits 0 or 1."""
-    return _evaluate(EstimationMethod.ADE, params, data)
+    return float(_evaluate(EstimationMethod.ADE, params, data)[0])
 
 
 def cvm_objective(params: RtgleParams, data) -> float:
     """Cramer-von Mises distance 1/(12n) + sum (F(x_(i)) - (2i-1)/(2n))^2."""
-    return _evaluate(EstimationMethod.CME, params, data)
+    return float(_evaluate(EstimationMethod.CME, params, data)[0])
 
 
 _OBJECTIVES = {
@@ -501,8 +506,8 @@ def _leave_edge(h, g, edge, at_lower, fixed, unit, length, d):
 def _search(objective, x, fits, f, g, h, box):
     """Projected Levenberg-Marquardt from every row of x (S, k) at once, on
     the natural scale inside box = (lower, upper, closed); row s minimizes
-    objective(., fits[s], derivatives=True) -> (value, gradient, Hessian)
-    of the rows (R, k), whose values at x are (f, g, h).  Returns the
+    objective(., fits[s]) -> (value, gradient, Hessian) of the rows (R, k)
+    (_row_objective), whose values at x are (f, g, h).  Returns the
     optimum x (S, k), its value, the steps taken, the certificate and the
     coordinates (S, k) on a closed edge at the optimum.  After the starts,
     every objective call holds one row per live search, its trial point.
@@ -585,7 +590,7 @@ def _search(objective, x, fits, f, g, h, box):
                                   leaving))
         predicted = -np.add.reduce(
             g * d + 0.5 * d * np.matmul(h, d[..., None])[..., 0], axis=1)
-        f_trial, g_trial, h_trial = objective(trial, fits, True)
+        f_trial, g_trial, h_trial = objective(trial, fits)
         take = (f_trial < f) & _finite_rows(g_trial, h_trial)
         rho = np.where(predicted > 0.0, (f - f_trial) / predicted, 1.0)
         mu = np.where(leaving, mu, np.where(take, np.maximum(mu * np.maximum(
@@ -647,42 +652,6 @@ _RTGLE = _Model("RTGLE", ("alpha", "beta", "gamma", "p"),
                 lambda *v: v, _moment_start, (1.0, 1.5, 0.5, 1.5))
 
 
-def _natural_objective(model: _Model, methods, data: np.ndarray):
-    """_row_objective of model, objective(v (R, k), fits (R,),
-    derivatives=False), +inf (with zero derivatives) on the rows whose
-    natural values are not finite or have no valid RTGLE image.  A call of
-    one row takes numpy's arithmetic like a call of many (_columns): a
-    kernel that overflows or divides by zero gives inf or NaN, never an
-    exception, and a row has the same value, gradient and Hessian alone as
-    inside a larger call.  A call evaluates its rows and no others.
-
-    The rows are checked only on calls with a value at or below 0, or not
-    finite: while every value is positive and finite, RTGLE and the
-    competitors' RTGLE images pass their checks, or give a non-finite
-    log-likelihood, +inf all the same.
-    """
-    objective = _row_objective(methods, data, model.log_pdf, model.log_sf,
-                               model.d_log_pdf, model.d_log_sf)
-    image = model.image
-    k = len(model.kinds)
-
-    def checked(v, fits, derivatives=False):
-        if 0.0 < np.minimum.reduce(v, axis=None) \
-                <= np.maximum.reduce(v, axis=None) < np.inf:
-            return objective(v, fits, derivatives)
-        ok = _finite_rows(v)
-        if image is not None:
-            ok &= _valid_rows(*image(*v.T))
-        r = len(v)
-        out = (np.full(r, np.inf), np.zeros((r, k)), np.zeros((r, k, k)))
-        if ok.any():
-            found = objective(v[ok], fits[ok], derivatives)
-            for a, b in zip(out, found if derivatives else (found,)):
-                a[ok] = b
-        return out if derivatives else out[0]
-    return checked
-
-
 @np.errstate(**_IGNORE)
 def _lockstep_fits(samples, methods, config: OptimizerConfig,
                    model: _Model = _RTGLE):
@@ -694,8 +663,9 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     closed edge there, or the typed error of that fit.
 
     A model with a search record (model.search) is searched as that
-    record, and each optimum is mapped back to model's values and takes
-    model's objective there.  A fit starts at the searched record's
+    record, and each optimum is mapped to model's values and scored by the
+    searched record's objective at the image of those values, model's
+    objective there to the bit.  A fit starts at the searched record's
     start(x), or for RTGLE at config.start, whose edge coordinates (a rate
     at 0, p at 0 or 1) take model.start(x)'s.  Its starts are that center
     and config.n_starts - 1 normal perturbations of it in free coordinates
@@ -704,7 +674,8 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     start with a non-finite objective or derivative is dropped.  Runs with
     floating-point warnings off (_IGNORE).
     """
-    searched, to_values, *_ = model.search or (model, None)
+    searched, to_values, from_values, _ = model.search or (model, None,
+                                                           None, None)
     n_methods, k, n = len(methods), len(model.kinds), config.n_starts
     found: list = [None] * len(samples)
     fitted, data, centers = [], [], []
@@ -726,7 +697,7 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     if not fitted:
         return found
     data = np.array(data)
-    objective = _natural_objective(searched, methods, data)
+    objective = _row_objective(searched, methods, data)
     n_fits = len(fitted) * n_methods
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     centers = np.repeat(np.array(centers), n_methods, axis=0)
@@ -734,7 +705,7 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
     starts[:, 1:] += rng.normal(scale=searched.spread, size=(n - 1, k))
     x = _inverse(searched.kinds)(starts.reshape(-1, k))
     fits = np.repeat(np.arange(n_fits), n)
-    f, g, h = objective(x, fits, True)
+    f, g, h = objective(x, fits)
     live = np.isfinite(f) & _finite_rows(g, h)
     fun = np.full(len(x), np.inf)
     nit = np.zeros(len(x), dtype=int)
@@ -745,9 +716,11 @@ def _lockstep_fits(samples, methods, config: OptimizerConfig,
             objective, x[live], fits[live], f[live], g[live], h[live],
             _box(searched.kinds))
         if to_values:
+            # each optimum is reported in model's values and scored at their
+            # image, the searched values it maps back to
             x[live] = np.column_stack(to_values(*x[live].T))
-            fun[live] = _natural_objective(model, methods, data)(
-                x[live], fits[live])
+            fun[live] = objective(np.column_stack(from_values(*x[live].T)),
+                                  fits[live])[0]
     # each fit keeps the first of its best optima
     best = np.argmin(fun.reshape(n_fits, n), axis=1) + np.arange(n_fits) * n
     optima = [(tuple(x[r].tolist()), float(fun[r]), int(nit[r]),
@@ -801,7 +774,7 @@ def _standard_errors(model: _Model, values, data) -> tuple[float, ...]:
     """Standard errors of model's maximum likelihood estimate values
     (natural scale) on data: the square roots of the diagonal of the
     inverse observed information, the analytic Hessian of the negative
-    log-likelihood at values (_natural_objective's matrix).  A model with
+    log-likelihood at values (_row_objective's MLE matrix).  A model with
     a search record (model.search) takes the Hessian of that record at the
     values it maps to, and maps the inverse through the Jacobian J of the
     record's map back to these values, J H^-1 J^T.  An estimate on the edge
@@ -821,9 +794,9 @@ def _standard_errors(model: _Model, values, data) -> tuple[float, ...]:
                                                           None)
     v = np.array(from_values(*values) if from_values else values,
                  dtype=float)
-    _, _, hess = _natural_objective(searched, (EstimationMethod.MLE,),
-                                    _check_data(data)[None])(
-        v[None], np.zeros(1, dtype=int), True)
+    _, _, hess = _row_objective(searched, (EstimationMethod.MLE,),
+                                _check_data(data)[None])(
+        v[None], np.zeros(1, dtype=int))
     if not np.all(np.isfinite(hess)):
         raise HessianNotPD("Hessian evaluation produced non-finite entries")
     try:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (RtgleParams, _log_gle_inverse, _log_sf_kernel,
-                           _on_support, cdf, hazard, log_pdf, pdf,
-                           quantile_vec, sf)
+from .distribution import (RtgleParams, _log_gle_inverse, _log_pdf_kernel,
+                           _log_sf_kernel, _on_support, hazard, log_pdf,
+                           quantile_vec)
 from .special import gamma_fn, log_beta
 
 
@@ -67,6 +67,10 @@ _MAX_NODES = 1 << 17
 # beyond the float range unless its area is below e^-790, narrower than any
 # step
 _MAX_LOG_PEAK = 1500.0
+# l_moment refuses a signed sum whose terms' absolute sum exceeds its value
+# this many times: at 5e-17 of that ratio lost, beyond it fewer than 8
+# digits are left
+_L_MOMENT_CANCELLATION = 1e8
 
 
 def _log_trapezoid(log_integrand) -> list[float]:
@@ -230,7 +234,9 @@ def gini_mean_difference(params: RtgleParams) -> float:
 
 def l_moment(params: RtgleParams, r: int) -> float:
     """r-th L-moment, the standard signed sum of int_0^1 u^k Q(u) du =
-    E[F(X)^k X] for k < r, where F(G^-1(t)) = 1 - (1+p*t) e^-t."""
+    E[F(X)^k X] for k < r, where F(G^-1(t)) = 1 - (1+p*t) e^-t.  Raises
+    QuadratureError where that sum cancels beyond _L_MOMENT_CANCELLATION
+    (for the exponential from r = 12 on)."""
     if r < 1:
         raise ValueError("L-moment order r must be >= 1")
     p = params.p
@@ -242,9 +248,15 @@ def l_moment(params: RtgleParams, r: int) -> float:
     integrals = _expect(params, [lambda lx, t: lx]
                         + [lambda lx, t, k=k: k * log_cdf(t) + lx
                            for k in range(1, r)])
-    return sum((-1.0) ** (r - 1 - k) * math.comb(r - 1, k)
-               * math.comb(r - 1 + k, k) * val
-               for k, val in enumerate(integrals))
+    terms = [(-1.0) ** (r - 1 - k) * math.comb(r - 1, k)
+             * math.comb(r - 1 + k, k) * val
+             for k, val in enumerate(integrals)]
+    value = sum(terms)
+    # the relative error of the signed sum is about 5e-17 sum |term| / |value|
+    if sum(map(abs, terms)) > _L_MOMENT_CANCELLATION * abs(value):
+        raise QuadratureError(f"L-moment of order r={r}: its signed sum "
+                              "cancels beyond the digits of its terms")
+    return value
 
 
 class MgfDiverged(ArithmeticError):
@@ -309,12 +321,22 @@ def renyi_entropy(params: RtgleParams, rho: float) -> float:
 
 def order_statistic_pdf(params: RtgleParams, r: int, n: int, x) -> float:
     """Density of the r-th order statistic of an n-sample,
-    f(x) F(x)^(r-1) S(x)^(n-r) / B(r, n-r+1)."""
+    f(x) F(x)^(r-1) S(x)^(n-r) / B(r, n-r+1), summed in log space so that
+    no factor overflows or underflows on its own."""
     if not (1 <= r <= n):
         raise ValueError(f"rank r={r} out of range for n={n}")
-    out = (pdf(params, x) * np.power(cdf(params, x), r - 1)
-           * np.power(sf(params, x), n - r)
-           * math.exp(-log_beta(r, n - r + 1)))
+    v = params.as_tuple()
+
+    def log_density(x, x2):
+        log_s = _log_sf_kernel(x, x2, *v)
+        out = _log_pdf_kernel(x, x2, *v) - log_beta(r, n - r + 1)
+        # a power 0 drops its factor: 0 * log 0 would be NaN
+        if r > 1:
+            out = out + (r - 1) * np.log(-np.expm1(log_s))
+        if r < n:
+            out = out + (n - r) * log_s
+        return out
+    out = np.exp(_on_support(log_density, x, -np.inf, -np.inf))
     return out if np.ndim(out) else float(out)
 
 
@@ -339,11 +361,19 @@ def record_pdf(params: RtgleParams, n: int, x) -> float:
     """Density of the n-th upper record, indexed so the first record is the
     parent: f_{R_n}(x) = H(x)^(n-1) / (n-1)! * f(x) with H the cumulative
     hazard.  This indexing is forced by normalization and R_1 ~ parent.
+    Summed in log space, so that H^(n-1) and (n-1)! do not overflow.
     """
     if n < 1:
         raise ValueError("record index must be >= 1")
-    h = cumulative_hazard(params, x)
-    out = np.power(h, n - 1) / math.factorial(n - 1) * pdf(params, x)
+    v = params.as_tuple()
+
+    def log_density(x, x2):
+        out = _log_pdf_kernel(x, x2, *v)
+        if n > 1:  # H^0 drops: 0 * log 0 would be NaN
+            out = out + ((n - 1) * np.log(-_log_sf_kernel(x, x2, *v))
+                         - math.lgamma(n))
+        return out
+    out = np.exp(_on_support(log_density, x, -np.inf, -np.inf))
     return out if np.ndim(out) else float(out)
 
 

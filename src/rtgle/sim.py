@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import (QuantileOverflow, QuantileUnderflow, RtgleParams,
-                           sample, validate)
+                           _index, sample, validate)
 # fit is looked up here by the benchmark's per-layer tracing (bench/tracing.py)
 from .estimate import (EstimationMethod, OptimizerConfig, fit,  # noqa: F401
                        fit_many)
@@ -50,8 +50,11 @@ class SimDesign:
 
     def __post_init__(self):
         validate(*self.true_params.as_tuple())
-        self.sample_sizes = tuple(int(n) for n in self.sample_sizes)
+        self.sample_sizes = tuple(_index(n, "sample_sizes")
+                                  for n in self.sample_sizes)
         self.methods = tuple(self.methods)
+        self.replicates = _index(self.replicates, "replicates")
+        self.seed = _index(self.seed, "seed")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:

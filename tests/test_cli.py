@@ -308,6 +308,22 @@ def test_simulate_negative_seed_is_bad_design(tmp_path, capsys):
     assert out == "" and "bad design" in err and "seed" in err
 
 
+@pytest.mark.parametrize("field,value", [("sample_sizes", [30.9]),
+                                         ("replicates", 2.7), ("seed", 1.5),
+                                         ("replicates", "2")])
+def test_simulate_non_integer_setting_is_bad_design(tmp_path, capsys, field,
+                                                    value):
+    # a size, count or seed that is not an integer is refused, not
+    # truncated
+    design = {"true_params": [1.2, 0.5, 1.5, 0.8], "sample_sizes": [30],
+              "methods": ["mle"], "replicates": 2, "seed": 1, field: value}
+    dfile = tmp_path / "design.json"
+    dfile.write_text(json.dumps(design))
+    code, out, err = run_cli(capsys, "simulate", "--design", str(dfile))
+    assert code == 3
+    assert out == "" and "bad design" in err and field in err
+
+
 @pytest.mark.parametrize("sizes,methods", [([20, 20], ["mle"]),
                                            ([20], ["mle", "mle"])])
 def test_simulate_repeated_design_entry_is_bad_design(tmp_path, capsys, sizes,

@@ -16,7 +16,7 @@ from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, sample
 from rtgle.estimate import (_IGNORE, _RTGLE, AllStartsFailed,
                             EstimationMethod, HessianNotPD, OptimizerConfig,
-                            _inverse, _natural_objective, _standard_errors,
+                            _inverse, _row_objective, _standard_errors,
                             _to_free, fit, neg_log_likelihood,
                             standard_errors)
 
@@ -231,11 +231,11 @@ def test_make_competitor_validation():
 
 
 # free-coordinate rows at an edge of each model's arithmetic: TL theta =
-# e^-800 = 0, TLL alpha = e^+-800, RTW theta^(1/gamma) = e^1484 overflowing,
-# W sigma = e^800 and RTGLE gamma = e^-800
+# e^-800 = 0, TLL alpha = e^+-800, RTW alpha = e^800, W sigma = e^800 and
+# RTGLE gamma = e^-800
 EDGE_ROWS = {
     "RTGLE": [(0.0, 0.0, -800.0, 0.0)],
-    "RTW": [(10.0, -5.0, 0.0)],
+    "RTW": [(800.0, 0.0, 0.0)],
     "W": [(0.0, 800.0)],
     "TL": [(-800.0, 0.0)],
     "TLL": [(800.0, 0.0, 0.0), (-800.0, 0.0, 0.0)],
@@ -248,15 +248,16 @@ def test_one_row_call_is_its_row_of_a_batch(kind):
     # of one row, on numpy scalars, gives the bits of that row inside a
     # call of two, on (R, 1) columns; and an edge row gives +inf with no
     # exception and no warning
-    spec = _SPECS[kind]
+    # the record the engine searches: for RTW, its image in (alpha, gamma, p)
+    spec = (_SPECS[kind].search or (_SPECS[kind],))[0]
     x = load_dataset("embedded").values
     methods = (EstimationMethod.MLE, EstimationMethod.ADE,
                EstimationMethod.LSE)
-    on_natural = _natural_objective(spec, methods, x[None])
+    on_natural = _row_objective(spec, methods, x[None])
     natural = _inverse(spec.kinds)
 
     def objective(theta, fits):
-        return on_natural(natural(theta), fits)
+        return on_natural(natural(theta), fits)[0]
     inner = _to_free(spec.start(x), spec.kinds)
     thetas = [inner] + [np.array(t) for t in EDGE_ROWS.get(kind, ())]
     with warnings.catch_warnings(), np.errstate(**_IGNORE):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from rtgle.compare import _SPECS
 from rtgle.distribution import RtgleParams, sample
-from rtgle.estimate import (_IGNORE, _RTGLE, EstimationMethod,
-                            _natural_objective, _row_objective)
+from rtgle.estimate import _IGNORE, _RTGLE, EstimationMethod, _row_objective
 
 # the points of a check: those of this grid where S >= e^-15, so that
 # each lies where the distribution has mass
@@ -127,23 +126,23 @@ def test_row_gradient_and_matrix_match_differences(method):
     # each row's gradient is the derivative of its value, and its matrix,
     # from the analytic second derivatives of the kernels, is the Hessian
     # of its value
-    rows = _row_objective((method,), DATA[None])
-    natural = _natural_objective(_RTGLE, (method,), DATA[None])
+    rows = _row_objective(_RTGLE, (method,), DATA[None])
+    natural = _row_objective(_RTGLE, (method,), DATA[None])
     first = np.zeros(1, dtype=int)
     points = [np.array([1.1, 0.6, 1.4, 0.7]), np.array([0.8, 1.3, 1.9, 0.3])]
     for v in points:
         with np.errstate(**_IGNORE):
-            value, grad, matrix = natural(v[None], first, True)
-            assert rows(v[None], first, True)[1].tolist() == grad.tolist()
+            value, grad, matrix = natural(v[None], first)
+            assert rows(v[None], first)[1].tolist() == grad.tolist()
 
             def f(w):
-                return rows(w[None], first)[0]
+                return rows(w[None], first)[0][0]
             steps = 1e-5 * (1.0 + np.abs(v))
             fd = np.array([(f(v + s) - f(v - s)) / (2.0 * s[j])
                            for j, s in enumerate(np.diag(steps))])
             assert np.allclose(grad[0], fd, rtol=1e-6, atol=1e-8 * abs(
                 value[0])), (method, v)
-            assert rows(v[None], first, True)[2].tolist() == matrix.tolist()
+            assert rows(v[None], first)[2].tolist() == matrix.tolist()
             e = np.diag(steps)
             expected = np.array([[(f(v + e[a] + e[b]) - f(v + e[a] - e[b])
                                    - f(v - e[a] + e[b]) + f(v - e[a] - e[b]))
@@ -158,15 +157,15 @@ def test_every_row_has_a_finite_symmetric_matrix():
     # every row of a call of all five methods on two samples, in any
     # order, has a finite symmetric matrix, the same alone as in the call
     methods = tuple(EstimationMethod)
-    objective = _row_objective(methods, np.array([DATA,
-                                                  sample(TRUE, 30, seed=12)]))
+    objective = _row_objective(_RTGLE, methods,
+                               np.array([DATA, sample(TRUE, 30, seed=12)]))
     rng = np.random.default_rng(5)
     v = np.array(TRUE.as_tuple()) * rng.uniform(0.7, 1.3, size=(10, 4))
     fits = rng.permutation(10)
     with np.errstate(**_IGNORE):
-        matrix = objective(v, fits, True)[2]
+        matrix = objective(v, fits)[2]
         for r in range(10):
-            assert objective(v[r:r + 1], fits[r:r + 1], True)[2].tolist() \
+            assert objective(v[r:r + 1], fits[r:r + 1])[2].tolist() \
                 == matrix[r:r + 1].tolist(), fits[r]
     assert np.isfinite(matrix).all()
     for m in matrix:

@@ -9,12 +9,13 @@ from scipy.optimize import minimize
 from rtgle import DegenerateData, estimate
 from rtgle.compare import (_SPECS, COMPETITOR_KINDS, CompetitorModel,
                            comparison_table, fit_competitor)
-from rtgle.distribution import (RtgleParams, _log_pdf_kernel, _log_sf_kernel,
-                                _valid_rows, sample, validate)
+from rtgle.distribution import (RtgleParams, _d_log_pdf_kernel,
+                                _d_log_sf_kernel, _valid_rows, sample,
+                                validate)
 from rtgle.estimate import (_IGNORE, _OBJECTIVES, _RTGLE, AllStartsFailed,
                             EstimationMethod, HessianNotPD, NonPositiveData,
                             OptimizerConfig, _box, _finite_rows, _inverse,
-                            _natural_objective, _row_objective, _search,
+                            _row_objective, _search,
                             _to_free, ad_objective, cvm_objective, fit,
                             fit_many, ls_objective, neg_log_likelihood,
                             nll_gradient, standard_errors, wls_objective)
@@ -43,9 +44,9 @@ def test_transform_roundtrip():
         values = natural(np.array([[1000.0, 0.0, 0.0, 0.0],
                                    [0.0, 0.0, 0.0, 1000.0]]))
         assert values[0, 0] == np.inf and values[1, 3] == 1.0
-        value = _natural_objective(_RTGLE, (EstimationMethod.MLE,),
-                                   sample(TRUE, 20, seed=1)[None])(
-            values, np.zeros(2, dtype=int))
+        value = _row_objective(_RTGLE, (EstimationMethod.MLE,),
+                               sample(TRUE, 20, seed=1)[None])(
+            values, np.zeros(2, dtype=int))[0]
     assert value[0] == np.inf and np.isfinite(value[1])
 
 
@@ -328,13 +329,13 @@ def _lockstep_setup(model):
     theta = _to_free(center, spec.kinds)
     thetas = np.array([theta] + list(
         theta + np.random.default_rng(1).normal(size=(4, len(theta)))))
-    return (spec, methods, _natural_objective(spec, methods, x[None]),
+    return (spec, methods, _row_objective(spec, methods, x[None]),
             _inverse(spec.kinds)(thetas))
 
 
 def _run_search(objective, starts, spec):
     fits = np.zeros(len(starts), dtype=int)
-    f, g, h = objective(starts, fits, True)
+    f, g, h = objective(starts, fits)
     return _search(objective, starts, fits, f, g, h, _box(spec.kinds))
 
 
@@ -348,7 +349,7 @@ def _scipy_polish(objective, x0, spec, method="L-BFGS-B"):
     first = np.zeros(1, dtype=int)
 
     def value_and_gradient(v):
-        f, g, _ = objective(np.asarray(v, dtype=float)[None], first, True)
+        f, g, _ = objective(np.asarray(v, dtype=float)[None], first)
         return float(f[0]), g[0]
     if method == "Nelder-Mead":
         return minimize(lambda v: value_and_gradient(v)[0], x0, bounds=bounds,
@@ -398,21 +399,21 @@ def test_lockstep_evaluates_only_its_own_points(kind):
     spec, _, objective, starts = _lockstep_setup(kind)
     calls = []
 
-    def counted(v, fits, derivatives=False):
+    def counted(v, fits):
         calls.append((fits.tolist(), v.copy()))
-        return objective(v, fits, derivatives)
+        return objective(v, fits)
     labels = np.arange(len(starts))   # one sample: fits only label
     with np.errstate(**_IGNORE):
-        f, g, h = counted(starts, labels, True)
+        f, g, h = counted(starts, labels)
         _search(counted, starts, labels, f, g, h, _box(spec.kinds))
         for label, x0 in enumerate(starts):
             points = []
 
-            def own(v, fits, derivatives=False):
+            def own(v, fits):
                 points.append(v[0].copy())
-                return objective(v, fits, derivatives)
+                return objective(v, fits)
             first = np.zeros(1, dtype=int)
-            _search(own, x0[None], first, *own(x0[None], first, True),
+            _search(own, x0[None], first, *own(x0[None], first),
                     _box(spec.kinds))
             mine = [v[r] for fits, v in calls
                     for r, fit in enumerate(fits) if fit == label]
@@ -423,7 +424,7 @@ def test_lockstep_evaluates_only_its_own_points(kind):
 
 @pytest.mark.parametrize("model",
                          list(EstimationMethod) + ["W", "TW", "RTW"], ids=str)
-def test_search_calls_hold_one_row_per_live_search(model, monkeypatch):
+def test_search_calls_hold_one_row_per_live_search(model):
     # after the starts, each objective call of a search holds exactly one
     # row per live search, its trial point, and reaches the kernels with
     # those of them that have a valid RTGLE image and no other row: a
@@ -431,33 +432,33 @@ def test_search_calls_hold_one_row_per_live_search(model, monkeypatch):
     spec, methods, _, starts = _lockstep_setup(model)
     rows = []
 
-    def row_objective(*args):
-        objective = _row_objective(*args)
-
-        def counted(v, fits, derivatives=False):
-            rows[-1].append(fits.tolist())
-            return objective(v, fits, derivatives)
-        return counted
-    monkeypatch.setattr(estimate, "_row_objective", row_objective)
-    natural = _natural_objective(spec, methods, LOCKSTEP_X[None])
+    def counted(kernel):
+        def call(x, x2, *v):
+            rows[-1].append(np.column_stack([np.ravel(c) for c in v]))
+            return kernel(x, x2, *v)
+        return call
+    spec = dataclasses.replace(spec, d_log_pdf=counted(spec.d_log_pdf),
+                               d_log_sf=counted(spec.d_log_sf))
+    natural = _row_objective(spec, methods, LOCKSTEP_X[None])
     calls = []
 
-    def objective(v, fits, derivatives=False):
+    def objective(v, fits):
         valid = _finite_rows(v)
         if spec.image:
             valid &= _valid_rows(*spec.image(*v.T))
-        calls.append((fits.tolist(), fits[valid].tolist()))
+        calls.append((fits.tolist(), v[valid].tolist()))
         rows.append([])
-        return natural(v, fits, derivatives)
+        return natural(v, fits)
     labels = np.arange(len(starts))   # one sample: fits only label
     with np.errstate(**_IGNORE):
-        f, g, h = objective(starts, labels, True)
+        f, g, h = objective(starts, labels)
         steps = _search(objective, starts, labels, f, g, h,
                         _box(spec.kinds))[2]
-    assert rows[0] == [labels.tolist()]
+    assert [r.tolist() for r in rows[0]] == [starts.tolist()]
     for (fits, valid), reached in zip(calls[1:], rows[1:]):
         assert len(set(fits)) == len(fits)
-        assert reached == ([valid] if valid else []), (fits, reached)
+        assert [r.tolist() for r in reached] == ([valid] if valid else []), (
+            fits, reached)
     assert [sum(label in fits for fits, _ in calls[1:]) for label in labels] \
         == steps.tolist()
 
@@ -468,7 +469,7 @@ def test_converged_is_a_certificate(monkeypatch):
     spec, methods, objective, starts = _lockstep_setup(EstimationMethod.MLE)
     with np.errstate(**_IGNORE):
         x, fun, nit, success, active = _run_search(objective, starts, spec)
-        f, g, h = objective(x, np.zeros(len(x), dtype=int), True)
+        f, g, h = objective(x, np.zeros(len(x), dtype=int))
     assert success.all() and not active.any()
     for row in range(len(x)):
         decrement = g[row] @ np.linalg.solve(h[row], g[row])
@@ -479,9 +480,9 @@ def test_converged_is_a_certificate(monkeypatch):
 
 
 def test_row_objective_makes_one_call_per_kernel():
-    # a call's MLE rows take one log_pdf call, and its LSE, WLSE, ADE and
-    # CME rows together one log_sf call, whatever fits it holds and in any
-    # order; each row is its public objective
+    # a call's MLE rows take one d_log_pdf call, and its LSE, WLSE, ADE and
+    # CME rows together one d_log_sf call, whatever fits it holds and in
+    # any order; each row's value is its public objective
     kernels = []
 
     def counted(kernel):
@@ -491,9 +492,9 @@ def test_row_objective_makes_one_call_per_kernel():
         return call
     methods = tuple(EstimationMethod)
     samples = [sample(TRUE, 30, seed=s) for s in (2, 3)]
-    objective = _row_objective(methods, np.array(samples),
-                               counted(_log_pdf_kernel),
-                               counted(_log_sf_kernel))
+    objective = _row_objective(dataclasses.replace(
+        _RTGLE, d_log_pdf=counted(_d_log_pdf_kernel),
+        d_log_sf=counted(_d_log_sf_kernel)), methods, np.array(samples))
     rng = np.random.default_rng(4)
     v = np.array(TRUE.as_tuple()) * rng.uniform(0.8, 1.2, size=(10, 4))
     expected = [_OBJECTIVES[methods[f % 5]](RtgleParams(*v[f]),
@@ -505,10 +506,10 @@ def test_row_objective_makes_one_call_per_kernel():
                  list(range(9, -1, -1)), rng.permutation(10).tolist()):
         kernels.clear()
         with np.errstate(**_IGNORE):
-            out = objective(v[fits], np.array(fits))
+            out = objective(v[fits], np.array(fits))[0]
         assert out.tolist() == [expected[f] for f in fits], fits
         assert sorted(kernels) == sorted(
-            {"_log_pdf_kernel" if f % 5 == 0 else "_log_sf_kernel"
+            {"_d_log_pdf_kernel" if f % 5 == 0 else "_d_log_sf_kernel"
              for f in fits}), fits
 
 

@@ -20,7 +20,7 @@ import pytest
 from rtgle.compare import COMPETITOR_KINDS, fit_competitor
 from rtgle.datasets import flag_outliers_iqr, load_dataset
 from rtgle.distribution import RtgleParams, cdf, log_pdf, sf
-from rtgle.estimate import (_IGNORE, _OBJECTIVES, EstimationMethod,
+from rtgle.estimate import (_IGNORE, _OBJECTIVES, _RTGLE, EstimationMethod,
                             OptimizerConfig, _row_objective, fit, fit_many)
 from rtgle.sim import default_sim_optimizer
 
@@ -272,9 +272,9 @@ def test_public_objective_equals_prepared_objective(method):
     # a public objective evaluates one row on floats; a fit evaluates the
     # rows of many parameter vectors at once, as (R, 1) columns
     with np.errstate(**_IGNORE):
-        values = _row_objective((method,), X[None])(
+        values = _row_objective(_RTGLE, (method,), X[None])(
             np.array([pr.as_tuple() for pr in params]),
-            np.zeros(len(params), dtype=int))
+            np.zeros(len(params), dtype=int))[0]
     for pr, value in zip(params, values.tolist()):
         assert value == _OBJECTIVES[method](pr, X)
         assert value == _public_formula(method, pr, X)

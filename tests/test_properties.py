@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from rtgle.distribution import (RtgleParams, cdf, log_pdf, pdf, quantile,
                                 quantile_vec, sf)
-from rtgle.properties import (MgfDiverged, cumulative_hazard,
+from rtgle.properties import (MgfDiverged, QuadratureError, cumulative_hazard,
                               gini_mean_difference, joint_record_log_pdf,
                               kurtosis, l_moment, largest_order_statistic_pdf,
                               mgf, moment_quadrature,
@@ -317,6 +317,25 @@ def test_record_pdf_normalizes_and_first_is_parent():
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def test_order_and_record_densities_at_large_n():
+    # the median of 2001 draws and the 171st and 200th records: each
+    # factor alone overflows or underflows, their product does not
+    params = ROW1
+    median = quantile(params, 0.5)
+    assert math.isfinite(order_statistic_pdf(params, 1001, 2001, median))
+    total, _ = quad(lambda x: order_statistic_pdf(params, 1001, 2001, x),
+                    quantile(params, 0.4), quantile(params, 0.6),
+                    points=[median], limit=200)
+    assert total == pytest.approx(1.0, abs=1e-6)
+    x = np.linspace(0.01, 60.0, 6000)
+    for n in (171, 200):
+        density = record_pdf(params, n, x)
+        assert np.isfinite(density).all(), n
+        total, _ = quad(lambda t: record_pdf(params, n, t), 0.0, 60.0,
+                        points=[x[np.argmax(density)]], limit=400)
+        assert total == pytest.approx(1.0, abs=1e-6), n
+
+
 def test_cumulative_hazard_is_minus_log_sf():
     params = ROW1
     x = np.linspace(0.05, 8.0, 50)
@@ -345,6 +364,17 @@ def test_l_moment_and_gini():
     assert gini_mean_difference(ROW1) == pytest.approx(
         2.0 * l_moment(ROW1, 2), rel=1e-7)
     assert gini_mean_difference(ROW1) > 0.0
+
+
+def test_l_moment_of_the_exponential_until_its_sum_cancels():
+    # the exponential's lambda_r = 1/(r(r-1)); beyond r = 10 its signed sum
+    # cancels, and at r = 20 it would return half the value
+    exponential = RtgleParams(1.0, 0.0, 1.0, 0.0)
+    for r in range(2, 11):
+        assert l_moment(exponential, r) == pytest.approx(
+            1.0 / (r * (r - 1)), rel=1e-8, abs=0.0), r
+    with pytest.raises(QuadratureError, match="r=20"):
+        l_moment(exponential, 20)
 
 
 def test_second_moment_by_both_routes_and_the_recurrence():

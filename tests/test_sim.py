@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rtgle import cli
-from rtgle.distribution import QuantileOverflow, RtgleParams, sample
-from rtgle.estimate import EstimationMethod, fit_many
+from rtgle.distribution import (QuantileOverflow, RtgleParams, sample,
+                                sample_via_records)
+from rtgle.estimate import EstimationMethod, OptimizerConfig, fit_many
 from rtgle.sim import (SimDesign, _replicate_seed, default_sim_optimizer,
                        run_design)
 
@@ -26,6 +27,35 @@ def test_design_validation():
         _design(sample_sizes=(5,))
     with pytest.raises(ValueError):
         _design(sample_sizes=())
+
+
+@pytest.mark.parametrize("field,make", [
+    ("sample_sizes", lambda: _design(sample_sizes=(30.9,))),
+    ("replicates", lambda: _design(replicates=2.7)),
+    ("seed", lambda: _design(seed=1.5)),
+    ("n_starts", lambda: OptimizerConfig(n_starts=2.5)),
+    ("seed", lambda: OptimizerConfig(seed=1.5)),
+    ("n", lambda: sample(TRUE, 30.5, seed=1)),
+    ("seed", lambda: sample(TRUE, 30, seed=np.float64(1.0))),
+    ("n", lambda: sample_via_records(TRUE, 30.0, seed=1)),
+    ("seed", lambda: sample_via_records(TRUE, 30, seed=1.5))], ids=[
+        "design-sample_sizes", "design-replicates", "design-seed",
+        "config-n_starts", "config-seed", "sample-n", "sample-seed",
+        "records-n", "records-seed"])
+def test_sizes_counts_and_seeds_must_be_integers(field, make):
+    # a float is refused, naming the field, not truncated or passed on
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        make()
+
+
+def test_integer_settings_accept_numpy_integers():
+    design = _design(sample_sizes=(np.int64(30),), replicates=np.int32(2),
+                     seed=np.uint8(1))
+    assert (design.sample_sizes, design.replicates, design.seed) == (
+        (30,), 2, 1)
+    assert type(design.replicates) is int
+    assert sample(TRUE, np.int64(5), seed=np.int64(1)).tolist() == sample(
+        TRUE, 5, seed=1).tolist()
 
 
 @pytest.mark.parametrize("kw", [
